@@ -36,14 +36,14 @@ from .linsys import (
 from .solutions import (
     RemovalResult,
     count_solutions,
+    count_system,
     epsdelta_scan,
     is_free,
     iter_solutions,
     min_copy_hitting_set,
     plan_removal,
-    removal_distance,
+    solve,
     translate_edge_deletion,
-    two_var_removal,
 )
 from .verify import (
     VerificationReport,

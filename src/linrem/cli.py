@@ -8,35 +8,14 @@ input file and seed, so every subcommand is golden-file testable.
 from __future__ import annotations
 
 import argparse
-import itertools
 import random
 import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
-from .errors import (
-    CheckError,
-    EdgeNotInHost,
-    EmptyW,
-    InputError,
-    NoFreeColumns,
-    ParseError,
-    SearchBudgetExceeded,
-)
+from .errors import CheckError, EdgeNotInHost, InputError, ParseError
 from .hrep import build_coefficients, build_host, export_host, parse_host_export
-from .linsys import (
-    LinearSystem,
-    SetFamily,
-    format_system,
-    normalize,
-    parse_system,
-    reduce_degenerate,
-)
-from .solutions import (
-    count_solutions,
-    epsdelta_scan,
-    plan_removal,
-    translate_edge_deletion,
-)
+from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system
+from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
 from .verify import check_representation
 
 
@@ -49,30 +28,6 @@ def _build(system: LinearSystem, sets: SetFamily):
     ns = normalize(system)
     coeffs = build_coefficients(ns)
     return build_host(ns, coeffs, sets)
-
-
-def _count_total(system: LinearSystem, sets: SetFamily, naive: bool, guard: int) -> int:
-    """Solution count for any full-rank system, degenerate rows included."""
-    try:
-        ns = normalize(system)
-    except (EmptyW, NoFreeColumns):
-        pass
-    else:
-        return count_solutions(ns, sets, mode="naive" if naive else "structured", guard=guard)
-    red = reduce_degenerate(system, sets)
-    if red.kind == "empty":
-        return 0
-    work = 1
-    for s in red.sets.sets:
-        work *= max(1, len(s))
-    if work > guard:
-        raise SearchBudgetExceeded(f"residual count needs {work} tuples, guard is {guard}")
-    if red.kind == "unconstrained":
-        count = 1
-        for s in red.sets.sets:
-            count *= len(s)
-        return count
-    return sum(1 for tup in itertools.product(*red.sets.sets) if red.system.is_solution(tup))
 
 
 def cmd_normalize(args) -> int:
@@ -94,7 +49,8 @@ def cmd_normalize(args) -> int:
 
 def cmd_count(args) -> int:
     system, sets = _load(args.input)
-    print(f"T={_count_total(system, sets, args.naive, args.guard)}")
+    mode = "naive" if args.naive else "structured"
+    print(f"T={count_system(system, sets, mode=mode, guard=args.guard)}")
     return 0
 
 

@@ -59,3 +59,7 @@ class SimplicityViolation(CheckError):
 
 class MissingEdge(CheckError):
     """A copy expected by construction is not present in the edge store."""
+
+
+class InvariantViolation(CheckError):
+    """An internal invariant of a reduction or search failed; indicates a bug."""

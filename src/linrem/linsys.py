@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .errors import EmptyW, NoFreeColumns, ParseError, RankDeficient
+from .errors import EmptyW, InvariantViolation, NoFreeColumns, ParseError, RankDeficient
 from .field import PrimeField, next_prime_above
 
 Matrix = list[list[int]]
@@ -434,7 +434,8 @@ def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
         blk = free + i
         if len(nz) == 1:
             # Bare block entry: the variable is pinned to the rhs constant.
-            assert nz == [blk] and row[blk] == 1
+            if nz != [blk] or row[blk] != 1:
+                raise InvariantViolation(f"one-entry row {row} is not its own unit block entry")
             value = rhs[i]
             step = PinStep(origin[blk], value)
             if value not in cur_sets[blk]:
@@ -443,7 +444,8 @@ def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
         else:
             if ell == 1:
                 return finish("two_var")
-            assert blk in nz and row[blk] == 1
+            if blk not in nz or row[blk] != 1:
+                raise InvariantViolation(f"two-entry row {row} lacks its unit block entry")
             a = nz[0] if nz[1] == blk else nz[1]
             alpha = row[a]
             # x_blk = rhs - alpha*x_a; keep x_a, fold the block variable away.

@@ -1,22 +1,31 @@
-"""Solution counting and exact removal searches for constrained systems.
+"""Solutions of constrained systems, and exact removal searches over them.
 
 A solution assigns each unknown a value from its admissible set. Counting
 walks the free columns only and solves the diagonal block per row; the
-naive mode enumerates full tuples as an independent oracle. Removal
-searches are exact branch-and-bound over which elements to delete.
+naive mode enumerates full tuples as an independent oracle. `solve` is
+the front door for any full-rank system: it normalizes when it can, and
+otherwise reduces the short rows and lifts the residual solutions back.
+Removal searches are exact branch-and-bound over which elements to delete.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import EdgeNotInHost, EmptyW, NoFreeColumns, SearchBudgetExceeded
+from .errors import (
+    EdgeNotInHost,
+    EmptyW,
+    InvariantViolation,
+    NoFreeColumns,
+    SearchBudgetExceeded,
+)
 from .linsys import (
     LinearSystem,
     NormalizedSystem,
-    PinStep,
+    ReductionResult,
     SetFamily,
     normalize,
     reduce_degenerate,
@@ -27,10 +36,10 @@ __all__ = [
     "count_solutions",
     "iter_solutions",
     "is_free",
+    "solve",
+    "count_system",
     "RemovalResult",
-    "removal_distance",
     "plan_removal",
-    "two_var_removal",
     "min_copy_hitting_set",
     "translate_edge_deletion",
     "epsdelta_scan",
@@ -128,6 +137,65 @@ def is_free(ns: NormalizedSystem, sets: SetFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Any full-rank system: normalize, or reduce the short rows and lift.
+
+
+def _normal_or_reduced(system: LinearSystem, sets: SetFamily) -> NormalizedSystem | ReductionResult:
+    """normalize(system), or reduce_degenerate(system, sets) when a short row blocks it."""
+    try:
+        return normalize(system)
+    except (EmptyW, NoFreeColumns):
+        return reduce_degenerate(system, sets)
+
+
+def _lifted(red: ReductionResult, guard: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Residual solutions of a reduction, lifted to every original column.
+
+    The residual product is walked directly; guard bounds its size and is
+    checked before the first tuple.
+    """
+    if red.kind == "empty":
+        return
+    work = math.prod(max(1, len(s)) for s in red.sets.sets)
+    if guard is not None and work > guard:
+        raise SearchBudgetExceeded(f"residual count needs {work} tuples, guard is {guard}")
+    for tup in itertools.product(*red.sets.sets):
+        if red.system is None or red.system.is_solution(tup):
+            yield red.lift(tup)
+
+
+def solve(system: LinearSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
+    """Yield every admissible solution of any full-rank system, in original column order.
+
+    A system that normalizes is walked by iter_solutions. Short rows (pins,
+    folds, a two-variable equation) go through reduce_degenerate instead,
+    and each residual solution is lifted back through the trace.
+    """
+    form = _normal_or_reduced(system, sets)
+    if isinstance(form, ReductionResult):
+        yield from _lifted(form)
+        return
+    back = sorted(range(form.p), key=form.perm.__getitem__)
+    for sol in iter_solutions(form, sets):
+        yield tuple(sol[k] for k in back)
+
+
+def count_system(
+    system: LinearSystem, sets: SetFamily, mode: str = "structured", guard: int = 10**6
+) -> int:
+    """Admissible solution count for any full-rank system, degenerate rows included.
+
+    A system that normalizes is counted by count_solutions in the given
+    mode. A reduced one counts its lifted residual solutions, and refuses
+    before the walk when the residual product exceeds guard.
+    """
+    form = _normal_or_reduced(system, sets)
+    if isinstance(form, ReductionResult):
+        return sum(1 for _ in _lifted(form, guard))
+    return count_solutions(form, sets, mode=mode, guard=guard)
+
+
+# ---------------------------------------------------------------------------
 # Exact removal searches.
 
 
@@ -150,238 +218,158 @@ class RemovalResult:
         return sets.with_removed(self.removed)
 
 
-def _solution_elements(ns: NormalizedSystem, sets: SetFamily) -> list[tuple[tuple[int, int], ...]]:
-    """Each solution as its set of (original column, value) elements."""
-    out = []
-    for sol in iter_solutions(ns, sets):
-        out.append(tuple(sorted((ns.perm[j], v) for j, v in enumerate(sol))))
-    out.sort()
-    return out
+def _hit_masks(rows: Sequence[tuple]) -> tuple[dict, int]:
+    """Per element, the bitmask of the rows containing it; and the all-rows mask."""
+    hits: dict = {}
+    for idx, row in enumerate(rows):
+        for e in row:
+            hits[e] = hits.get(e, 0) | 1 << idx
+    return hits, (1 << len(rows)) - 1
 
 
-def _pack(result: dict[int, set[int]], p: int, mode: str) -> RemovalResult:
-    removed = tuple(tuple(sorted(result.get(i, ()))) for i in range(p))
-    return RemovalResult(removed, mode)
+def _min_hitting_set(rows: Sequence[tuple], node_budget: int) -> list:
+    """Exact minimum set of elements meeting every row.
 
-
-def removal_distance(
-    ns: NormalizedSystem,
-    sets: SetFamily,
-    mode: str = "per-set-max",
-    guard: int = 24,
-    node_budget: int = 2_000_000,
-) -> RemovalResult:
-    """Exact cheapest removal that leaves the family free.
-
-    per-set-max minimizes the largest per-set deletion count; total
-    minimizes the overall number of deleted elements. Both are certified
-    minimal by exhaustive branch and bound over the solution list.
+    Branch and bound from a greedy upper bound. Each node branches on the
+    elements of the first unhit row, keeping one element per distinct gain
+    (equal gains lead to identical subtrees), and prunes with a packing
+    lower bound: rows that no single element can hit together each need
+    their own element. Raises SearchBudgetExceeded past node_budget nodes.
     """
-    if sets.total_size() > guard:
-        raise SearchBudgetExceeded(f"family size {sets.total_size()} exceeds guard {guard}")
-    if mode not in ("per-set-max", "total"):
-        raise ValueError(f"unknown mode {mode!r}")
-    sols = _solution_elements(ns, sets)
-    return _search_removal(sols, sets, mode, node_budget)
+    hits, all_mask = _hit_masks(rows)
+    # reach[idx]: every row that some element of row idx also hits.
+    reach = [0] * len(rows)
+    for idx, row in enumerate(rows):
+        for e in row:
+            reach[idx] |= hits[e]
 
-
-def _search_removal(
-    sols: list[tuple[tuple[int, int], ...]],
-    sets: SetFamily,
-    mode: str,
-    node_budget: int,
-) -> RemovalResult:
-    """Branch-and-bound over solutions given as (column, value) element sets."""
-    if not sols:
-        return _pack({}, sets.p, mode)
-
-    elements = sorted({e for sol in sols for e in sol})
-    hit = {e: 0 for e in elements}
-    for idx, sol in enumerate(sols):
-        for e in sol:
-            hit[e] |= 1 << idx
-    all_mask = (1 << len(sols)) - 1
-    nodes = 0
-
-    def first_unhit(covered: int) -> int:
-        rem = all_mask & ~covered
-        return (rem & -rem).bit_length() - 1
-
-    if mode == "per-set-max":
-        for bound in range(1, max(len(s) for s in sets.sets) + 1):
-            chosen: list[tuple[int, int]] = []
-            counts: dict[int, int] = {}
-
-            def feasible(covered: int) -> bool:
-                nonlocal nodes
-                nodes += 1
-                if nodes > node_budget:
-                    raise SearchBudgetExceeded("removal search node budget exhausted")
-                if covered == all_mask:
-                    return True
-                for e in sols[first_unhit(covered)]:
-                    if counts.get(e[0], 0) < bound:
-                        counts[e[0]] = counts.get(e[0], 0) + 1
-                        chosen.append(e)
-                        if feasible(covered | hit[e]):
-                            return True
-                        chosen.pop()
-                        counts[e[0]] -= 1
-                return False
-
-            if feasible(0):
-                grouped: dict[int, set[int]] = {}
-                for col, val in chosen:
-                    grouped.setdefault(col, set()).add(val)
-                return _pack(grouped, sets.p, mode)
-        raise AssertionError("deleting everything always frees the family")
-
-    # total mode: plain set-cover branch and bound.
-    best: list[tuple[int, int]] | None = None
-    chosen = []
+    best: list = []
+    covered = 0
+    order = sorted(hits)
+    while covered != all_mask:
+        e = max(order, key=lambda e: bin(hits[e] & ~covered).count("1"))
+        best.append(e)
+        covered |= hits[e]
 
     def lower_bound(covered: int) -> int:
         taken = 0
         used = 0
-        for idx, sol in enumerate(sols):
-            if covered >> idx & 1:
-                continue
-            mask = 0
-            for e in sol:
-                mask |= hit[e]
+        rem = all_mask & ~covered
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            mask = reach[low.bit_length() - 1]
             if not mask & used:
                 taken += 1
             used |= mask
         return taken
 
+    chosen: list = []
+    nodes = 0
+
     def search(covered: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded("removal search node budget exhausted")
+            raise SearchBudgetExceeded(f"hitting-set search passed {node_budget} nodes")
         if covered == all_mask:
-            if best is None or len(chosen) < len(best):
+            if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if best is not None and len(chosen) + lower_bound(covered) >= len(best):
+        if len(chosen) + lower_bound(covered) >= len(best):
             return
-        for e in sols[first_unhit(covered)]:
+        rem = all_mask & ~covered
+        seen: set[int] = set()
+        for e in rows[(rem & -rem).bit_length() - 1]:
+            gain = hits[e] & ~covered
+            if gain in seen:
+                continue
+            seen.add(gain)
             chosen.append(e)
-            search(covered | hit[e])
+            search(covered | gain)
             chosen.pop()
 
     search(0)
-    assert best is not None
-    grouped = {}
-    for col, val in best:
-        grouped.setdefault(col, set()).add(val)
-    return _pack(grouped, sets.p, mode)
+    return best
 
 
-def _residual_solutions(red) -> list[tuple[int, ...]]:
-    """Solutions of a reduction residual by direct product enumeration."""
-    return [
-        tup
-        for tup in itertools.product(*red.sets.sets)
-        if red.system.is_solution(tup)
-    ]
+def _min_max_hitting_set(
+    rows: Sequence[tuple[tuple[int, int], ...]], sets: SetFamily, node_budget: int
+) -> list[tuple[int, int]]:
+    """(column, value) elements meeting every row, fewest from any one column.
+
+    Iterative deepening over the per-column cap, from 0 (feasible only
+    with no rows): the first cover found at the smallest feasible cap is
+    then made irredundant, dropping each element that the others make
+    unnecessary.
+    """
+    hits, all_mask = _hit_masks(rows)
+    nodes = 0
+    for bound in range(max(len(s) for s in sets.sets) + 1):
+        chosen: list[tuple[int, int]] = []
+        counts: dict[int, int] = {}
+
+        def feasible(covered: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded("removal search node budget exhausted")
+            if covered == all_mask:
+                return True
+            rem = all_mask & ~covered
+            for e in rows[(rem & -rem).bit_length() - 1]:
+                if counts.get(e[0], 0) < bound:
+                    counts[e[0]] = counts.get(e[0], 0) + 1
+                    chosen.append(e)
+                    if feasible(covered | hits[e]):
+                        return True
+                    chosen.pop()
+                    counts[e[0]] -= 1
+            return False
+
+        if feasible(0):
+            kept = list(chosen)
+            for e in chosen:
+                others = 0
+                for f in kept:
+                    if f != e:
+                        others |= hits[f]
+                if others == all_mask:
+                    kept.remove(e)
+            return kept
+    raise InvariantViolation("deleting every element did not free the family")
 
 
 def plan_removal(
-    sys: LinearSystem,
+    system: LinearSystem,
     sets: SetFamily,
     mode: str = "per-set-max",
     guard: int = 24,
     node_budget: int = 2_000_000,
 ) -> RemovalResult:
-    """Freeing removal for any full-rank system, in original column order.
+    """Exact cheapest removal that leaves the family free, for any full-rank system.
 
-    Normalizable systems go straight to the exact search. Systems with
-    short rows are reduced first: a pinned unknown makes one deletion
-    optimal, a two-variable residual uses its dedicated argument, and the
-    zero-row outcome always stems from a pin. For folded systems the
-    search covers the surviving columns only; spreading deletions over a
-    folded-away column is not considered.
+    The search covers every admissible solution from `solve`, each taken as
+    its (column, value) elements in original column order, so deletions may
+    fall on any column, a pinned or folded-away one included. total
+    minimizes the number of deleted elements (a minimum hitting set);
+    per-set-max minimizes the largest per-set deletion count. Both answers
+    are exact, certified by exhaustive branch and bound, and irredundant:
+    putting back any deleted element lets a solution return.
     """
     if sets.total_size() > guard:
         raise SearchBudgetExceeded(f"family size {sets.total_size()} exceeds guard {guard}")
     if mode not in ("per-set-max", "total"):
         raise ValueError(f"unknown mode {mode!r}")
-    try:
-        ns = normalize(sys)
-    except (EmptyW, NoFreeColumns):
-        pass
+    rows = [tuple(enumerate(sol)) for sol in sorted(solve(system, sets))]
+    if mode == "total":
+        chosen = _min_hitting_set(rows, node_budget)
     else:
-        return removal_distance(ns, sets, mode, guard=guard, node_budget=node_budget)
-    red = reduce_degenerate(sys, sets)
-    if red.kind == "empty":
-        return _pack({}, sets.p, mode)
-    if red.kind == "unconstrained":
-        # Zero rows remain only when the final step was a pin.
-        sols = [()] if all(red.sets.sets) else []
-    else:
-        sols = _residual_solutions(red)
-    if not sols:
-        return _pack({}, sets.p, mode)
-    pins = [s for s in red.trace.steps if isinstance(s, PinStep)]
-    if pins:
-        # Every solution passes through the pinned value, so one deletion
-        # reaches the minimum possible nonzero cost.
-        return _pack({pins[0].column: {pins[0].value}}, sets.p, mode)
-    if red.kind == "two_var":
-        inner = two_var_removal(red.system, red.sets)
-        grouped = {
-            red.kept_columns[j]: set(vals)
-            for j, vals in enumerate(inner.removed)
-            if vals
-        }
-        return _pack(grouped, sets.p, mode)
-    elems = sorted(
-        tuple(sorted((red.kept_columns[j], v) for j, v in enumerate(sol))) for sol in sols
-    )
-    return _search_removal(elems, sets, mode, node_budget)
-
-
-def two_var_removal(sys: LinearSystem | NormalizedSystem, sets: SetFamily) -> RemovalResult:
-    """Cheapest freeing removal for a single equation with two live unknowns.
-
-    Either empty the smallest set whose unknown has a zero coefficient, or
-    delete the first coordinate of every solution pair from the lower
-    participating set. Returns the cheaper option under the per-set-max
-    reading; ties prefer the pair deletion. Accepts the raw system or a
-    normalized wrapper; sets and result are in original column order.
-    """
-    if isinstance(sys, NormalizedSystem):
-        inner = two_var_removal(sys.base, sys.permute_family(sets))
-        removed: list[tuple[int, ...]] = [()] * sets.p
-        for j, vals in enumerate(inner.removed):
-            removed[sys.perm[j]] = vals
-        return RemovalResult(tuple(removed), inner.mode)
-    if sys.ell != 1:
-        raise ValueError("two_var_removal wants a single equation")
-    fld = sys.field
-    row = sys.rows[0]
-    live = [j for j, c in enumerate(row) if c]
-    if len(live) != 2:
-        raise ValueError("two_var_removal wants exactly two nonzero coefficients")
-    u, v = live
-    idle = [j for j in range(sys.p) if j not in (u, v)]
-    if any(not sets.sets[j] for j in idle):
-        return _pack({}, sets.p, "per-set-max")
-    v_vals = frozenset(sets.sets[v])
-    hit_u = sorted(
-        su
-        for su in sets.sets[u]
-        if fld.div(fld.sub(sys.rhs[0], fld.mul(row[u], su)), row[v]) in v_vals
-    )
-    if not hit_u:
-        return _pack({}, sets.p, "per-set-max")
-    pair_cost = len(hit_u)
-    if idle:
-        smallest = min(idle, key=lambda j: (len(sets.sets[j]), j))
-        if len(sets.sets[smallest]) < pair_cost:
-            return _pack({smallest: set(sets.sets[smallest])}, sets.p, "per-set-max")
-    return _pack({u: set(hit_u)}, sets.p, "per-set-max")
+        chosen = _min_max_hitting_set(rows, sets, node_budget)
+    removed: list[list[int]] = [[] for _ in range(sets.p)]
+    for col, val in sorted(chosen):
+        removed[col].append(val)
+    return RemovalResult(tuple(tuple(vals) for vals in removed), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -400,69 +388,10 @@ def min_copy_hitting_set(
     """
     if len(copies) > guard:
         raise SearchBudgetExceeded(f"{len(copies)} copies exceed hitting-set guard {guard}")
-    if not copies:
-        return ()
-    copy_edges = [tuple(c.edges) for c in copies]
-    edge_hits: dict = {}
-    for idx, edges in enumerate(copy_edges):
-        for e in edges:
-            edge_hits[e] = edge_hits.get(e, 0) | 1 << idx
-    all_mask = (1 << len(copy_edges)) - 1
-
-    # Greedy cover for the initial upper bound.
-    best: list = []
-    covered = 0
-    while covered != all_mask:
-        e = max(sorted(edge_hits), key=lambda e: bin(edge_hits[e] & ~covered).count("1"))
-        best.append(e)
-        covered |= edge_hits[e]
-
-    def lower_bound(covered: int) -> int:
-        taken = 0
-        used = 0
-        for idx, edges in enumerate(copy_edges):
-            if covered >> idx & 1:
-                continue
-            mask = 0
-            for e in edges:
-                mask |= edge_hits[e]
-            if not mask & used:
-                taken += 1
-            used |= mask
-        return taken
-
-    chosen: list = []
-    nodes = 0
-
-    def search(covered: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"hitting-set search passed {node_budget} nodes"
-            )
-        if covered == all_mask:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + lower_bound(covered) >= len(best):
-            return
-        rem = all_mask & ~covered
-        idx = (rem & -rem).bit_length() - 1
-        seen: set[int] = set()
-        for e in copy_edges[idx]:
-            gain = edge_hits[e] & ~covered
-            # Edges with identical remaining coverage lead to identical
-            # subtrees; one representative preserves the minimum size.
-            if gain in seen:
-                continue
-            seen.add(gain)
-            chosen.append(e)
-            search(covered | gain)
-            chosen.pop()
-
-    search(0)
-    return tuple(sorted(best))
+    rows = [tuple(c.edges) for c in copies]
+    if not all(rows):
+        raise ValueError("a copy without edges cannot be hit")
+    return tuple(sorted(_min_hitting_set(rows, node_budget)))
 
 
 def translate_edge_deletion(host, edges: Iterable, sets: SetFamily) -> SetFamily:
@@ -508,6 +437,6 @@ def epsdelta_scan(
         if count == 0:
             records.append((n, 0.0, 0.0))
             continue
-        removal = removal_distance(ns, sets, "per-set-max", guard=removal_guard)
+        removal = plan_removal(ns.base, ns.permute_family(sets), "per-set-max", guard=removal_guard)
         records.append((n, count / denom, removal.budget / n))
     return records

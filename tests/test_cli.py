@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import linrem
 from linrem.cli import main
 from linrem.hrep import parse_host_export, render_host_export
 
@@ -42,6 +47,13 @@ def test_count_naive_agrees(capsys):
 
 def test_count_guard(capsys):
     code, out, err = run(capsys, "count", AP4, "--naive", "--guard", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SearchBudgetExceeded:")
+
+
+def test_count_guard_degenerate_route(capsys):
+    code, out, err = run(capsys, "count", FOLD, "--guard", "3")
     assert code == 2
     assert out == ""
     assert err.startswith("SearchBudgetExceeded:")
@@ -180,11 +192,38 @@ def test_removal_pinned(capsys):
     assert out.splitlines()[3] == "budget=1 total=1 mode=per-set-max"
 
 
+def test_removal_fold(capsys):
+    code, out, _ = run(capsys, "removal", FOLD)
+    assert code == 0
+    assert out == (
+        "remove set 1: 0,1,2\n"
+        "remove set 2: \n"
+        "remove set 3: 3,4\n"
+        "remove set 4: \n"
+        "budget=3 total=5 mode=per-set-max\n"
+    )
+
+
 def test_removal_fold_total_mode(capsys):
     code, out, _ = run(capsys, "removal", FOLD, "--mode", "total")
     assert code == 0
-    assert out.splitlines()[1] == "remove set 2: 0,1,2,3,4"
+    assert out.splitlines()[0] == "remove set 1: 0,1,2,3,4"
     assert out.splitlines()[-1] == "budget=5 total=5 mode=total"
+
+
+@pytest.mark.parametrize("path", [PINNED, FOLD])
+def test_removal_same_under_optimize_flag(path):
+    # python -O strips assert statements; the removal route must not lean on them.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linrem.__file__)))
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "linrem", "removal", path],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].endswith("mode=per-set-max\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,28 +2,50 @@ import itertools
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import brute_count, brute_solutions, full_sets, mk_sets, mk_system, removal_oracle
-from linrem.errors import EdgeNotInHost, SearchBudgetExceeded
+from linrem.errors import EdgeNotInHost, RankDeficient, SearchBudgetExceeded
 from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import SetFamily, normalize
 from linrem.solutions import (
     count_solutions,
+    count_system,
     epsdelta_scan,
     is_free,
     iter_solutions,
     min_copy_hitting_set,
     plan_removal,
-    removal_distance,
+    solve,
     translate_edge_deletion,
-    two_var_removal,
 )
 
 
+def triangle5():
+    return mk_system(5, [[1, 1, -1]], [0])
+
+
 def triangle5_ns():
-    return normalize(mk_system(5, [[1, 1, -1]], [0]))
+    return normalize(triangle5())
+
+
+@st.composite
+def small_systems(draw):
+    """Raw (q, rows, rhs, sets) for 1 or 2 rows, zero coefficients allowed.
+
+    At most 5, 4 or 3 values per set for 2, 3 or 4 unknowns, so the
+    subset-scan oracle sees at most 12 elements.
+    """
+    q = draw(st.sampled_from([5, 7]))
+    ell = draw(st.integers(min_value=1, max_value=2))
+    p = draw(st.integers(min_value=ell + 1, max_value=4))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    rows = [[draw(entry) for _ in range(p)] for _ in range(ell)]
+    rhs = [draw(entry) for _ in range(ell)]
+    size = min(q, 12 // p, 5)
+    sets = [sorted(draw(st.sets(entry, max_size=size))) for _ in range(p)]
+    return q, rows, rhs, sets
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +102,28 @@ def test_iter_solutions_matches_brute():
     assert unpermuted == set(brute_solutions(system, sets))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_solve_and_count_system_match_brute(case):
+    q, rows, rhs, fam = case
+    try:
+        system = mk_system(q, rows, rhs)
+    except RankDeficient:
+        reject()
+    sets = mk_sets(q, fam)
+    found = list(solve(system, sets))
+    assert sorted(found) == sorted(brute_solutions(system, sets))
+    assert count_system(system, sets) == len(found)
+
+
+def test_count_system_guard_on_reduced_route():
+    # Folding x3 into x1 leaves 125 residual tuples to walk.
+    system = mk_system(5, [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 0])
+    assert count_system(system, full_sets(5, 4)) == 25
+    with pytest.raises(SearchBudgetExceeded):
+        count_system(system, full_sets(5, 4), guard=124)
+
+
 def test_is_free():
     ns = triangle5_ns()
     assert not is_free(ns, mk_sets(5, [[1, 2]] * 3))
@@ -90,45 +134,54 @@ def test_is_free():
 # ---------------------------------------------------------------------------
 # Removal search.
 
+MODES = ("per-set-max", "total")
+
+
+def cost_of(res):
+    return res.budget if res.mode == "per-set-max" else res.total
+
+
+def assert_optimal(system, sets):
+    """plan_removal frees the family at the oracle's cost in both modes."""
+    for mode in MODES:
+        res = plan_removal(system, sets, mode)
+        assert brute_count(system, res.apply(sets)) == 0
+        assert cost_of(res) == removal_oracle(system, sets, mode)
+
 
 def test_removal_distance_spread_beats_single_set():
     system = mk_system(7, [[1, 1, -1]], [0])
-    ns = normalize(system)
     sets = mk_sets(7, [[1, 2, 3]] * 3)
-    res = removal_distance(ns, sets, "per-set-max")
+    res = plan_removal(system, sets, "per-set-max")
     assert res.budget == 1 == removal_oracle(system, sets, "per-set-max")
     assert brute_count(system, res.apply(sets)) == 0
-    res_total = removal_distance(ns, sets, "total")
+    res_total = plan_removal(system, sets, "total")
     assert res_total.total == 2 == removal_oracle(system, sets, "total")
     assert brute_count(system, res_total.apply(sets)) == 0
 
 
 def test_removal_distance_single_element():
-    ns = triangle5_ns()
     sets = mk_sets(5, [[1, 2]] * 3)
-    res = removal_distance(ns, sets, "per-set-max")
+    res = plan_removal(triangle5(), sets, "per-set-max")
     assert res.removed == ((1,), (), ())
     assert res.budget == 1 and res.total == 1
 
 
 def test_removal_distance_free_input():
-    ns = triangle5_ns()
     sets = mk_sets(5, [[1]] * 3)
-    res = removal_distance(ns, sets)
+    res = plan_removal(triangle5(), sets)
     assert res.removed == ((), (), ())
     assert res.budget == 0
 
 
 def test_removal_distance_guard():
-    ns = triangle5_ns()
     with pytest.raises(SearchBudgetExceeded):
-        removal_distance(ns, full_sets(5, 3), guard=14)
+        plan_removal(triangle5(), full_sets(5, 3), guard=14)
 
 
 def test_removal_bad_mode():
-    ns = triangle5_ns()
     with pytest.raises(ValueError):
-        removal_distance(ns, mk_sets(5, [[1]] * 3), mode="weird")
+        plan_removal(triangle5(), mk_sets(5, [[1]] * 3), mode="weird")
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,16 +198,46 @@ def test_removal_matches_oracle(data):
             for _ in range(3)
         ],
     )
-    ns = normalize(system)
-    for mode in ("per-set-max", "total"):
-        res = removal_distance(ns, sets, mode)
-        cost = res.budget if mode == "per-set-max" else res.total
-        assert cost == removal_oracle(system, sets, mode)
-        assert brute_count(system, res.apply(sets)) == 0
+    assert_optimal(system, sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems())
+# pin with a two-variable residual
+@example((7, [[1, 1, 0], [0, 0, 1]], [0, 3], [[0, 1, 2], [0, 5, 6], [1, 3]]))
+# pin whose value is outside its set
+@example((7, [[1, 1, 0], [0, 0, 1]], [0, 3], [[1, 2], [3, 5], [1, 2]]))
+# fold, then a two-variable residual
+@example((5, [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 0], [[0, 1, 2], [0, 1, 2], [1, 2, 3], [0, 3, 4]]))
+# fold, then a three-entry residual row
+@example((5, [[1, 1, 1, 0], [1, 0, 0, 1]], [0, 2], [[0, 1, 2], [1, 2, 3], [0, 2, 4], [1, 2, 3]]))
+# a bare two-variable equation, both sets {0,3,4}
+@example((5, [[2, 1]], [3], [[0, 3, 4], [0, 3, 4]]))
+# a two-variable equation beside an idle unknown
+@example((7, [[1, 1, 0]], [4], [[1, 2], [2, 3], [0, 1, 2, 3]]))
+# two pins leave one unconstrained column
+@example((5, [[0, 1, 0], [0, 0, 1]], [2, 3], [[0, 4], [1, 2], [2, 3]]))
+# an empty set
+@example((7, [[1, 2, 3]], [0], [[1, 2, 3], [], [4, 5]]))
+def test_plan_removal_matches_oracle_on_degenerate_systems(case):
+    q, rows, rhs, fam = case
+    try:
+        system = mk_system(q, rows, rhs)
+    except RankDeficient:
+        reject()
+    sets = mk_sets(q, fam)
+    assert_optimal(system, sets)
+    # Per-set-max answers are irredundant: every deletion is needed.
+    res = plan_removal(system, sets, "per-set-max")
+    for i, vals in enumerate(res.removed):
+        for v in vals:
+            kept_back = [set(r) for r in res.removed]
+            kept_back[i].discard(v)
+            assert brute_count(system, sets.with_removed(kept_back)) > 0
 
 
 # ---------------------------------------------------------------------------
-# plan_removal routing.
+# Degenerate systems: pins, folds and two-variable residuals.
 
 
 def test_plan_removal_normalizable_matches_distance():
@@ -180,10 +263,12 @@ def test_plan_removal_empty_pin_needs_nothing():
 
 
 def test_plan_removal_two_var_route():
+    # Five (x1, x3) pairs to destroy; three go through x1, two through x3.
     system = mk_system(5, [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 0])
     sets = full_sets(5, 4)
     res = plan_removal(system, sets, guard=30)
-    assert res.removed == ((), (0, 1, 2, 3, 4), (), ())
+    assert res.removed == ((0, 1, 2), (), (3, 4), ())
+    assert res.budget == 3
     assert brute_count(system, res.apply(sets)) == 0
 
 
@@ -195,49 +280,37 @@ def test_plan_removal_all_pins_deletes_one_value():
     assert brute_count(system, res.apply(sets)) == 0
 
 
-# ---------------------------------------------------------------------------
-# Two-variable argument.
-
-
 def test_two_var_removal_pair_deletion():
+    # One value from each side beats two from the same side.
     system = mk_system(7, [[1, 1, 0]], [4])
     sets = mk_sets(7, [[1, 2], [2, 3], range(7)])
-    res = two_var_removal(system, sets)
-    assert res.removed == ((1, 2), (), ())
-    assert brute_count(system, res.apply(sets)) == 0
+    res = plan_removal(system, sets)
+    assert res.removed == ((1,), (2,), ())
+    assert res.budget == 1
+    assert_optimal(system, sets)
 
 
 def test_two_var_removal_idle_empty_is_already_free():
     system = mk_system(7, [[1, 1, 0]], [4])
     sets = mk_sets(7, [[1, 2], [2, 3], []])
-    assert two_var_removal(system, sets).total == 0
+    assert plan_removal(system, sets).total == 0
+    assert_optimal(system, sets)
 
 
 def test_two_var_removal_no_hitting_pairs():
     system = mk_system(7, [[1, 1, 0]], [4])
     sets = mk_sets(7, [[1], [1], range(7)])
-    assert two_var_removal(system, sets).total == 0
+    assert plan_removal(system, sets).total == 0
+    assert_optimal(system, sets)
 
 
 def test_two_var_removal_small_idle_set_wins():
     system = mk_system(7, [[1, 1, 0]], [4])
     sets = mk_sets(7, [[1, 2], [2, 3], [0]])
-    res = two_var_removal(system, sets)
+    res = plan_removal(system, sets, "total")
     assert res.removed == ((), (), (0,))
     assert brute_count(system, res.apply(sets)) == 0
-
-
-def test_two_var_removal_normalized_input():
-    system = mk_system(7, [[1, 1, 0]], [4])
-    ns = normalize(system, require_support=False)
-    sets = mk_sets(7, [[1, 2], [2, 3], range(7)])
-    res = two_var_removal(ns, sets)
-    assert res.removed == ((1, 2), (), ())
-
-
-def test_two_var_removal_rejects_long_rows():
-    with pytest.raises(ValueError):
-        two_var_removal(mk_system(7, [[1, 1, 1]], [0]), full_sets(7, 3))
+    assert_optimal(system, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +387,12 @@ def test_min_hitting_shared_edge():
     a = _StubCopy(edges=(shared, (1, (3, 4))))
     b = _StubCopy(edges=(shared, (2, (5, 6))))
     assert min_copy_hitting_set(None, [a, b]) == (shared,)
+
+
+def test_min_hitting_rejects_edgeless_copy():
+    copies = [_StubCopy(edges=((0, (1,)),)), _StubCopy(edges=())]
+    with pytest.raises(ValueError, match="without edges"):
+        min_copy_hitting_set(None, copies)
 
 
 def test_min_hitting_guard():
