@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from linrem.behrend import behrend_sphere, build_lower_bound_instance
-from linrem.errors import SearchBudgetExceeded
+from linrem.errors import ProgressionCeilingExceeded, SearchBudgetExceeded
 
 
 def main(argv=None) -> int:
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
             try:
                 inst = build_lower_bound_instance(2 * m * blocks, m, xs, guard=args.guard)
                 break
-            except AssertionError:
+            except ProgressionCeilingExceeded:
                 # Ambient too short for the coarse ceiling; stretch it.
                 blocks *= 4
             except SearchBudgetExceeded:

@@ -12,7 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import IndivisibleAmbient, SearchBudgetExceeded
+from .errors import (
+    IndivisibleAmbient,
+    LiftCarry,
+    LiftSizeMismatch,
+    ProgressionCeilingExceeded,
+    SearchBudgetExceeded,
+)
 
 
 def count_ap3(values, guard: int = 500) -> tuple[int, int]:
@@ -128,9 +134,10 @@ def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerB
 
     Requires 2m | n and X a progression-free subset of {1..m}. The halved
     digit range means a progression in S never carries in base 2m, so its
-    residues form a progression in X and must be constant; both that and
-    the |S|^3/m^2 ceiling are checked on the result. guard caps the size
-    of S the quadratic progression scans will accept.
+    residues form a progression in X and must be constant. The size of S,
+    that and the |S|^3/m^2 ceiling are checked on the result, raising
+    LiftSizeMismatch, LiftCarry and ProgressionCeilingExceeded. guard caps
+    the size of S the quadratic progression scans will accept.
     """
     xs = tuple(sorted(set(X)))
     if any(not 1 <= x <= m for x in xs):
@@ -141,17 +148,20 @@ def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerB
         raise IndivisibleAmbient(f"2m = {2 * m} does not divide n = {n}")
     members = frozenset(xs)
     s = tuple(x for x in range(1, n + 1) if x % (2 * m) in members)
-    assert len(s) == n * len(xs) // (2 * m)
+    if len(s) != n * len(xs) // (2 * m):
+        raise LiftSizeMismatch(f"lift has {len(s)} elements, expected {n * len(xs) // (2 * m)}")
     total, nontrivial = count_ap3(s, guard=guard)
     sset = frozenset(s)
     for x1 in s:
         for x3 in s:
             if (x1 + x3) % 2 == 0 and (x1 + x3) // 2 in sset:
                 mid = (x1 + x3) // 2
-                assert x1 % (2 * m) == x3 % (2 * m) == mid % (2 * m), "carry detected"
+                if not x1 % (2 * m) == x3 % (2 * m) == mid % (2 * m):
+                    raise LiftCarry(f"carry detected in progression {x1}, {mid}, {x3}")
     # Coarse ceiling; fails when n is too small relative to m, which the
     # asymptotic regime never is.
-    assert total * m * m <= len(s) ** 3, (
-        f"progression count {total} exceeds |S|^3/m^2 = {len(s) ** 3 / (m * m):g}"
-    )
+    if total * m * m > len(s) ** 3:
+        raise ProgressionCeilingExceeded(
+            f"progression count {total} exceeds |S|^3/m^2 = {len(s) ** 3 / (m * m):g}"
+        )
     return LowerBoundInstance(n=n, m=m, X=xs, S=s, ap3_total=total, ap3_nontrivial=nontrivial)

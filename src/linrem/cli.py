@@ -127,7 +127,6 @@ def cmd_translate(args) -> int:
 
 def cmd_epsdelta(args) -> int:
     system, sets = _load(args.input)
-    ns = normalize(system)
     q = system.field.q
     p = system.p
     cap = max(1, args.guard // p)
@@ -142,7 +141,7 @@ def cmd_epsdelta(args) -> int:
             fam.append(tuple(sorted(pool[:size])))
         return SetFamily(system.field, tuple(fam))
 
-    for n, eps, delta in epsdelta_scan(ns, generate, args.trials, removal_guard=args.guard):
+    for n, eps, delta in epsdelta_scan(system, generate, args.trials, removal_guard=args.guard):
         print(f"{n},{eps},{delta}")
     return 0
 
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = with_input("count", "print the admissible solution count")
     sp.add_argument("--naive", action="store_true", help="full product enumeration")
-    sp.add_argument("--guard", type=int, default=10**6, help="enumeration budget")
+    sp.add_argument("--guard", type=int, default=10**6, help="transfer steps (tuples with --naive)")
     sp.set_defaults(fn=cmd_count)
 
     sp = with_input("represent", "build the host hypergraph and print a summary")

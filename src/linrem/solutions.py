@@ -1,9 +1,11 @@
 """Solutions of constrained systems, and exact removal searches over them.
 
-A solution assigns each unknown a value from its admissible set. Counting
-walks the free columns only and solves the diagonal block per row; the
-naive mode enumerates full tuples as an independent oracle. `solve` is
-the front door for any full-rank system: it normalizes when it can, and
+A solution assigns each unknown a value from its admissible set.
+Counting is a transfer walk over the columns, from both ends to a
+meeting column, whose state is a partial left-hand side in F_q^ell: its
+work grows with q^ell, not with the product of the sets. The naive mode
+enumerates full tuples as an independent oracle. `solve` is the front door for enumerating the
+solutions of any full-rank system: it normalizes when it can, and
 otherwise reduces the short rows and lifts the residual solutions back.
 Removal searches are exact branch-and-bound over which elements to delete.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,7 +28,6 @@ from .errors import (
 from .linsys import (
     LinearSystem,
     NormalizedSystem,
-    ReductionResult,
     SetFamily,
     normalize,
     reduce_degenerate,
@@ -46,22 +48,13 @@ __all__ = [
 ]
 
 
-def _row_terms(ns: NormalizedSystem) -> list[list[tuple[int, int]]]:
-    """Per row, the nonzero free-column (index, coefficient) pairs."""
-    free = ns.free_count
-    return [
-        [(j, row[j]) for j in range(free) if row[j]]
-        for row in ns.base.rows
-    ]
-
-
 def iter_solutions(ns: NormalizedSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
     """Yield every solution as a full tuple in normalized column order."""
     fld = ns.field
     free = ns.free_count
     sets_n = ns.permute_family(sets).sets
     diag_sets = [frozenset(sets_n[ns.diag_cols[i]]) for i in range(ns.ell)]
-    terms = _row_terms(ns)
+    terms = [[(j, row[j]) for j in range(free) if row[j]] for row in ns.base.rows]
     diag_coef = [ns.base.rows[i][ns.diag_cols[i]] for i in range(ns.ell)]
     rhs = ns.base.rhs
     for xs in itertools.product(*sets_n[:free]):
@@ -80,88 +73,79 @@ def iter_solutions(ns: NormalizedSystem, sets: SetFamily) -> Iterator[tuple[int,
             yield tuple(out)
 
 
-def count_solutions(
-    ns: NormalizedSystem,
-    sets: SetFamily,
-    mode: str = "structured",
-    guard: int = 10**6,
-) -> int:
-    """Number of admissible solutions.
+def _walk_steps(sizes: Sequence[int], states: int) -> int:
+    """Transfer steps of a walk over columns with these set sizes, in walk order."""
+    prefixes = itertools.accumulate(sizes, lambda a, b: a * b, initial=1)
+    return sum(size * min(states, pre) for size, pre in zip(sizes, prefixes))
 
-    structured: enumerate only free columns that actually occur in some
-    row; columns with an all-zero coefficient multiply the count by their
-    set size without being enumerated. naive: full product enumeration
-    over every set, checking the system directly (guarded).
+
+def _walk(system: LinearSystem, sets: SetFamily, cols: Iterable[int]) -> dict[tuple[int, ...], int]:
+    """Each partial left-hand side over cols, with its number of admissible prefixes."""
+    q = system.field.q
+    reach = {(0,) * system.ell: 1}
+    for j in cols:
+        # Values with equal column images move a prefix alike; merge them.
+        shifts = Counter(tuple(row[j] * x % q for row in system.rows) for x in sets.sets[j])
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, ways in reach.items():
+            for shift, mult in shifts.items():
+                key = tuple((a + b) % q for a, b in zip(state, shift))
+                nxt[key] = nxt.get(key, 0) + ways * mult
+        reach = nxt
+    return reach
+
+
+def count_system(
+    system: LinearSystem, sets: SetFamily, mode: str = "structured", guard: int = 10**6
+) -> int:
+    """Admissible solution count for any full-rank system, degenerate rows included.
+
+    structured: a transfer walk. A walk over columns keeps, for each
+    partial left-hand side in F_q^ell, the number of admissible prefixes
+    reaching it, in sum_j |S_j|·min(q^ell, prod_{k<j} |S_k|) steps. The
+    first m columns are walked forward and the rest backward, at the m
+    with the fewest steps in all (m = p is the one-way walk); each tail
+    sum t pairs with the head sum rhs - t. The step count is checked
+    against guard before the first step. naive: full product enumeration
+    checking the system directly, an independent oracle guarded by its
+    tuple count.
     """
-    fld = ns.field
-    sets_n = ns.permute_family(sets).sets
     if mode == "naive":
-        work = 1
-        for s in sets_n:
-            work *= max(1, len(s))
+        work = math.prod(max(1, len(s)) for s in sets.sets)
         if work > guard:
             raise SearchBudgetExceeded(f"naive count needs {work} tuples, guard is {guard}")
-        return sum(1 for tup in itertools.product(*sets_n) if ns.base.is_solution(tup))
+        return sum(1 for tup in itertools.product(*sets.sets) if system.is_solution(tup))
     if mode != "structured":
         raise ValueError(f"unknown mode {mode!r}")
-    free = ns.free_count
-    live = sorted({j for terms in _row_terms(ns) for j, _ in terms})
-    multiplier = 1
-    for j in range(free):
-        if j not in live:
-            multiplier *= len(sets_n[j])
-    if multiplier == 0:
-        return 0
-    terms = _row_terms(ns)
-    diag_sets = [frozenset(sets_n[ns.diag_cols[i]]) for i in range(ns.ell)]
-    diag_coef = [ns.base.rows[i][ns.diag_cols[i]] for i in range(ns.ell)]
-    rhs = ns.base.rhs
-    pos = {j: t for t, j in enumerate(live)}
-    row_parts = [[(pos[j], c) for j, c in terms[i]] for i in range(ns.ell)]
-    count = 0
-    for xs in itertools.product(*(sets_n[j] for j in live)):
-        for i in range(ns.ell):
-            acc = rhs[i]
-            for t, c in row_parts[i]:
-                acc -= c * xs[t]
-            if fld.div(acc % fld.q, diag_coef[i]) not in diag_sets[i]:
-                break
-        else:
-            count += 1
-    return count * multiplier
+    q = system.field.q
+    sizes = sets.sizes()
+    states = q**system.ell
+    work, m = min(
+        (_walk_steps(sizes[:k], states) + _walk_steps(sizes[k:][::-1], states), k)
+        for k in range(system.p + 1)
+    )
+    if work > guard:
+        raise SearchBudgetExceeded(f"transfer count needs {work} steps, guard is {guard}")
+    head = _walk(system, sets, range(m))
+    tail = _walk(system, sets, reversed(range(m, system.p)))
+    rhs = system.rhs
+    return sum(w * head.get(tuple((b - t) % q for t, b in zip(s, rhs)), 0) for s, w in tail.items())
+
+
+def count_solutions(
+    ns: NormalizedSystem, sets: SetFamily, mode: str = "structured", guard: int = 10**6
+) -> int:
+    """Admissible solution count of a normalized system, sets in original column order.
+
+    The count of count_system on ns.base with the family permuted into
+    normalized order; mode and guard mean the same there.
+    """
+    return count_system(ns.base, ns.permute_family(sets), mode=mode, guard=guard)
 
 
 def is_free(ns: NormalizedSystem, sets: SetFamily) -> bool:
     """True when no admissible solution exists."""
     return count_solutions(ns, sets) == 0
-
-
-# ---------------------------------------------------------------------------
-# Any full-rank system: normalize, or reduce the short rows and lift.
-
-
-def _normal_or_reduced(system: LinearSystem, sets: SetFamily) -> NormalizedSystem | ReductionResult:
-    """normalize(system), or reduce_degenerate(system, sets) when a short row blocks it."""
-    try:
-        return normalize(system)
-    except (EmptyW, NoFreeColumns):
-        return reduce_degenerate(system, sets)
-
-
-def _lifted(red: ReductionResult, guard: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Residual solutions of a reduction, lifted to every original column.
-
-    The residual product is walked directly; guard bounds its size and is
-    checked before the first tuple.
-    """
-    if red.kind == "empty":
-        return
-    work = math.prod(max(1, len(s)) for s in red.sets.sets)
-    if guard is not None and work > guard:
-        raise SearchBudgetExceeded(f"residual count needs {work} tuples, guard is {guard}")
-    for tup in itertools.product(*red.sets.sets):
-        if red.system is None or red.system.is_solution(tup):
-            yield red.lift(tup)
 
 
 def solve(system: LinearSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
@@ -171,28 +155,18 @@ def solve(system: LinearSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
     folds, a two-variable equation) go through reduce_degenerate instead,
     and each residual solution is lifted back through the trace.
     """
-    form = _normal_or_reduced(system, sets)
-    if isinstance(form, ReductionResult):
-        yield from _lifted(form)
+    try:
+        ns = normalize(system)
+    except (EmptyW, NoFreeColumns):
+        red = reduce_degenerate(system, sets)
+        if red.kind != "empty":
+            for tup in itertools.product(*red.sets.sets):
+                if red.system is None or red.system.is_solution(tup):
+                    yield red.lift(tup)
         return
-    back = sorted(range(form.p), key=form.perm.__getitem__)
-    for sol in iter_solutions(form, sets):
+    back = sorted(range(ns.p), key=ns.perm.__getitem__)
+    for sol in iter_solutions(ns, sets):
         yield tuple(sol[k] for k in back)
-
-
-def count_system(
-    system: LinearSystem, sets: SetFamily, mode: str = "structured", guard: int = 10**6
-) -> int:
-    """Admissible solution count for any full-rank system, degenerate rows included.
-
-    A system that normalizes is counted by count_solutions in the given
-    mode. A reduced one counts its lifted residual solutions, and refuses
-    before the walk when the residual product exceeds guard.
-    """
-    form = _normal_or_reduced(system, sets)
-    if isinstance(form, ReductionResult):
-        return sum(1 for _ in _lifted(form, guard))
-    return count_solutions(form, sets, mode=mode, guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +392,26 @@ def translate_edge_deletion(host, edges: Iterable, sets: SetFamily) -> SetFamily
 
 
 def epsdelta_scan(
-    ns: NormalizedSystem,
+    system: LinearSystem,
     family_generator: Callable[[int], SetFamily],
     trials: int,
     removal_guard: int = 24,
 ) -> list[tuple[int, float, float]]:
     """Ratio records (n, solutions/n^(p-ell), removal budget/n) per trial.
 
+    Any full-rank system is accepted, degenerate rows included.
     Deterministic when the generator is; a solution-free trial records
     zero for both ratios.
     """
-    n = ns.field.q
-    denom = n ** ns.free_count
+    n = system.field.q
+    denom = n ** (system.p - system.ell)
     records = []
     for t in range(trials):
         sets = family_generator(t)
-        count = count_solutions(ns, sets)
+        count = count_system(system, sets)
         if count == 0:
             records.append((n, 0.0, 0.0))
             continue
-        removal = plan_removal(ns.base, ns.permute_family(sets), "per-set-max", guard=removal_guard)
+        removal = plan_removal(system, sets, "per-set-max", guard=removal_guard)
         records.append((n, count / denom, removal.budget / n))
     return records

@@ -11,7 +11,7 @@ from linrem.behrend import (
     count_ap3,
     max_ap3_free,
 )
-from linrem.errors import IndivisibleAmbient, SearchBudgetExceeded
+from linrem.errors import IndivisibleAmbient, ProgressionCeilingExceeded, SearchBudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_build_lower_bound_instance_errors():
     with pytest.raises(ValueError, match="progression"):
         build_lower_bound_instance(24, 3, [1, 2, 3])
     # Valid inputs outside the asymptotic regime break the coarse ceiling.
-    with pytest.raises(AssertionError, match="exceeds"):
+    with pytest.raises(ProgressionCeilingExceeded, match="exceeds"):
         build_lower_bound_instance(72, 9, [1, 3])
 
 
@@ -166,7 +166,7 @@ def test_lifted_progressions_stay_in_one_residue(data):
         return
     try:
         inst = build_lower_bound_instance(2 * m * blocks, m, sorted(x))
-    except AssertionError as exc:
+    except ProgressionCeilingExceeded as exc:
         # Tiny draws can sit outside the regime where the coarse ceiling
         # holds; only that failure is acceptable here.
         assert "exceeds" in str(exc)

@@ -1,11 +1,14 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import linrem
+from conftest import brute_count, mk_sets, removal_oracle
 from linrem.cli import main
+from linrem.linsys import parse_system
 from linrem.hrep import parse_host_export, render_host_export
 
 TRIANGLE = "systems/triangle.sys"
@@ -18,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """Environment in which a child interpreter imports this linrem."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linrem.__file__)))
 
 
 def write_system(tmp_path, text):
@@ -57,6 +65,23 @@ def test_count_guard_degenerate_route(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("SearchBudgetExceeded:")
+
+
+ROW7_F31 = "field 31\nsystem 1 7\n1 2 3 4 5 6 7\nrhs 0\n" + "set all\n" * 7
+
+
+def test_count_seven_unknowns_over_f31(capsys, tmp_path):
+    path = write_system(tmp_path, ROW7_F31)
+    assert run(capsys, "count", path) == (0, "T=887503681\n", "")
+
+
+def test_count_guard_refuses_before_the_walk(capsys, tmp_path):
+    # The transfer walk needs 4867 steps; 1000 refuses at once.
+    path = write_system(tmp_path, ROW7_F31)
+    code, out, err = run(capsys, "count", path, "--guard", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SearchBudgetExceeded:") and "4867" in err
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +239,10 @@ def test_removal_fold_total_mode(capsys):
 @pytest.mark.parametrize("path", [PINNED, FOLD])
 def test_removal_same_under_optimize_flag(path):
     # python -O strips assert statements; the removal route must not lean on them.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linrem.__file__)))
     outs = [
         subprocess.run(
             [sys.executable, *flags, "-m", "linrem", "removal", path],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=subprocess_env(), check=True,
         ).stdout
         for flags in ([], ["-O"])
     ]
@@ -241,6 +265,36 @@ def test_epsdelta_seed_changes_stream(capsys):
     b = run(capsys, "epsdelta", TRIANGLE, "--trials", "5", "--seed", "2")[1]
     assert len(a.splitlines()) == len(b.splitlines()) == 5
     assert a != b
+
+
+def test_epsdelta_degenerate_rows_match_oracles(capsys):
+    # The second row of pinned.sys pins x3; the scan must still count and
+    # remove. Each row is recomputed from the documented family draw.
+    seed, trials, guard = 3, 6, 12
+    code, out, err = run(capsys, "epsdelta", PINNED, "--trials", str(trials),
+                         "--seed", str(seed), "--guard", str(guard))
+    assert (code, err) == (0, "")
+    with open(PINNED, encoding="utf-8") as fh:
+        system, _ = parse_system(fh.read())
+    q, p = system.field.q, system.p
+    expected = []
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{trial}")
+        fam = []
+        for _ in range(p):
+            size = rng.randint(0, min(q, guard // p))
+            pool = list(range(q))
+            rng.shuffle(pool)
+            fam.append(pool[:size])
+        sets = mk_sets(q, fam)
+        count = brute_count(system, sets)
+        if count == 0:
+            expected.append(f"{q},0.0,0.0")
+        else:
+            budget = removal_oracle(system, sets, "per-set-max")
+            expected.append(f"{q},{count / q ** (p - system.ell)},{budget / q}")
+    assert out.splitlines() == expected
+    assert any(not line.endswith(",0.0,0.0") for line in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +327,18 @@ def test_behrend_error_paths(capsys):
 def test_behrend_out_of_regime_fails_check(capsys):
     code, _, err = run(capsys, "behrend", "72", "9", "--elements", "1,3")
     assert code == 1
-    assert err.startswith("AssertionError: progression count 16 exceeds")
+    assert err.startswith("ProgressionCeilingExceeded: progression count 16 exceeds")
+
+
+def test_behrend_ceiling_checked_under_optimize_flag():
+    # python -O strips assert statements; the ceiling check must survive it.
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "linrem", "behrend", "10", "5", "--elements", "1,2,4,5"],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ProgressionCeilingExceeded: progression count 4 exceeds")
 
 
 # ---------------------------------------------------------------------------

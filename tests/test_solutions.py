@@ -117,11 +117,79 @@ def test_solve_and_count_system_match_brute(case):
 
 
 def test_count_system_guard_on_reduced_route():
-    # Folding x3 into x1 leaves 125 residual tuples to walk.
+    # Two columns walked from each end of this fold: (5 + 25) * 2 = 60 steps.
     system = mk_system(5, [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 0])
     assert count_system(system, full_sets(5, 4)) == 25
-    with pytest.raises(SearchBudgetExceeded):
-        count_system(system, full_sets(5, 4), guard=124)
+    assert count_system(system, full_sets(5, 4), guard=60) == 25
+    with pytest.raises(SearchBudgetExceeded, match="60 steps"):
+        count_system(system, full_sets(5, 4), guard=59)
+
+
+@st.composite
+def counting_systems(draw):
+    """Raw (q, rows, rhs, sets) for 1 to 3 rows over F3 to F11.
+
+    Zero coefficients are allowed, so all-zero columns, pins, folds and
+    two-variable residuals all occur; set sizes keep the product small
+    enough for the brute-force count.
+    """
+    q = draw(st.sampled_from([3, 5, 7, 11]))
+    ell = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=ell + 1, max_value=min(ell + 3, 5)))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    rows = [[draw(entry) for _ in range(p)] for _ in range(ell)]
+    rhs = [draw(entry) for _ in range(ell)]
+    size = min(q, {2: 11, 3: 8, 4: 5, 5: 4}[p])
+    sets = [sorted(draw(st.sets(entry, max_size=size))) for _ in range(p)]
+    return q, rows, rhs, sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(counting_systems())
+# an all-zero column
+@example((7, [[1, 0, 3]], [2], [[0, 1, 2], [1, 4, 5], [2, 6]]))
+# a pin, then a two-variable residual
+@example((7, [[1, 1, 0], [0, 0, 1]], [0, 3], [[0, 1, 2], [0, 5, 6], [1, 3]]))
+# a fold, then a two-variable residual
+@example((5, [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 0], [[0, 1, 2], [0, 1, 2], [1, 2, 3], [0, 3, 4]]))
+# three rows, two of them pins
+@example((3, [[1, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]], [0, 1, 2], [[0, 1, 2]] * 4))
+# an empty set
+@example((11, [[1, 2, 3]], [0], [[1, 2, 3], [], [4, 5]]))
+def test_count_system_modes_match_brute(case):
+    q, rows, rhs, fam = case
+    try:
+        system = mk_system(q, rows, rhs)
+    except RankDeficient:
+        reject()
+    sets = mk_sets(q, fam)
+    expected = brute_count(system, sets)
+    assert count_system(system, sets) == expected
+    assert count_system(system, sets, mode="naive") == expected
+
+
+def test_count_seven_unknowns_over_f31():
+    # 31^7 tuples. Walking three columns forward and four backward takes
+    # (31 + 2 * 31^2) + (31 + 3 * 31^2) = 4867 steps; one way, 5797.
+    system = mk_system(31, [[1, 2, 3, 4, 5, 6, 7]], [0])
+    assert count_system(system, full_sets(31, 7)) == 887503681 == 31**6
+    assert count_system(system, full_sets(31, 7), guard=4867) == 31**6
+    with pytest.raises(SearchBudgetExceeded, match="4867 steps"):
+        count_system(system, full_sets(31, 7), guard=4866)
+
+
+def test_count_two_rows_over_f101():
+    # ap4 with full sets over F101: two columns from each end take
+    # 2 * (101 + 101^2) = 20604 steps; a one-way walk needs 2070904.
+    system = mk_system(101, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0])
+    assert count_system(system, full_sets(101, 4), guard=20604) == 101**2
+    with pytest.raises(SearchBudgetExceeded, match="20604 steps"):
+        count_system(system, full_sets(101, 4), guard=20603)
+
+
+def test_count_bad_mode():
+    with pytest.raises(ValueError):
+        count_system(triangle5(), full_sets(5, 3), mode="weird")
 
 
 def test_is_free():
@@ -420,14 +488,13 @@ def test_min_hitting_node_budget():
 
 
 def test_epsdelta_no_trials():
-    assert epsdelta_scan(triangle5_ns(), lambda t: full_sets(5, 3), 0) == []
+    assert epsdelta_scan(triangle5_ns().base, lambda t: full_sets(5, 3), 0) == []
 
 
 def test_epsdelta_triangle_records():
-    ns = triangle5_ns()
     families = [
         mk_sets(5, [[1, 2]] * 3),
         mk_sets(5, [[1]] * 3),
     ]
-    records = epsdelta_scan(ns, lambda t: families[t], 2)
+    records = epsdelta_scan(triangle5_ns().base, lambda t: families[t], 2)
     assert records == [(5, 1 / 25, 1 / 5), (5, 0.0, 0.0)]
