@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (CheckError, AssertionError) as exc:
+    except CheckError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,8 @@ admissible solution then spans n^(r-1) pairwise edge-disjoint colored
 copies of a fixed template, and nothing else does.
 
 Vertex ids are part*n + value, so tuples built in part order are already
-sorted and double as canonical edge keys.
+sorted and double as canonical edge keys. A built host keeps only the edge
+list and its vertex-key index; the checks derive every tally they need.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EmptyW, MissingEdge, ParseError, SimplicityViolation
+from .errors import EmptyW, InvariantViolation, MissingEdge, ParseError, SimplicityViolation
 from .linsys import NormalizedSystem, SetFamily, mat_det
 
 VKey = tuple[int, ...]
@@ -59,7 +60,8 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
         row = ns.base.rows[i]
         for g, t in enumerate(ns.blocks[i]):
             s = sum(mix[j][t] * row[j] for j in ns.support[i]) % fld.q
-            assert s == row[ns.support[i][g]] == fld.neg(mix[ns.pivots[i]][t])
+            if not s == row[ns.support[i][g]] == fld.neg(mix[ns.pivots[i]][t]):
+                raise InvariantViolation(f"row {i + 1}: support does not cancel x{t + 1}")
     sep = []
     outside = []
     closing = []
@@ -72,7 +74,8 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
                 mat.append(tuple(mix[ns.support[i][g]]))
             else:
                 mat.append(tuple(1 if c == t else 0 for c in range(width)))
-        assert mat_det(fld, mat) != 0
+        if mat_det(fld, mat) == 0:
+            raise InvariantViolation(f"row {i + 1}: separation matrix is singular")
         sep.append(tuple(mat))
         outs = tuple(t for t in range(width) if t not in block)
         outside.append(outs)
@@ -124,7 +127,8 @@ def build_template(ns: NormalizedSystem) -> Template:
         verts.append(us[ns.pivots[i]])
         edges.append(TemplateEdge(free + i, tuple(sorted(verts))))
     for e in edges:
-        assert len(e.vertices) == r
+        if len(e.vertices) != r:
+            raise InvariantViolation(f"template color {e.color + 1} has {len(e.vertices)} vertices")
     return Template(
         uniformity=r,
         vertex_count=ns.vertex_count,
@@ -151,12 +155,11 @@ class ColoredCopy:
 
 
 class Host:
-    """Materialized edge store with lookup indexes.
+    """Materialized edge store: one edge list and its vertex-key index.
 
-    records is the authoritative edge list (color, label, vertex key);
-    by_key maps a vertex key to its unique (color, label); x_index[j]
-    maps an x-tuple to the U_j vertex values reachable under color j,
-    in label order.
+    records is the authoritative edge list (color, label, vertex key) in
+    iter_host_edges order; by_key maps a vertex key to its unique
+    (color, label). The two disagree in length only if a key repeats.
     """
 
     def __init__(self, ns: NormalizedSystem, coeffs: CoefficientTables, template: Template, sets: SetFamily):
@@ -172,8 +175,6 @@ class Host:
         self.ell = ns.ell
         self.records: list[tuple[int, int, VKey]] = []
         self.by_key: dict[VKey, tuple[int, int]] = {}
-        self.x_index: list[dict[tuple[int, ...], list[int]]] = [dict() for _ in range(self.free)]
-        self.counts: dict[tuple[int, int], int] = {}
 
     def part_name(self, part: int) -> str:
         width = self.r - 1
@@ -186,9 +187,6 @@ class Host:
         key = tuple(t * n + xs[t] for t in self.coeffs.outside[i])
         key += tuple((width + j) * n + us[j] for j in self.ns.support[i])
         return key + ((width + self.ns.pivots[i]) * n + us[self.ns.pivots[i]],)
-
-    def edge_count(self) -> int:
-        return len(self.records)
 
 
 def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily):
@@ -229,27 +227,15 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
                     yield color, label, key
 
 
-def build_host(
-    ns: NormalizedSystem,
-    coeffs: CoefficientTables,
-    sets: SetFamily,
-    template: Template | None = None,
-) -> Host:
+def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
     """Materialize the edge store for a family given in original order."""
-    if template is None:
-        template = build_template(ns)
-    host = Host(ns, coeffs, template, sets)
-    width = host.r - 1
+    host = Host(ns, coeffs, build_template(ns), sets)
     for color, label, key in iter_host_edges(ns, coeffs, host.sets_n):
         clash = host.by_key.get(key)
         if clash is not None:
             raise SimplicityViolation(f"edge {key} carries both {clash} and {(color, label)}")
         host.by_key[key] = (color, label)
         host.records.append((color, label, key))
-        host.counts[(color, label)] = host.counts.get((color, label), 0) + 1
-        if color < host.free:
-            xs = tuple(v % host.n for v in key[:width])
-            host.x_index[color].setdefault(xs, []).append(key[-1] % host.n)
     return host
 
 

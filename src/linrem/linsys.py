@@ -226,9 +226,6 @@ class NormalizedSystem:
         """Reorder a family from original into normalized column order."""
         return SetFamily(sets.field, tuple(sets.sets[j] for j in self.perm))
 
-    def unpermute_index(self, j: int) -> int:
-        return self.perm[j]
-
 
 def _select_block_columns(fld: PrimeField, rows: Sequence[Sequence[int]]) -> list[int]:
     """Greedy right-to-left scan for ell independent columns.

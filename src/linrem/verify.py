@@ -1,10 +1,10 @@
 """Independent verification of a built host.
 
 Copy enumeration comes in two routes that share no logic with the
-construction: a per-part walk driven by the edge indexes, and a naive
-scan over vertex subsets using a backtracking placement test. Agreement
-between the routes, the edge bookkeeping checks, and the copy-count
-identity together certify the representation.
+construction: a per-part walk over an index it builds from the edge
+list, and a naive scan over vertex subsets using a backtracking
+placement test. Agreement between the routes, the edge bookkeeping
+checks, and the copy-count identity together certify the representation.
 """
 
 from __future__ import annotations
@@ -13,16 +13,29 @@ import itertools
 import math
 import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import MissingEdge, SearchBudgetExceeded
-from .hrep import Host, Template, VKey, copies_for_solution
+from .errors import InvariantViolation, MissingEdge, SearchBudgetExceeded
+from .hrep import Host, VKey, copies_for_solution
 from .solutions import count_solutions, iter_solutions
 
-_WORK: Host | None = None
+PartIndex = list[dict[tuple[int, ...], list[int]]]
+_WORK: tuple[Host, PartIndex] | None = None
 
 
-def _iter_per_part(host: Host, x0: int | None = None):
+def _part_index(host: Host) -> PartIndex:
+    """Per free color j, each x-tuple's reachable U_j values, in edge-list order."""
+    n = host.n
+    width = host.r - 1
+    index: PartIndex = [{} for _ in range(host.free)]
+    for color, _, key in host.records:
+        if color < host.free:
+            index[color].setdefault(tuple(v % n for v in key[:width]), []).append(key[-1] % n)
+    return index
+
+
+def _iter_per_part(host: Host, index: PartIndex, x0: int | None = None):
     """Copies found by walking one vertex per part, optionally fixing x_1."""
     n = host.n
     width = host.r - 1
@@ -30,7 +43,7 @@ def _iter_per_part(host: Host, x0: int | None = None):
     for xs in itertools.product(first, *[range(n)] * (width - 1)):
         cands = []
         for j in range(host.free):
-            vals = host.x_index[j].get(xs)
+            vals = index[j].get(xs)
             if not vals:
                 break
             cands.append(vals)
@@ -46,31 +59,36 @@ def _iter_per_part(host: Host, x0: int | None = None):
                     )
 
 
-def _init_worker(host: Host) -> None:
+def _init_worker(host: Host, index: PartIndex) -> None:
     global _WORK
-    _WORK = host
+    _WORK = (host, index)
+
+
+def _work() -> tuple[Host, PartIndex]:
+    if _WORK is None:
+        raise InvariantViolation("pool worker started without a host")
+    return _WORK
 
 
 def _count_x0(x0: int) -> int:
-    assert _WORK is not None
-    return sum(1 for _ in _iter_per_part(_WORK, x0))
+    return sum(1 for _ in _iter_per_part(*_work(), x0))
 
 
 def _enum_x0(x0: int) -> list[VKey]:
-    assert _WORK is not None
-    return list(_iter_per_part(_WORK, x0))
+    return list(_iter_per_part(*_work(), x0))
 
 
-def _pool(host: Host, workers: int):
+def _pool(host: Host, index: PartIndex, workers: int):
     ctx = multiprocessing.get_context("fork")
-    return ctx.Pool(min(workers, host.n), initializer=_init_worker, initargs=(host,))
+    return ctx.Pool(min(workers, host.n), initializer=_init_worker, initargs=(host, index))
 
 
 def count_copies(host: Host, workers: int = 1) -> int:
     """Number of template copies, without materializing them."""
+    index = _part_index(host)
     if workers <= 1:
-        return sum(1 for _ in _iter_per_part(host))
-    with _pool(host, workers) as pool:
+        return sum(1 for _ in _iter_per_part(host, index))
+    with _pool(host, index, workers) as pool:
         return sum(pool.map(_count_x0, range(host.n)))
 
 
@@ -91,7 +109,7 @@ def _has_matching(cands: list[set]) -> bool:
     return all(assign(i, set()) for i in range(len(cands)))
 
 
-def subset_spans_copy(host: Host, subset, template: Template | None = None) -> bool:
+def subset_spans_copy(host: Host, subset) -> bool:
     """Does this vertex subset carry a colored copy of the template.
 
     Makes no assumption about how the subset meets the parts: it collects
@@ -99,8 +117,8 @@ def subset_spans_copy(host: Host, subset, template: Template | None = None) -> b
     of the template onto one edge of each color.
     """
     verts = tuple(sorted(subset))
-    assert len(set(verts)) == host.k
-    tmpl = template if template is not None else host.template
+    if len(set(verts)) != host.k:
+        raise ValueError(f"subset {verts} does not have {host.k} distinct vertices")
     contained: list[list[VKey]] = [[] for _ in range(host.free + host.ell)]
     for combo in itertools.combinations(verts, host.r):
         stored = host.by_key.get(combo)
@@ -108,11 +126,11 @@ def subset_spans_copy(host: Host, subset, template: Template | None = None) -> b
             contained[stored[0]].append(combo)
     if any(not c for c in contained):
         return False
-    edge_sets = [set(e.vertices) for e in tmpl.edges]
+    edge_sets = [set(e.vertices) for e in host.template.edges]
     for choice in itertools.product(*contained):
         images = [set(c) for c in choice]
         cands = []
-        for w in tmpl.vertices:
+        for w in host.template.vertices:
             allowed: set | None = None
             banned: set = set()
             for es, im in zip(edge_sets, images):
@@ -120,7 +138,8 @@ def subset_spans_copy(host: Host, subset, template: Template | None = None) -> b
                     allowed = set(im) if allowed is None else allowed & im
                 else:
                     banned |= im
-            assert allowed is not None
+            if allowed is None:
+                raise InvariantViolation(f"template vertex {w} lies on no edge")
             cand = allowed - banned
             if not cand:
                 break
@@ -137,20 +156,19 @@ def enumerate_copies(
     guard: int = 10**6,
     subset_cap: int = 500_000,
     workers: int = 1,
-    template: Template | None = None,
 ) -> list[VKey]:
     """All copies as sorted vertex tuples, in sorted order.
 
     per-part walks one vertex per part. naive scans vertex subsets with
     subset_spans_copy; above subset_cap subsets it first certifies from
     the stored edges that only one-per-part subsets can span, and scans
-    those. Both naive routes are complete. An independently built
-    template can be passed to decouple the check from the host's own.
+    those. Both naive routes are complete.
     """
     if mode == "per-part":
+        index = _part_index(host)
         if workers <= 1:
-            return sorted(_iter_per_part(host))
-        with _pool(host, workers) as pool:
+            return sorted(_iter_per_part(host, index))
+        with _pool(host, index, workers) as pool:
             chunks = pool.map(_enum_x0, range(host.n))
         return sorted(itertools.chain.from_iterable(chunks))
     if mode != "naive":
@@ -159,16 +177,13 @@ def enumerate_copies(
     if n**k > guard:
         raise SearchBudgetExceeded(f"naive scan needs {n ** k} tuples, guard is {guard}")
     colors = host.free + host.ell
-    seen_color = [False] * colors
-    for color, _, _ in host.records:
-        seen_color[color] = True
-    if not all(seen_color):
+    if not set(range(colors)) <= {color for color, _, _ in host.records}:
         return []
     if math.comb(n * k, k) <= subset_cap:
         return sorted(
             combo
             for combo in itertools.combinations(range(n * k), k)
-            if subset_spans_copy(host, combo, template)
+            if subset_spans_copy(host, combo)
         )
     # Every edge of color c touches all parts in common[c]; if each part is
     # unavoidable for some color, a subset missing a part contains no edge
@@ -186,7 +201,7 @@ def enumerate_copies(
     return sorted(
         combo
         for combo in itertools.product(*(range(part * n, (part + 1) * n) for part in range(k)))
-        if subset_spans_copy(host, combo, template)
+        if subset_spans_copy(host, combo)
     )
 
 
@@ -238,33 +253,33 @@ def check_simple(host: Host) -> CheckEntry:
 
 
 def check_edge_counts(host: Host) -> CheckEntry:
-    """Each admissible label owns exactly n^(r-1) edges of its color."""
+    """Each admissible label owns exactly n^(r-1) edges of its color in the edge list."""
     expected = host.n ** (host.r - 1)
+    total = expected * host.sets_n.total_size()
+    if len(host.records) != total:
+        return CheckEntry(
+            "edge-counts", False, f"{len(host.records)} edges stored, wants {total}"
+        )
+    counts = Counter((color, label) for color, label, _ in host.records)
     want = {
         (color, label)
         for color in range(host.free + host.ell)
         for label in host.sets_n.sets[color]
     }
-    for pair in sorted(want):
-        got = host.counts.get(pair, 0)
-        if got != expected:
-            return CheckEntry(
-                "edge-counts",
-                False,
-                f"color {pair[0] + 1} label {pair[1]} has {got} edges, wants {expected}",
-            )
-    stray = sorted(set(host.counts) - want)
+    stray = sorted(set(counts) - want)
     if stray:
         return CheckEntry(
             "edge-counts",
             False,
             f"color {stray[0][0] + 1} label {stray[0][1]} is not admissible",
         )
-    total = expected * host.sets_n.total_size()
-    if len(host.records) != total:
-        return CheckEntry(
-            "edge-counts", False, f"{len(host.records)} edges stored, wants {total}"
-        )
+    for pair in sorted(want):
+        if counts[pair] != expected:
+            return CheckEntry(
+                "edge-counts",
+                False,
+                f"color {pair[0] + 1} label {pair[1]} has {counts[pair]} edges, wants {expected}",
+            )
     return CheckEntry("edge-counts", True)
 
 
@@ -380,7 +395,8 @@ def check_copy_structure(host: Host, copies: list[VKey]) -> CheckEntry:
                     False,
                     f"copy {vkey} needs value {val} in set {col + 1}, not admissible",
                 )
-        assert ns.base.is_solution(tuple(sol))
+        if not ns.base.is_solution(tuple(sol)):
+            return CheckEntry("copy-structure", False, f"copy {vkey} recovers non-solution {sol}")
     return CheckEntry("copy-structure", True)
 
 

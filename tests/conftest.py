@@ -10,11 +10,18 @@ come from these.
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 
+import linrem
 from linrem.field import PrimeField
 from linrem.linsys import LinearSystem, SetFamily
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment in which a child interpreter imports this linrem."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linrem.__file__)))
 
 
 def mk_system(q: int, rows, rhs) -> LinearSystem:

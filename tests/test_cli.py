@@ -1,12 +1,10 @@
-import os
 import random
 import subprocess
 import sys
 
 import pytest
 
-import linrem
-from conftest import brute_count, mk_sets, removal_oracle
+from conftest import brute_count, mk_sets, removal_oracle, subprocess_env
 from linrem.cli import main
 from linrem.linsys import parse_system
 from linrem.hrep import parse_host_export, render_host_export
@@ -21,11 +19,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def subprocess_env():
-    """Environment in which a child interpreter imports this linrem."""
-    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linrem.__file__)))
 
 
 def write_system(tmp_path, text):
@@ -236,18 +229,25 @@ def test_removal_fold_total_mode(capsys):
     assert out.splitlines()[-1] == "budget=5 total=5 mode=total"
 
 
-@pytest.mark.parametrize("path", [PINNED, FOLD])
-def test_removal_same_under_optimize_flag(path):
-    # python -O strips assert statements; the removal route must not lean on them.
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        pytest.param(["removal", PINNED], "mode=per-set-max\n", id=PINNED),
+        pytest.param(["removal", FOLD], "mode=per-set-max\n", id=FOLD),
+        pytest.param(["verify", TRIANGLE], "copies=5\n", id="verify-" + TRIANGLE),
+    ],
+)
+def test_removal_same_under_optimize_flag(argv, tail):
+    # python -O strips assert statements; removal and verify must not lean on them.
     outs = [
         subprocess.run(
-            [sys.executable, *flags, "-m", "linrem", "removal", path],
+            [sys.executable, *flags, "-m", "linrem", *argv],
             capture_output=True, text=True, env=subprocess_env(), check=True,
         ).stdout
         for flags in ([], ["-O"])
     ]
     assert outs[0] == outs[1]
-    assert outs[0].endswith("mode=per-set-max\n")
+    assert outs[0].endswith(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from linrem.hrep import (
     render_host_export,
 )
 from linrem.linsys import mat_det, mat_vec, normalize
+from linrem.verify import _part_index
 
 
 def triangle7_ns():
@@ -140,7 +142,7 @@ def test_host_triangle_matches_direct_rules():
     ns = triangle5_ns()
     sets = mk_sets(5, [[1, 2]] * 3)
     host = build_host(ns, build_coefficients(ns), sets)
-    assert host.edge_count() == 30
+    assert len(host.records) == 30
     assert host.by_key == triangle5_expected_edges(sets.sets)
 
 
@@ -154,15 +156,16 @@ def test_host_counts_per_color_label():
         for color in range(4)
         for label in host.sets_n.sets[color if color < host.free else host.ns.diag_cols[color - host.free]]
     }
-    assert set(host.counts) == labels
-    assert all(v == shell for v in host.counts.values())
-    assert host.edge_count() == shell * sets.total_size()
+    counts = Counter((color, label) for color, label, _ in host.records)
+    assert set(counts) == labels
+    assert all(v == shell for v in counts.values())
+    assert len(host.records) == shell * sets.total_size()
 
 
 def test_host_empty_sets():
     ns = triangle5_ns()
     host = build_host(ns, build_coefficients(ns), mk_sets(5, [[], [], []]))
-    assert host.edge_count() == 0
+    assert len(host.records) == 0
     assert host.by_key == {}
 
 
@@ -175,12 +178,13 @@ def test_host_iteration_deterministic():
 
 
 def test_host_x_index_label_order():
+    # The per-part walk of the verifier indexes the edge list itself.
     ns = triangle5_ns()
     sets = mk_sets(5, [[1, 2]] * 3)
-    host = build_host(ns, build_coefficients(ns), sets)
+    index = _part_index(build_host(ns, build_coefficients(ns), sets))
     for x in range(5):
-        assert host.x_index[0][(x,)] == [(1 + x) % 5, (2 + x) % 5]
-        assert host.x_index[1][(x,)] == [(1 - x) % 5, (2 - x) % 5]
+        assert index[0][(x,)] == [(1 + x) % 5, (2 + x) % 5]
+        assert index[1][(x,)] == [(1 - x) % 5, (2 - x) % 5]
 
 
 def test_part_names():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import full_sets, mk_sets, mk_system
 from linrem.errors import SearchBudgetExceeded
-from linrem.hrep import build_coefficients, build_host, build_template
+from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import normalize
 from linrem.verify import (
     check_copy_structure,
@@ -92,6 +92,9 @@ def test_subset_spans_copy(triangle_small):
     assert not subset_spans_copy(triangle_small, (0, 6, 12))
     # Two vertices from the same part never span.
     assert not subset_spans_copy(triangle_small, (0, 1, 6))
+    # A subset of the wrong size is refused, not answered.
+    with pytest.raises(ValueError):
+        subset_spans_copy(triangle_small, (0, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +113,29 @@ def test_check_simple(triangle_small):
 
 def test_check_edge_counts(triangle_small):
     assert check_edge_counts(triangle_small).passed
+    # Move one color-1 edge from label 1 to the other admissible label 2.
     short = copy.deepcopy(triangle_small)
-    short.counts[(0, 1)] -= 1
+    color, label, key = short.records[0]
+    assert (color, label) == (0, 1)
+    short.records[0] = (color, 2, key)
     entry = check_edge_counts(short)
     assert not entry.passed
     assert "color 1 label 1 has 4 edges, wants 5" == entry.witness
 
     stray = copy.deepcopy(triangle_small)
-    stray.counts[(2, 0)] = 5
+    color, label, key = stray.records[-1]
+    stray.records[-1] = (color, 0, key)
     entry = check_edge_counts(stray)
     assert not entry.passed
-    assert "not admissible" in entry.witness
+    assert "color 3 label 0 is not admissible" == entry.witness
+
+    # A relabeled record fails the check: the tallies come from the edge list.
+    relabeled = copy.deepcopy(triangle_small)
+    color, _, key = relabeled.records[0]
+    relabeled.records[0] = (color, 3, key)
+    entry = check_edge_counts(relabeled)
+    assert not entry.passed
+    assert "color 1 label 3 is not admissible" == entry.witness
 
     missing = copy.deepcopy(triangle_small)
     missing.records.pop()
