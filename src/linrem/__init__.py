@@ -27,6 +27,7 @@ from .linsys import (
     ReductionResult,
     ReductionTrace,
     SetFamily,
+    block_identity,
     format_system,
     from_integer_system,
     normalize,

@@ -32,8 +32,8 @@ class RankDeficient(InputError):
 class EmptyW(InputError):
     """A normalized row has exactly one nonzero free-block entry.
 
-    Such rows cannot support the hypergraph encoding; route the system
-    through reduce_degenerate first.
+    Such rows cannot support the hypergraph encoding. Counting, solving
+    and removal take these systems as they are.
     """
 
 

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EmptyW, InvariantViolation, MissingEdge, ParseError, SimplicityViolation
-from .linsys import NormalizedSystem, SetFamily, mat_det
+from .linsys import NormalizedSystem, SetFamily, mat_rank
 
 VKey = tuple[int, ...]
 EdgeRef = tuple[int, VKey]
@@ -74,7 +74,7 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
                 mat.append(tuple(mix[ns.support[i][g]]))
             else:
                 mat.append(tuple(1 if c == t else 0 for c in range(width)))
-        if mat_det(fld, mat) == 0:
+        if mat_rank(fld, mat) < width:
             raise InvariantViolation(f"row {i + 1}: separation matrix is singular")
         sep.append(tuple(mat))
         outs = tuple(t for t in range(width) if t not in block)

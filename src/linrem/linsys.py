@@ -19,14 +19,21 @@ Matrix = list[list[int]]
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination helpers (list-of-lists, canonical residues).
+# Exact Gaussian elimination (list-of-lists, canonical residues).
 
 
-def mat_rank(fld: PrimeField, rows: Sequence[Sequence[int]]) -> int:
+def _rref(fld: PrimeField, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns, left to right.
+
+    Stops once every row holds a pivot, so the columns right of the last
+    pivot are reduced but never scanned.
+    """
     m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        if len(pivots) == len(m):
+            break
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
@@ -37,56 +44,16 @@ def mat_rank(fld: PrimeField, rows: Sequence[Sequence[int]]) -> int:
             if i != rank and m[i][col]:
                 c = m[i][col]
                 m[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        pivots.append(col)
+    return m, pivots
 
 
-def mat_det(fld: PrimeField, rows: Sequence[Sequence[int]]) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = fld.neg(det)
-        det = fld.mul(det, m[col][col])
-        inv = fld.inv(m[col][col])
-        for i in range(col + 1, n):
-            if m[i][col]:
-                c = fld.mul(inv, m[i][col])
-                m[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(m[i], m[col])]
-    return det
-
-
-def mat_inv(fld: PrimeField, rows: Sequence[Sequence[int]]) -> Matrix:
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = fld.inv(aug[col][col])
-        aug[col] = [fld.mul(inv, v) for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+def mat_rank(fld: PrimeField, rows: Sequence[Sequence[int]]) -> int:
+    return len(_rref(fld, rows)[1])
 
 
 def mat_vec(fld: PrimeField, rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, x)) % fld.q for row in rows]
-
-
-def mat_mul(fld: PrimeField, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % fld.q for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -227,63 +194,37 @@ class NormalizedSystem:
         return SetFamily(sets.field, tuple(sets.sets[j] for j in self.perm))
 
 
-def _select_block_columns(fld: PrimeField, rows: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy right-to-left scan for ell independent columns.
-
-    Returns the chosen original column indices in ascending order. The scan
-    keeps a reduced basis of column vectors and takes every column that
-    enlarges it, so an already-normalized system selects its own block.
-    """
-    ell = len(rows)
-    p = len(rows[0])
-    basis: list[list[int]] = []
-    chosen: list[int] = []
-    for j in range(p - 1, -1, -1):
-        vec = [rows[i][j] for i in range(ell)]
-        red = list(vec)
-        for bas in basis:
-            lead = next(i for i in range(ell) if bas[i])
-            if red[lead]:
-                c = fld.div(red[lead], bas[lead])
-                red = [fld.sub(a, fld.mul(c, b)) for a, b in zip(red, bas)]
-        if any(red):
-            basis.append(red)
-            chosen.append(j)
-            if len(chosen) == ell:
-                break
-    if len(chosen) < ell:
-        raise RankDeficient("could not find an independent column block")
-    return sorted(chosen)
-
-
-def _to_block_identity(sys: LinearSystem) -> tuple[Matrix, list[int], list[int]]:
+def block_identity(sys: LinearSystem) -> tuple[Matrix, list[int], list[int]]:
     """Permute an independent column set to the back and reduce it to I.
 
-    Returns (rows, rhs, perm) with perm[j] = original column of column j.
+    The block is the greedy right-to-left choice of independent columns,
+    so an already-normalized system keeps its own block. Returns (rows,
+    rhs, perm) with perm[j] = original column of column j; every solution
+    has x_block[i] = rhs[i] - sum of rows[i][j]*x_j over the free columns.
     """
-    fld = sys.field
-    block = _select_block_columns(fld, sys.rows)
+    p = sys.p
+    # The pivots of the column-reversed matrix are that greedy block, and
+    # its reduced rows are B^-1 A up to reversing rows and columns back.
+    # Full rank puts all ell pivots left of the rhs column.
+    reduced, pivots = _rref(sys.field, [row[::-1] + (b,) for row, b in zip(sys.rows, sys.rhs)])
+    block = sorted(p - 1 - c for c in pivots)
     in_block = set(block)
-    perm = [j for j in range(sys.p) if j not in in_block] + block
-    permuted = [[row[j] for j in perm] for row in sys.rows]
-    free = sys.p - sys.ell
-    blockmat = [row[free:] for row in permuted]
-    binv = mat_inv(fld, blockmat)
-    new_rows = mat_mul(fld, binv, permuted)
-    new_rhs = mat_vec(fld, binv, sys.rhs)
-    return new_rows, new_rhs, perm
+    perm = [j for j in range(p) if j not in in_block] + block
+    rows = [[row[p - 1 - j] for j in perm] for row in reversed(reduced)]
+    rhs = [row[p] for row in reversed(reduced)]
+    return rows, rhs, perm
 
 
 def normalize(sys: LinearSystem, *, require_support: bool = True) -> NormalizedSystem:
     """Bring a full-rank system into pivot form.
 
     With require_support (the default) every row must keep at least one
-    nonzero free entry besides its pivot; rows that fail raise EmptyW and
-    should be routed through reduce_degenerate. Idempotent: normalizing an
+    nonzero free entry besides its pivot, as the hypergraph encoding
+    needs; rows that fail raise EmptyW. Idempotent: normalizing an
     already-normalized system returns it unchanged.
     """
     fld = sys.field
-    rows, rhs, perm = _to_block_identity(sys)
+    rows, rhs, perm = block_identity(sys)
     free = sys.p - sys.ell
     pivots = []
     support = []
@@ -294,7 +235,10 @@ def normalize(sys: LinearSystem, *, require_support: bool = True) -> NormalizedS
         m_i = nz[-1]
         w_i = tuple(nz[:-1])
         if require_support and not w_i:
-            raise EmptyW(f"row {i + 1} has a bare pivot; reduce the system first")
+            raise EmptyW(
+                f"row {i + 1} has a bare pivot; the hypergraph encoding needs"
+                " a support column in every row"
+            )
         inv = fld.inv(row[m_i])
         rows[i] = [fld.mul(inv, v) for v in row]
         rhs[i] = fld.mul(inv, rhs[i])
@@ -394,7 +338,7 @@ def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
     entries is left in place and flagged two_var.
     """
     fld = sys.field
-    rows, rhs, perm = _to_block_identity(sys)
+    rows, rhs, perm = block_identity(sys)
     free = sys.p - sys.ell
     origin = list(perm)
     cur_sets = [sets.sets[j] for j in perm]

@@ -4,9 +4,9 @@ A solution assigns each unknown a value from its admissible set.
 Counting is a transfer walk over the columns, from both ends to a
 meeting column, whose state is a partial left-hand side in F_q^ell: its
 work grows with q^ell, not with the product of the sets. The naive mode
-enumerates full tuples as an independent oracle. `solve` is the front door for enumerating the
-solutions of any full-rank system: it normalizes when it can, and
-otherwise reduces the short rows and lifts the residual solutions back.
+enumerates full tuples as an independent oracle. `solve` enumerates the
+solutions of any full-rank system from its block-identity form: the
+free unknowns range over their sets and fix the block unknowns.
 Removal searches are exact branch-and-bound over which elements to delete.
 """
 
@@ -18,20 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    EdgeNotInHost,
-    EmptyW,
-    InvariantViolation,
-    NoFreeColumns,
-    SearchBudgetExceeded,
-)
-from .linsys import (
-    LinearSystem,
-    NormalizedSystem,
-    SetFamily,
-    normalize,
-    reduce_degenerate,
-)
+from .errors import EdgeNotInHost, InvariantViolation, SearchBudgetExceeded
+from .linsys import LinearSystem, NormalizedSystem, SetFamily, block_identity
 
 __all__ = [
     "SetFamily",
@@ -50,27 +38,7 @@ __all__ = [
 
 def iter_solutions(ns: NormalizedSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
     """Yield every solution as a full tuple in normalized column order."""
-    fld = ns.field
-    free = ns.free_count
-    sets_n = ns.permute_family(sets).sets
-    diag_sets = [frozenset(sets_n[ns.diag_cols[i]]) for i in range(ns.ell)]
-    terms = [[(j, row[j]) for j in range(free) if row[j]] for row in ns.base.rows]
-    diag_coef = [ns.base.rows[i][ns.diag_cols[i]] for i in range(ns.ell)]
-    rhs = ns.base.rhs
-    for xs in itertools.product(*sets_n[:free]):
-        out = list(xs)
-        ok = True
-        for i in range(ns.ell):
-            acc = rhs[i]
-            for j, c in terms[i]:
-                acc -= c * xs[j]
-            val = fld.div(acc % fld.q, diag_coef[i])
-            if val not in diag_sets[i]:
-                ok = False
-                break
-            out.append(val)
-        if ok:
-            yield tuple(out)
+    yield from solve(ns.base, ns.permute_family(sets))
 
 
 def _walk_steps(sizes: Sequence[int], states: int) -> int:
@@ -151,22 +119,28 @@ def is_free(ns: NormalizedSystem, sets: SetFamily) -> bool:
 def solve(system: LinearSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
     """Yield every admissible solution of any full-rank system, in original column order.
 
-    A system that normalizes is walked by iter_solutions. Short rows (pins,
-    folds, a two-variable equation) go through reduce_degenerate instead,
-    and each residual solution is lifted back through the trace.
+    Walks the product of the free sets of the block-identity form, each
+    block value read off as rhs_i - sum c*x. Pins, folds and two-variable
+    rows are rows with few terms; they need no reduction.
     """
-    try:
-        ns = normalize(system)
-    except (EmptyW, NoFreeColumns):
-        red = reduce_degenerate(system, sets)
-        if red.kind != "empty":
-            for tup in itertools.product(*red.sets.sets):
-                if red.system is None or red.system.is_solution(tup):
-                    yield red.lift(tup)
-        return
-    back = sorted(range(ns.p), key=ns.perm.__getitem__)
-    for sol in iter_solutions(ns, sets):
-        yield tuple(sol[k] for k in back)
+    rows, rhs, perm = block_identity(system)
+    q = system.field.q
+    free = system.p - system.ell
+    terms = [[(j, c) for j, c in enumerate(row[:free]) if c] for row in rows]
+    block_sets = [frozenset(sets.sets[j]) for j in perm[free:]]
+    back = sorted(range(system.p), key=perm.__getitem__)
+    for xs in itertools.product(*(sets.sets[j] for j in perm[:free])):
+        out = list(xs)
+        for i, row_terms in enumerate(terms):
+            acc = rhs[i]
+            for j, c in row_terms:
+                acc -= c * xs[j]
+            acc %= q
+            if acc not in block_sets[i]:
+                break
+            out.append(acc)
+        else:
+            yield tuple(out[k] for k in back)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,7 @@ def check_copy_structure(host: Host, copies: list[VKey]) -> CheckEntry:
     width = host.r - 1
     mix = host.coeffs.mix
     admissible = host.sets_n.frozensets()
+    diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
     for vkey in copies:
         if tuple(v // n for v in vkey) != tuple(range(host.k)):
             return CheckEntry(
@@ -387,7 +388,7 @@ def check_copy_structure(host: Host, copies: list[VKey]) -> CheckEntry:
             acc = ns.base.rhs[i] - sol[ns.pivots[i]]
             for j in ns.support[i]:
                 acc -= row[j] * sol[j]
-            sol.append(acc * ns.field.inv(row[ns.diag_cols[i]]) % n)
+            sol.append(acc * diag_inv[i] % n)
         for col, val in enumerate(sol):
             if val not in admissible[col]:
                 return CheckEntry(

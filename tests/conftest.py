@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own counting and search
 paths: solution counting is a raw product loop with % arithmetic, removal
-minimality is certified by scanning every element subset, and progression
-counting is a cubic triple loop. Expected values frozen in the test files
+minimality is certified by scanning every element subset, determinants
+are cofactor expansions, and progression counting is a cubic triple loop. Expected values frozen in the test files
 come from these.
 """
 
@@ -51,6 +51,17 @@ def brute_solutions(system: LinearSystem, sets: SetFamily) -> list[tuple[int, ..
 
 def brute_count(system: LinearSystem, sets: SetFamily) -> int:
     return len(brute_solutions(system, sets))
+
+
+def cofactor_det(q: int, mat) -> int:
+    """Determinant mod q by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    total = 0
+    for j, a in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * a * cofactor_det(q, minor)
+    return total % q
 
 
 def removal_oracle(system: LinearSystem, sets: SetFamily, mode: str) -> int:

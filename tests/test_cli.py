@@ -98,6 +98,23 @@ def test_normalize_triangle_golden(capsys):
     )
 
 
+def test_normalize_ap4_golden(capsys):
+    code, out, err = run(capsys, "normalize", AP4)
+    assert (code, err) == (0, "")
+    assert out == (
+        "# columns 1,2,3,4\n"
+        "# r 3 k 4\n"
+        "# row 1: pivot 2 support 1 diag 3\n"
+        "# row 2: pivot 2 support 1 diag 4\n"
+        "field 5\n"
+        "system 2 4\n"
+        "2 1 2 0\n"
+        "1 1 0 3\n"
+        "rhs 0 0\n"
+        + "set all\n" * 4
+    )
+
+
 def test_normalize_reorders_columns(capsys, tmp_path):
     path = write_system(
         tmp_path,
@@ -123,6 +140,16 @@ def test_represent_summary(capsys):
         0,
         "r=2 k=3 colors=3 edges=30 labels=6\n",
         "",
+    )
+
+
+def test_represent_needs_a_support_column(capsys):
+    # Row 1 of pinned.sys keeps only its pivot; count and removal take it.
+    code, out, err = run(capsys, "represent", PINNED)
+    assert (code, out) == (2, "")
+    assert err == (
+        "EmptyW: row 1 has a bare pivot; the hypergraph encoding needs"
+        " a support column in every row\n"
     )
 
 

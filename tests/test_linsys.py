@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_count, brute_solutions, mk_sets, mk_system
+from conftest import brute_count, brute_solutions, cofactor_det, mk_sets, mk_system
 from linrem.errors import EmptyW, NoFreeColumns, ParseError, RankDeficient
 from linrem.field import PrimeField
 from linrem.linsys import (
@@ -11,11 +11,9 @@ from linrem.linsys import (
     LinearSystem,
     PinStep,
     SetFamily,
+    block_identity,
     format_system,
     from_integer_system,
-    mat_det,
-    mat_inv,
-    mat_mul,
     mat_rank,
     mat_vec,
     normalize,
@@ -35,15 +33,8 @@ def test_mat_rank_proportional_rows():
     assert mat_rank(F7, [[1, 2], [2, 4]]) == 1
     assert mat_rank(F7, [[1, 2], [2, 5]]) == 2
     assert mat_rank(F7, [[0, 0], [0, 0]]) == 0
-
-
-def test_mat_det_and_inv():
-    assert mat_det(F5, [[2, 1], [1, 1]]) == 1
-    assert mat_det(F5, [[1, 2], [2, 4]]) == 0
-    inv = mat_inv(F5, [[2, 1], [1, 1]])
-    assert mat_mul(F5, [[2, 1], [1, 1]], inv) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        mat_inv(F5, [[1, 2], [2, 4]])
+    assert mat_rank(F5, [[2, 1], [1, 1]]) == 2
+    assert mat_rank(F5, [[1, 2], [2, 4]]) == 1
 
 
 def test_mat_vec():
@@ -161,6 +152,49 @@ def test_normalize_dead_free_row_raises():
     system = mk_system(5, [[1, 1, 1, 0], [0, 0, 0, 1]], [0, 3])
     with pytest.raises(NoFreeColumns):
         normalize(system)
+
+
+def _independent(q, rows, cols) -> bool:
+    """Columns cols of rows are independent: some square minor on them is nonzero."""
+    return any(
+        cofactor_det(q, [[rows[i][j] for j in cols] for i in picked])
+        for picked in itertools.combinations(range(len(rows)), len(cols))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_block_identity_randomized(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ell = data.draw(st.integers(min_value=1, max_value=4))
+    p = data.draw(st.integers(min_value=ell + 1, max_value=min(ell + 3, 6)))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    rows = [[data.draw(entry) for _ in range(p)] for _ in range(ell)]
+    try:
+        system = mk_system(q, rows, [data.draw(entry) for _ in range(ell)])
+    except RankDeficient:
+        return
+    sets = mk_sets(q, [data.draw(st.sets(entry, max_size=3)) for _ in range(p)])
+    out_rows, rhs, perm = block_identity(system)
+    free = p - ell
+    assert sorted(perm) == list(range(p)) and perm[:free] == sorted(perm[:free])
+    for i, row in enumerate(out_rows):
+        assert row[free:] == [int(k == i) for k in range(ell)]
+    # Greedy right to left: a column joins the block iff it is independent
+    # of the block columns to its right.
+    block = set(perm[free:])
+    for j in range(p):
+        right = [c for c in sorted(block) if c > j]
+        assert (j in block) == _independent(q, system.rows, right + [j])
+    found = {
+        x
+        for x in itertools.product(*sets.sets)
+        if all(
+            sum(c * x[perm[k]] for k, c in enumerate(row)) % q == b
+            for row, b in zip(out_rows, rhs)
+        )
+    }
+    assert found == set(brute_solutions(system, sets))
 
 
 # ---------------------------------------------------------------------------

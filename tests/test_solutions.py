@@ -93,8 +93,11 @@ def test_iter_solutions_matches_brute():
     system = mk_system(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0])
     ns = normalize(system)
     sets = mk_sets(5, [[0, 1, 2], [1, 2, 3], [0, 2, 4], [1, 4]])
+    found = list(iter_solutions(ns, sets))
+    # check_per_solution reports the first failing solution in this order.
+    assert found == sorted(found)
     unpermuted = set()
-    for sol in iter_solutions(ns, sets):
+    for sol in found:
         orig = [0] * ns.p
         for j, v in enumerate(sol):
             orig[ns.perm[j]] = v

@@ -1,0 +1,35 @@
+"""Source hygiene: no assert statements and a standard-library-only runtime."""
+
+import ast
+import os
+import sys
+
+import linrem
+
+SRC = os.path.dirname(os.path.abspath(linrem.__file__))
+
+
+def _stdlib(module: str) -> bool:
+    return module.split(".")[0] in sys.stdlib_module_names
+
+
+def test_package_has_no_asserts_and_imports_only_stdlib():
+    problems = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                # python -O strips these; invariants must be raised errors.
+                problems.append(f"{name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Import):
+                problems += [
+                    f"{name}:{node.lineno}: imports {alias.name}"
+                    for alias in node.names
+                    if not _stdlib(alias.name)
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and not _stdlib(node.module):
+                problems.append(f"{name}:{node.lineno}: imports {node.module}")
+    assert problems == []
