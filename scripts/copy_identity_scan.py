@@ -23,7 +23,7 @@ from linrem.errors import InputError
 from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import LinearSystem, SetFamily, normalize
-from linrem.solutions import count_solutions
+from linrem.solutions import count_system
 from linrem.verify import check_simple, count_copies
 
 
@@ -35,7 +35,8 @@ def draw_instance(rng: random.Random, copy_cap: int):
     rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
     rhs = [rng.randrange(q) for _ in range(ell)]
     try:
-        ns = normalize(LinearSystem.make(fld, rows, rhs))
+        system = LinearSystem.make(fld, rows, rhs)
+        ns = normalize(system)
     except InputError:
         return None
     fam = []
@@ -49,7 +50,7 @@ def draw_instance(rng: random.Random, copy_cap: int):
             fam.append(sorted(rng.sample(range(q), rng.randint(1, q))))
     sets = SetFamily.make(fld, fam)
     shell = q ** (ns.uniformity - 1)
-    solutions = count_solutions(ns, sets)
+    solutions = count_system(system, sets)
     if solutions * shell > copy_cap or sets.total_size() * shell > 5 * copy_cap:
         return None
     return ns, sets, solutions, shell

@@ -17,8 +17,8 @@ import argparse
 import random
 import sys
 
-from linrem.linsys import SetFamily, normalize, parse_system
-from linrem.solutions import count_solutions, plan_removal
+from linrem.linsys import SetFamily, parse_system
+from linrem.solutions import count_system, plan_removal
 
 
 def main(argv=None) -> int:
@@ -31,7 +31,6 @@ def main(argv=None) -> int:
 
     with open(args.input, "r", encoding="utf-8") as fh:
         system, _ = parse_system(fh.read())
-    ns = normalize(system)
     q = system.field.q
     p = system.p
     denom = q ** (p - system.ell)
@@ -49,7 +48,7 @@ def main(argv=None) -> int:
                 system.field,
                 [sorted(rng.sample(range(q), size)) for _ in range(p)],
             )
-            count = count_solutions(ns, fam)
+            count = count_system(system, fam)
             if count == 0:
                 free += 1
                 continue

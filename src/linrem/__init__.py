@@ -36,10 +36,8 @@ from .linsys import (
 )
 from .solutions import (
     RemovalResult,
-    count_solutions,
     count_system,
     epsdelta_scan,
-    is_free,
     iter_solutions,
     min_copy_hitting_set,
     plan_removal,

@@ -12,9 +12,9 @@ import random
 import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
-from .errors import CheckError, EdgeNotInHost, InputError, ParseError
+from .errors import CheckError, EdgeNotInHost, EmptyW, InputError, ParseError
 from .hrep import build_coefficients, build_host, export_host, parse_host_export
-from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system
+from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system, reduce_degenerate
 from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
 from .verify import check_representation
 
@@ -25,9 +25,12 @@ def _load(path: str) -> tuple[LinearSystem, SetFamily]:
 
 
 def _build(system: LinearSystem, sets: SetFamily):
-    ns = normalize(system)
-    coeffs = build_coefficients(ns)
-    return build_host(ns, coeffs, sets)
+    """The host of the reduced system, and the reduction that maps back to the input."""
+    red = reduce_degenerate(system, sets)
+    if red.system is None:
+        raise EmptyW(f"the system reduces to kind {red.kind}; there is no equation left to encode")
+    ns = normalize(red.system)
+    return build_host(ns, build_coefficients(ns), red.sets), red
 
 
 def cmd_normalize(args) -> int:
@@ -56,10 +59,10 @@ def cmd_count(args) -> int:
 
 def cmd_represent(args) -> int:
     system, sets = _load(args.input)
-    host = _build(system, sets)
+    host, _ = _build(system, sets)
     print(
         f"r={host.r} k={host.k} colors={host.free + host.ell} "
-        f"edges={len(host.records)} labels={sets.total_size()}"
+        f"edges={len(host.records)} labels={host.sets.total_size()}"
     )
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
@@ -69,13 +72,9 @@ def cmd_represent(args) -> int:
 
 def cmd_verify(args) -> int:
     system, sets = _load(args.input)
-    host = _build(system, sets)
+    host, _ = _build(system, sets)
     report = check_representation(
-        host,
-        mode="naive" if args.naive else "per-part",
-        naive_guard=args.guard,
-        ee_guard=args.guard,
-        workers=args.workers,
+        host, mode="naive" if args.naive else "per-part", guard=args.guard, workers=args.workers
     )
     print(report.render(), end="")
     return 0 if report.passed else 1
@@ -116,12 +115,15 @@ def _edge_refs(host, parsed):
 
 def cmd_translate(args) -> int:
     system, sets = _load(args.input)
-    host = _build(system, sets)
+    host, red = _build(system, sets)
     with open(args.edges, "r", encoding="utf-8") as fh:
         parsed = parse_host_export(fh.read())
-    refs = _edge_refs(host, parsed)
-    out = translate_edge_deletion(host, refs, sets)
-    print(format_system(system, out), end="")
+    rest = translate_edge_deletion(host, _edge_refs(host, parsed), host.sets)
+    # The host's column k is the input's column red.kept_columns[k].
+    removals = [()] * system.p
+    for col, before, after in zip(red.kept_columns, host.sets.sets, rest.sets):
+        removals[col] = set(before) - set(after)
+    print(format_system(system, sets.with_removed(removals)), end="")
     return 0
 
 

@@ -30,10 +30,11 @@ class RankDeficient(InputError):
 
 
 class EmptyW(InputError):
-    """A normalized row has exactly one nonzero free-block entry.
+    """The hypergraph encoding has no support column for some row.
 
-    Such rows cannot support the hypergraph encoding. Counting, solving
-    and removal take these systems as they are.
+    Raised for a normalized row with exactly one nonzero free-block
+    entry, and for a system whose reduction leaves no equation. Counting,
+    solving and removal take these systems as they are.
     """
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EmptyW, InvariantViolation, MissingEdge, ParseError, SimplicityViolation
+from .errors import InvariantViolation, MissingEdge, ParseError, SimplicityViolation
 from .linsys import NormalizedSystem, SetFamily, mat_rank
 
 VKey = tuple[int, ...]
@@ -45,8 +45,6 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
     fld = ns.field
     free = ns.free_count
     width = ns.uniformity - 1
-    if any(not w for w in ns.support):
-        raise EmptyW("every row needs nonempty support to build coefficients")
     mix = [[0] * width for _ in range(free)]
     for i in range(ns.ell):
         m_i = ns.pivots[i]

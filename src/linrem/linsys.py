@@ -215,13 +215,13 @@ def block_identity(sys: LinearSystem) -> tuple[Matrix, list[int], list[int]]:
     return rows, rhs, perm
 
 
-def normalize(sys: LinearSystem, *, require_support: bool = True) -> NormalizedSystem:
+def normalize(sys: LinearSystem) -> NormalizedSystem:
     """Bring a full-rank system into pivot form.
 
-    With require_support (the default) every row must keep at least one
-    nonzero free entry besides its pivot, as the hypergraph encoding
-    needs; rows that fail raise EmptyW. Idempotent: normalizing an
-    already-normalized system returns it unchanged.
+    Every row must keep at least one nonzero free entry besides its
+    pivot, as the hypergraph encoding needs; rows that fail raise EmptyW,
+    and reduce_degenerate strips the pinned and folded ones. Idempotent:
+    normalizing an already-normalized system returns it unchanged.
     """
     fld = sys.field
     rows, rhs, perm = block_identity(sys)
@@ -234,7 +234,7 @@ def normalize(sys: LinearSystem, *, require_support: bool = True) -> NormalizedS
             raise NoFreeColumns(f"row {i + 1} has no nonzero free-column entry")
         m_i = nz[-1]
         w_i = tuple(nz[:-1])
-        if require_support and not w_i:
+        if not w_i:
             raise EmptyW(
                 f"row {i + 1} has a bare pivot; the hypergraph encoding needs"
                 " a support column in every row"
@@ -328,78 +328,56 @@ class ReductionResult:
 
 
 def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
-    """Iteratively strip rows with fewer than three nonzero entries.
+    """Strip the rows with fewer than two free nonzeros, in one pass.
 
-    Works on the block-diagonal form, where a short row is always a bare
-    pivot plus (possibly) its block entry, so each step deletes one row and
-    one block column; solution counts are preserved exactly and the trace
-    can lift reduced solutions back. Pinned rows go first, then folds,
-    lowest index within each kind. A final single equation with two nonzero
-    entries is left in place and flagged two_var.
+    In block-identity form every row has one block entry, its own, so
+    deleting a row with its block column leaves every other row as it
+    was. A row with no free nonzero pins its block unknown, a row with
+    one folds its block unknown into that free unknown, and any other
+    row is long. Pins go first, then folds, each in row order; solution
+    counts are preserved exactly and the trace lifts reduced solutions
+    back. With no long row the last fold stays, a single equation with
+    two nonzero entries, flagged two_var.
     """
     fld = sys.field
     rows, rhs, perm = block_identity(sys)
     free = sys.p - sys.ell
-    origin = list(perm)
-    cur_sets = [sets.sets[j] for j in perm]
+    nz = [[j for j in range(free) if row[j]] for row in rows]
+    pins = [i for i in range(sys.ell) if not nz[i]]
+    folds = [i for i in range(sys.ell) if len(nz[i]) == 1]
+    stay = [i for i in range(sys.ell) if len(nz[i]) > 1] or folds[-1:]
+    cur = list(sets.sets)
     steps: list = []
-
-    def finish(kind: str, empty_witness: PinStep | None = None) -> ReductionResult:
-        trace = ReductionTrace(fld, sys.p, tuple(steps), empty_witness)
-        if kind == "empty":
-            return ReductionResult(kind, None, None, (), trace)
-        order = sorted(range(len(origin)), key=lambda j: origin[j])
-        kept = tuple(origin[j] for j in order)
-        out_sets = SetFamily(fld, tuple(cur_sets[j] for j in order))
-        if kind == "unconstrained":
-            return ReductionResult(kind, None, out_sets, kept, trace)
-        out_rows = tuple(tuple(row[j] for j in order) for row in rows)
-        system = LinearSystem(fld, out_rows, tuple(rhs))
-        return ReductionResult(kind, system, out_sets, kept, trace)
-
-    while rows:
-        ell = len(rows)
-        target = None
-        for width in (1, 2):
-            for i, row in enumerate(rows):
-                if sum(1 for v in row if v) == width:
-                    target = i
-                    break
-            if target is not None:
-                break
-        if target is None:
-            return finish("reduced")
-        i = target
-        row = rows[i]
-        nz = [j for j, v in enumerate(row) if v]
-        blk = free + i
-        if len(nz) == 1:
-            # Bare block entry: the variable is pinned to the rhs constant.
-            if nz != [blk] or row[blk] != 1:
-                raise InvariantViolation(f"one-entry row {row} is not its own unit block entry")
-            value = rhs[i]
-            step = PinStep(origin[blk], value)
-            if value not in cur_sets[blk]:
-                return finish("empty", empty_witness=step)
-            steps.append(step)
-        else:
-            if ell == 1:
-                return finish("two_var")
-            if blk not in nz or row[blk] != 1:
-                raise InvariantViolation(f"two-entry row {row} lacks its unit block entry")
-            a = nz[0] if nz[1] == blk else nz[1]
-            alpha = row[a]
-            # x_blk = rhs - alpha*x_a; keep x_a, fold the block variable away.
-            image = {fld.div(fld.sub(rhs[i], s), alpha) for s in cur_sets[blk]}
-            cur_sets[a] = tuple(v for v in cur_sets[a] if v in image)
-            steps.append(FoldStep(kept=origin[a], removed=origin[blk], alpha=alpha, rhs=rhs[i]))
-        del rows[i]
-        del rhs[i]
-        for r in rows:
-            del r[blk]
-        del origin[blk]
-        del cur_sets[blk]
-    return finish("unconstrained")
+    for i in pins:
+        if [j for j, v in enumerate(rows[i]) if v] != [free + i] or rows[i][free + i] != 1:
+            raise InvariantViolation(f"one-entry row {rows[i]} is not its own unit block entry")
+        step = PinStep(perm[free + i], rhs[i])
+        if rhs[i] not in cur[step.column]:
+            trace = ReductionTrace(fld, sys.p, tuple(steps), step)
+            return ReductionResult("empty", None, None, (), trace)
+        steps.append(step)
+    for i in folds:
+        if i in stay:
+            continue
+        if rows[i][free + i] != 1:
+            raise InvariantViolation(f"two-entry row {rows[i]} lacks its unit block entry")
+        (a,) = nz[i]
+        step = FoldStep(kept=perm[a], removed=perm[free + i], alpha=rows[i][a], rhs=rhs[i])
+        # x_removed = rhs - alpha*x_kept: keep the x_kept values it maps into S_removed.
+        image = {fld.div(fld.sub(rhs[i], s), step.alpha) for s in cur[step.removed]}
+        cur[step.kept] = tuple(v for v in cur[step.kept] if v in image)
+        steps.append(step)
+    cols = sorted([*range(free), *(free + i for i in stay)], key=perm.__getitem__)
+    kept = tuple(perm[j] for j in cols)
+    out_sets = SetFamily(fld, tuple(cur[j] for j in kept))
+    trace = ReductionTrace(fld, sys.p, tuple(steps))
+    if not stay:
+        return ReductionResult("unconstrained", None, out_sets, kept, trace)
+    system = LinearSystem(
+        fld, tuple(tuple(rows[i][j] for j in cols) for i in stay), tuple(rhs[i] for i in stay)
+    )
+    kind = "two_var" if len(nz[stay[0]]) == 1 else "reduced"
+    return ReductionResult(kind, system, out_sets, kept, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from .linsys import LinearSystem, NormalizedSystem, SetFamily, block_identity
 
 __all__ = [
     "SetFamily",
-    "count_solutions",
     "iter_solutions",
-    "is_free",
     "solve",
     "count_system",
     "RemovalResult",
@@ -98,22 +96,6 @@ def count_system(
     tail = _walk(system, sets, reversed(range(m, system.p)))
     rhs = system.rhs
     return sum(w * head.get(tuple((b - t) % q for t, b in zip(s, rhs)), 0) for s, w in tail.items())
-
-
-def count_solutions(
-    ns: NormalizedSystem, sets: SetFamily, mode: str = "structured", guard: int = 10**6
-) -> int:
-    """Admissible solution count of a normalized system, sets in original column order.
-
-    The count of count_system on ns.base with the family permuted into
-    normalized order; mode and guard mean the same there.
-    """
-    return count_system(ns.base, ns.permute_family(sets), mode=mode, guard=guard)
-
-
-def is_free(ns: NormalizedSystem, sets: SetFamily) -> bool:
-    """True when no admissible solution exists."""
-    return count_solutions(ns, sets) == 0
 
 
 def solve(system: LinearSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:
@@ -346,13 +328,14 @@ def translate_edge_deletion(host, edges: Iterable, sets: SetFamily) -> SetFamily
     """Turn an edge deletion into element removals from the original sets.
 
     A value s leaves set i exactly when the deletion contains at least
-    n^(r-1)/p edges of color i labeled s; the comparison is done in exact
-    integers as p*count >= n^(r-1).
+    n^(r-1)/p distinct edges of color i labeled s (an edge listed twice
+    is deleted once); the comparison is done in exact integers as
+    p*count >= n^(r-1).
     """
     p = host.ns.p
     threshold = host.n ** (host.r - 1)
     tally: dict[tuple[int, int], int] = {}
-    for ref in edges:
+    for ref in dict.fromkeys(edges):
         color, vkey = ref
         stored = host.by_key.get(vkey)
         if stored is None or stored[0] != color:

@@ -1,6 +1,8 @@
+import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,12 @@ TRIANGLE = "systems/triangle.sys"
 AP4 = "systems/ap4.sys"
 PINNED = "systems/pinned.sys"
 FOLD = "systems/fold.sys"
+REDUCIBLE = "systems/reducible.sys"
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+BARE_PIVOT = (
+    "EmptyW: row 1 has a bare pivot; the hypergraph encoding needs"
+    " a support column in every row\n"
+)
 
 
 def run(capsys, *argv):
@@ -147,10 +155,58 @@ def test_represent_needs_a_support_column(capsys):
     # Row 1 of pinned.sys keeps only its pivot; count and removal take it.
     code, out, err = run(capsys, "represent", PINNED)
     assert (code, out) == (2, "")
-    assert err == (
-        "EmptyW: row 1 has a bare pivot; the hypergraph encoding needs"
-        " a support column in every row\n"
-    )
+    assert err == BARE_PIVOT
+
+
+@pytest.mark.parametrize("path", [PINNED, FOLD])
+@pytest.mark.parametrize("command", ["represent", "verify", "translate"])
+def test_two_variable_residuals_are_refused(capsys, tmp_path, command, path):
+    # Both reduce to a single two-variable row, whose pivot has no support.
+    edges = tmp_path / "deleted.edges"
+    edges.write_text("1 1 V1:0 U1:1\n")
+    argv = [command, path] + ([str(edges)] if command == "translate" else [])
+    assert run(capsys, *argv) == (2, "", BARE_PIVOT)
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        pytest.param(
+            "field 7\nsystem 2 3\n1 1 0\n0 0 1\nrhs 0 3\nset all\nset all\nset 1,2\n",
+            "empty",
+            id="pin-outside-its-set",
+        ),
+        pytest.param(
+            "field 5\nsystem 1 2\n0 1\nrhs 3\nset all\nset all\n", "unconstrained", id="all-pins"
+        ),
+    ],
+)
+def test_represent_names_the_reduced_kind(capsys, tmp_path, text, kind):
+    code, out, err = run(capsys, "represent", write_system(tmp_path, text))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"EmptyW: the system reduces to kind {kind};")
+
+
+def test_verify_reducible_counts_the_input(capsys):
+    # Row 2 folds x5 into x4; the host encodes x1 + x2 + x3 = 0 on x1..x4
+    # (r = 2), and its T is the input's solution count.
+    code, out, err = run(capsys, "verify", REDUCIBLE)
+    assert (code, err) == (0, "")
+    with open(REDUCIBLE, encoding="utf-8") as fh:
+        system, sets = parse_system(fh.read())
+    t = brute_count(system, sets)
+    assert out.endswith(f"PASS\nCOUNTS edges=100 T={t} copies={t * 5}\n")
+    assert t == 125
+
+
+def test_translate_reducible_maps_back_to_input_columns(capsys, tmp_path):
+    # Host color 3 is the free unknown x4: two of its five label-1 edges
+    # reach n^(r-1)/p = 5/4, so 1 leaves the input's set 4.
+    edges = tmp_path / "deleted.edges"
+    edges.write_text("3 1 V1:0 U3:1\n3 1 V1:1 U3:1\n")
+    code, out, err = run(capsys, "translate", REDUCIBLE, str(edges))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5:] == ["set all", "set all", "set all", "set 0,2,3,4", "set all"]
 
 
 def test_represent_dump_round_trip(capsys, tmp_path):
@@ -178,6 +234,15 @@ def test_translate_threshold_crossed(capsys, tmp_path):
 def test_translate_below_threshold(capsys, tmp_path):
     edges = tmp_path / "deleted.edges"
     edges.write_text("1 1 V1:0 U1:1\n")
+    code, out, _ = run(capsys, "translate", TRIANGLE, str(edges))
+    assert code == 0
+    assert out.endswith("set 1,2\nset 1,2\nset 1,2\n")
+
+
+def test_translate_counts_a_repeated_edge_once(capsys, tmp_path):
+    # One deleted edge stays below the threshold however often it is listed.
+    edges = tmp_path / "deleted.edges"
+    edges.write_text("1 1 V1:0 U1:1\n1 1 V1:0 U1:1\n")
     code, out, _ = run(capsys, "translate", TRIANGLE, str(edges))
     assert code == 0
     assert out.endswith("set 1,2\nset 1,2\nset 1,2\n")
@@ -366,6 +431,28 @@ def test_behrend_ceiling_checked_under_optimize_flag():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("ProgressionCeilingExceeded: progression count 4 exceeds")
+
+
+# ---------------------------------------------------------------------------
+# golden matrix over the bundled systems
+
+GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text(encoding="utf-8"))
+MATRIX = {
+    "normalize": ("normalize",),
+    "count": ("count",),
+    "represent": ("represent",),
+    "verify": ("verify",),
+    "removal": ("removal",),
+    "removal-total": ("removal", "--mode", "total"),
+}
+
+
+@pytest.mark.parametrize("command", list(MATRIX))
+@pytest.mark.parametrize("name", sorted(path.name for path in SYSTEMS.glob("*.sys")))
+def test_golden_matrix(capsys, name, command):
+    sub, *flags = MATRIX[command]
+    code, out, _ = run(capsys, sub, str(SYSTEMS / name), *flags)
+    assert {"code": code, "stdout": out} == GOLDENS[name][command]
 
 
 # ---------------------------------------------------------------------------

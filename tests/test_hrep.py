@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import cofactor_det, full_sets, mk_sets, mk_system
-from linrem.errors import EmptyW, MissingEdge, ParseError
+from linrem.errors import MissingEdge, ParseError
 from linrem.hrep import (
     TemplateEdge,
     build_coefficients,
@@ -73,12 +73,6 @@ def test_separation_matrices_nonsingular():
         tables = build_coefficients(ns)
         for mat in tables.sep:
             assert cofactor_det(ns.field.q, mat) != 0
-
-
-def test_coefficients_need_support():
-    ns = normalize(mk_system(7, [[1, 1, 0]], [4]), require_support=False)
-    with pytest.raises(EmptyW):
-        build_coefficients(ns)
 
 
 # ---------------------------------------------------------------------------

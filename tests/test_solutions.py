@@ -10,10 +10,8 @@ from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import SetFamily, normalize
 from linrem.solutions import (
-    count_solutions,
     count_system,
     epsdelta_scan,
-    is_free,
     iter_solutions,
     min_copy_hitting_set,
     plan_removal,
@@ -53,40 +51,35 @@ def small_systems(draw):
 
 
 def test_count_triangle_small_sets():
-    ns = triangle5_ns()
     sets = mk_sets(5, [[1, 2]] * 3)
-    assert count_solutions(ns, sets) == 1
-    assert count_solutions(ns, sets, mode="naive") == 1
+    assert count_system(triangle5(), sets) == 1
+    assert count_system(triangle5(), sets, mode="naive") == 1
 
 
 def test_count_triangle_full_sets():
-    ns = triangle5_ns()
     sets = full_sets(5, 3)
-    assert count_solutions(ns, sets) == 25
-    assert count_solutions(ns, sets, mode="naive") == 25
+    assert count_system(triangle5(), sets) == 25
+    assert count_system(triangle5(), sets, mode="naive") == 25
 
 
 def test_count_empty_set_gives_zero():
-    ns = triangle5_ns()
     sets = mk_sets(5, [[1, 2], [], [1, 2]])
-    assert count_solutions(ns, sets) == 0
-    assert count_solutions(ns, sets, mode="naive") == 0
+    assert count_system(triangle5(), sets) == 0
+    assert count_system(triangle5(), sets, mode="naive") == 0
 
 
 def test_count_dead_column_multiplies():
     # Column 3 has a zero coefficient everywhere, so it only scales T.
     system = mk_system(5, [[1, 1, 0, 4]], [0])
-    ns = normalize(system)
     base = mk_sets(5, [[1, 2], [1, 2], [0, 3, 4], [2]])
-    assert count_solutions(ns, base) == brute_count(system, base) == 3
+    assert count_system(system, base) == brute_count(system, base) == 3
     shrunk = base.replace(2, [0])
-    assert count_solutions(ns, shrunk) == brute_count(system, shrunk) == 1
+    assert count_system(system, shrunk) == brute_count(system, shrunk) == 1
 
 
 def test_count_naive_guard():
-    ns = triangle5_ns()
     with pytest.raises(SearchBudgetExceeded):
-        count_solutions(ns, full_sets(5, 3), mode="naive", guard=100)
+        count_system(triangle5(), full_sets(5, 3), mode="naive", guard=100)
 
 
 def test_iter_solutions_matches_brute():
@@ -196,10 +189,9 @@ def test_count_bad_mode():
 
 
 def test_is_free():
-    ns = triangle5_ns()
-    assert not is_free(ns, mk_sets(5, [[1, 2]] * 3))
-    assert is_free(ns, mk_sets(5, [[1]] * 3))
-    assert is_free(ns, mk_sets(5, [[], [1], [1]]))
+    assert count_system(triangle5(), mk_sets(5, [[1, 2]] * 3)) != 0
+    assert count_system(triangle5(), mk_sets(5, [[1]] * 3)) == 0
+    assert count_system(triangle5(), mk_sets(5, [[], [1], [1]])) == 0
 
 
 # ---------------------------------------------------------------------------

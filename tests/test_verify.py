@@ -209,7 +209,7 @@ def test_report_ap4(ap4_full):
 
 
 def test_report_skips_edge_equation_over_guard(triangle_small):
-    report = check_representation(triangle_small, ee_guard=10)
+    report = check_representation(triangle_small, guard=10)
     assert report.passed
     assert "edge-equation" not in [e.name for e in report.entries]
 
