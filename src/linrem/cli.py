@@ -12,7 +12,7 @@ import random
 import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
-from .errors import CheckError, EdgeNotInHost, EmptyW, InputError, ParseError
+from .errors import CheckError, EdgeNotInHost, EmptyW, InputError, ParseError, SearchBudgetExceeded
 from .hrep import build_coefficients, build_host, export_host, parse_host_export
 from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system, reduce_degenerate
 from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
@@ -131,7 +131,11 @@ def cmd_epsdelta(args) -> int:
     system, sets = _load(args.input)
     q = system.field.q
     p = system.p
-    cap = max(1, args.guard // p)
+    if args.guard < p:
+        raise SearchBudgetExceeded(
+            f"guard {args.guard} is below the {p} unknowns; it leaves no room for one value per set"
+        )
+    cap = args.guard // p
 
     def generate(trial: int) -> SetFamily:
         rng = random.Random(f"{args.seed}:{trial}")

@@ -157,14 +157,16 @@ def _hit_masks(rows: Sequence[tuple]) -> tuple[dict, int]:
     return hits, (1 << len(rows)) - 1
 
 
-def _min_hitting_set(rows: Sequence[tuple], node_budget: int) -> list:
+def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) -> list:
     """Exact minimum set of elements meeting every row.
 
-    Branch and bound from a greedy upper bound. Each node branches on the
-    elements of the first unhit row, keeping one element per distinct gain
-    (equal gains lead to identical subtrees), and prunes with a packing
-    lower bound: rows that no single element can hit together each need
-    their own element. Raises SearchBudgetExceeded past node_budget nodes.
+    Branch and bound from a greedy upper bound, skipped when the greedy
+    cover is no larger than floor, a proven lower bound. Each node
+    branches on the elements of the first unhit row, keeping one element
+    per distinct gain (equal gains lead to identical subtrees), and
+    prunes with a packing lower bound: rows that no single element can
+    hit together each need their own element. Raises
+    SearchBudgetExceeded past node_budget nodes.
     """
     hits, all_mask = _hit_masks(rows)
     # reach[idx]: every row that some element of row idx also hits.
@@ -180,6 +182,8 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int) -> list:
         e = max(order, key=lambda e: bin(hits[e] & ~covered).count("1"))
         best.append(e)
         covered |= hits[e]
+    if len(best) <= floor:
+        return best
 
     def lower_bound(covered: int) -> int:
         taken = 0
@@ -201,7 +205,10 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int) -> list:
         nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(f"hitting-set search passed {node_budget} nodes")
+            raise SearchBudgetExceeded(
+                f"hitting-set search passed {node_budget} nodes;"
+                f" best cover so far has {len(best)} elements"
+            )
         if covered == all_mask:
             if len(chosen) < len(best):
                 best = list(chosen)
@@ -224,18 +231,18 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int) -> list:
 
 
 def _min_max_hitting_set(
-    rows: Sequence[tuple[tuple[int, int], ...]], sets: SetFamily, node_budget: int
+    rows: Sequence[tuple[tuple[int, int], ...]], sets: SetFamily, node_budget: int, floor: int
 ) -> list[tuple[int, int]]:
     """(column, value) elements meeting every row, fewest from any one column.
 
-    Iterative deepening over the per-column cap, from 0 (feasible only
-    with no rows): the first cover found at the smallest feasible cap is
-    then made irredundant, dropping each element that the others make
-    unnecessary.
+    Iterative deepening over the per-column cap, from floor, a proven
+    lower bound (cap 0 is feasible only with no rows): the first cover
+    found at the smallest feasible cap is then made irredundant, dropping
+    each element that the others make unnecessary.
     """
     hits, all_mask = _hit_masks(rows)
     nodes = 0
-    for bound in range(max(len(s) for s in sets.sets) + 1):
+    for bound in range(floor, max(len(s) for s in sets.sets) + 1):
         chosen: list[tuple[int, int]] = []
         counts: dict[int, int] = {}
 
@@ -243,7 +250,10 @@ def _min_max_hitting_set(
             nonlocal nodes
             nodes += 1
             if nodes > node_budget:
-                raise SearchBudgetExceeded("removal search node budget exhausted")
+                raise SearchBudgetExceeded(
+                    f"removal search passed {node_budget} nodes at cap {bound},"
+                    f" deepening from floor {floor}"
+                )
             if covered == all_mask:
                 return True
             rem = all_mask & ~covered
@@ -270,6 +280,39 @@ def _min_max_hitting_set(
     raise InvariantViolation("deleting every element did not free the family")
 
 
+def _removal_floor(system: LinearSystem, sets: SetFamily, mode: str) -> int:
+    """A lower bound on the removal cost in mode, from Cauchy-Davenport.
+
+    The rows of the block-identity form fall into components that share
+    no nonzero column, and the family is free exactly when some set is
+    empty or some component has no solution. Emptying a set costs at
+    least min |S_j|. Over prime q, nonempty sets A_j and nonzero c_j give
+    |c_1 A_1 + ... + c_p' A_p'| >= min(q, sum |A_j| - p' + 1), so a
+    one-row component on p' columns has no solution only once its sets
+    shrink to sum |A_j| <= q + p' - 2. That takes at least
+    excess = sum |S_j| - q - p' + 2 deletions in all, and ceil(excess / p')
+    from some one set. A component of several rows gets no bound, so the
+    floor is 0.
+    """
+    rows, _, perm = block_identity(system)
+    components: list[tuple[set[int], int]] = []
+    for row in rows:
+        cols = {perm[j] for j, c in enumerate(row) if c}
+        height = 1
+        for comp in [comp for comp in components if comp[0] & cols]:
+            components.remove(comp)
+            cols |= comp[0]
+            height += comp[1]
+        components.append((cols, height))
+    floor = min(sets.sizes())
+    for cols, height in components:
+        excess = sum(len(sets.sets[j]) for j in cols) - system.field.q - len(cols) + 2
+        if height > 1 or excess <= 0:
+            return 0
+        floor = min(floor, excess if mode == "total" else -(-excess // len(cols)))
+    return floor
+
+
 def plan_removal(
     system: LinearSystem,
     sets: SetFamily,
@@ -286,16 +329,28 @@ def plan_removal(
     per-set-max minimizes the largest per-set deletion count. Both answers
     are exact, certified by exhaustive branch and bound, and irredundant:
     putting back any deleted element lets a solution return.
+
+    Both searches start from a Cauchy-Davenport floor (`_removal_floor`).
+    Over prime q, a one-row component on p' columns, with nonempty sets
+    and nonzero coefficients, keeps a solution while fewer than
+    excess = sum |S_j| - q - p' + 2 of its values are deleted. The floor
+    is min(min_j |S_j|, excess) in total mode and min(min_j |S_j|,
+    ceil(excess / p')) in per-set-max mode, the least over components,
+    and 0 once any component has several rows. Per-set-max deepens from
+    the floor and total keeps the greedy cover when it meets the floor.
+    Caps and covers below the floor are infeasible, so the answer is the
+    one the search from 0 finds.
     """
     if sets.total_size() > guard:
         raise SearchBudgetExceeded(f"family size {sets.total_size()} exceeds guard {guard}")
     if mode not in ("per-set-max", "total"):
         raise ValueError(f"unknown mode {mode!r}")
     rows = [tuple(enumerate(sol)) for sol in sorted(solve(system, sets))]
+    floor = _removal_floor(system, sets, mode)
     if mode == "total":
-        chosen = _min_hitting_set(rows, node_budget)
+        chosen = _min_hitting_set(rows, node_budget, floor)
     else:
-        chosen = _min_max_hitting_set(rows, sets, node_budget)
+        chosen = _min_max_hitting_set(rows, sets, node_budget, floor)
     removed: list[list[int]] = [[] for _ in range(sets.p)]
     for col, val in sorted(chosen):
         removed[col].append(val)

@@ -359,6 +359,16 @@ def test_epsdelta_seed_changes_stream(capsys):
     assert a != b
 
 
+def test_epsdelta_refuses_a_guard_below_p(capsys):
+    # Refused before any trial; the guard can hold one value per set from 3 on.
+    assert run(capsys, "epsdelta", TRIANGLE, "--trials", "200", "--guard", "2") == (
+        2, "", "SearchBudgetExceeded: guard 2 is below the 3 unknowns;"
+        " it leaves no room for one value per set\n"
+    )
+    code, out, _ = run(capsys, "epsdelta", TRIANGLE, "--trials", "200", "--guard", "3")
+    assert code == 0 and len(out.splitlines()) == 200
+
+
 def test_epsdelta_degenerate_rows_match_oracles(capsys):
     # The second row of pinned.sys pins x3; the scan must still count and
     # remove. Each row is recomputed from the documented family draw.

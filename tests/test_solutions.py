@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -8,8 +9,9 @@ from conftest import brute_count, brute_solutions, full_sets, mk_sets, mk_system
 from linrem.errors import EdgeNotInHost, RankDeficient, SearchBudgetExceeded
 from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host, copies_for_solution
-from linrem.linsys import SetFamily, normalize
+from linrem.linsys import SetFamily, normalize, parse_system
 from linrem.solutions import (
+    _removal_floor,
     count_system,
     epsdelta_scan,
     iter_solutions,
@@ -300,6 +302,104 @@ def test_plan_removal_matches_oracle_on_degenerate_systems(case):
 
 
 # ---------------------------------------------------------------------------
+# The Cauchy-Davenport floor of the removal searches.
+
+
+@st.composite
+def floor_systems(draw):
+    """Raw (q, rows, rhs, sets) on which the Cauchy-Davenport floor often fires.
+
+    One row, two column-disjoint rows or two general rows over F3, F5 or
+    F7. Zero coefficients are allowed, so pins and idle columns occur.
+    Sets are drawn large, some empty, with at most 14 elements in all.
+    """
+    q = draw(st.sampled_from([3, 5, 7]))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    shape = draw(st.sampled_from(["one", "disjoint", "two"]))
+    if shape == "one":
+        rows = [[draw(entry) for _ in range(draw(st.integers(min_value=2, max_value=4)))]]
+    elif shape == "disjoint":
+        left = draw(st.integers(min_value=1, max_value=2))
+        right = draw(st.integers(min_value=3 - left, max_value=2))
+        rows = [
+            [draw(entry) for _ in range(left)] + [0] * right,
+            [0] * left + [draw(entry) for _ in range(right)],
+        ]
+    else:
+        p = draw(st.integers(min_value=3, max_value=4))
+        rows = [[draw(entry) for _ in range(p)] for _ in range(2)]
+    rhs = [draw(entry) for _ in rows]
+    room = 14
+    sets = []
+    for _ in rows[0]:
+        top = min(q, room)
+        size = draw(st.one_of(st.just(top), st.integers(min_value=0, max_value=top)))
+        sets.append(draw(st.lists(entry, min_size=size, max_size=size, unique=True)))
+        room -= size
+    return q, rows, rhs, sets
+
+
+@settings(max_examples=30, deadline=None)
+@given(floor_systems())
+# x1 + x2 + x3 = 0 over F3 with full sets: floors 2 and 3
+@example((3, [[1, 1, 1]], [0], [[0, 1, 2]] * 3))
+# two column-disjoint two-variable rows with full sets, as in fold.sys
+@example((3, [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 0], [[0, 1, 2]] * 4))
+# a pin beside a full row
+@example((5, [[1, 1, 0], [0, 0, 1]], [0, 3], [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 3]]))
+# an empty set
+@example((7, [[1, 2, 3]], [0], [[1, 2, 3, 4, 5, 6], [], [0, 4, 5, 6]]))
+def test_removal_floor_is_a_lower_bound(case):
+    q, rows, rhs, fam = case
+    try:
+        system = mk_system(q, rows, rhs)
+    except RankDeficient:
+        reject()
+    sets = mk_sets(q, fam)
+    free = brute_count(system, sets) == 0
+    for mode in MODES:
+        floor = _removal_floor(system, sets, mode)
+        assert floor <= removal_oracle(system, sets, mode)
+        if free:
+            assert floor == 0
+
+
+def test_removal_floor_skips_the_caps_below_it():
+    # Cauchy-Davenport keeps x1 + x2 + x3 = 0 over F7 solvable until
+    # 21 - 7 - 3 + 2 = 13 values go, five from some one set. Deepening
+    # from cap 0 takes 115,801 nodes; from the floor, 14.
+    system = mk_system(7, [[1, 1, 1]], [0])
+    sets = full_sets(7, 3)
+    assert _removal_floor(system, sets, "per-set-max") == 5
+    assert _removal_floor(system, sets, "total") == 7
+    res = plan_removal(system, sets, node_budget=14)
+    assert res.removed == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (2, 3, 4))
+    with pytest.raises(SearchBudgetExceeded, match="passed 13 nodes at cap 5, deepening from floor 5"):
+        plan_removal(system, sets, node_budget=13)
+
+
+def test_removal_floor_of_fold_sys():
+    # Two column-disjoint rows on two columns each, full sets over F5:
+    # excess 5 + 5 - 5 - 2 + 2 = 5 per row, so ceil(5 / 2) = 3 per set.
+    text = (Path(__file__).resolve().parent.parent / "systems" / "fold.sys").read_text()
+    system, sets = parse_system(text)
+    assert _removal_floor(system, sets, "per-set-max") == 3
+    assert _removal_floor(system, sets, "total") == 5
+    assert plan_removal(system, sets).budget == 3
+
+
+def test_budget_errors_say_how_far_the_search_got():
+    # Two rows sharing columns: no floor, so the deepening starts at 0.
+    system = mk_system(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0])
+    sets = full_sets(5, 4)
+    assert _removal_floor(system, sets, "per-set-max") == 0
+    with pytest.raises(SearchBudgetExceeded, match="passed 100 nodes at cap 2, deepening from floor 0"):
+        plan_removal(system, sets, node_budget=100)
+    with pytest.raises(SearchBudgetExceeded, match="passed 100 nodes; best cover so far has 5 elements"):
+        plan_removal(system, sets, "total", node_budget=100)
+
+
+# ---------------------------------------------------------------------------
 # Degenerate systems: pins, folds and two-variable residuals.
 
 
@@ -474,7 +574,7 @@ def test_min_hitting_node_budget():
     budgeted = min_copy_hitting_set(None, copies)
     # Hitting every pair from an 8-element universe needs 7 singletons.
     assert len(budgeted) == 7
-    with pytest.raises(SearchBudgetExceeded, match="nodes"):
+    with pytest.raises(SearchBudgetExceeded, match="passed 3 nodes; best cover so far has 7 elements"):
         min_copy_hitting_set(None, copies, node_budget=3)
 
 
