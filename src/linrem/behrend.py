@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import (
     IndivisibleAmbient,
-    LiftCarry,
     LiftSizeMismatch,
     ProgressionCeilingExceeded,
     SearchBudgetExceeded,
@@ -132,12 +131,12 @@ class LowerBoundInstance:
 def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerBoundInstance:
     """Lift X a copy per 2m-block: S = {x in 1..n with x mod 2m in X}.
 
-    Requires 2m | n and X a progression-free subset of {1..m}. The halved
-    digit range means a progression in S never carries in base 2m, so its
-    residues form a progression in X and must be constant. The size of S,
-    that and the |S|^3/m^2 ceiling are checked on the result, raising
-    LiftSizeMismatch, LiftCarry and ProgressionCeilingExceeded. guard caps
-    the size of S the quadratic progression scans will accept.
+    Requires 2m | n and X a progression-free subset of {1..m}. Residues
+    a, b, c in X of a progression in S have a + c = 2b mod 2m with both
+    sides in [2, 2m], so a + c = 2b and X forces a = b = c. The size of S
+    and the |S|^3/m^2 ceiling are checked on the result, raising
+    LiftSizeMismatch and ProgressionCeilingExceeded. guard caps the size
+    of S the quadratic progression scan will accept.
     """
     xs = tuple(sorted(set(X)))
     if any(not 1 <= x <= m for x in xs):
@@ -151,13 +150,6 @@ def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerB
     if len(s) != n * len(xs) // (2 * m):
         raise LiftSizeMismatch(f"lift has {len(s)} elements, expected {n * len(xs) // (2 * m)}")
     total, nontrivial = count_ap3(s, guard=guard)
-    sset = frozenset(s)
-    for x1 in s:
-        for x3 in s:
-            if (x1 + x3) % 2 == 0 and (x1 + x3) // 2 in sset:
-                mid = (x1 + x3) // 2
-                if not x1 % (2 * m) == x3 % (2 * m) == mid % (2 * m):
-                    raise LiftCarry(f"carry detected in progression {x1}, {mid}, {x3}")
     # Coarse ceiling; fails when n is too small relative to m, which the
     # asymptotic regime never is.
     if total * m * m > len(s) ** 3:

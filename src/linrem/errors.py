@@ -70,9 +70,5 @@ class LiftSizeMismatch(CheckError):
     """A residue lift holds other than n*|X|/(2m) elements; indicates a bug."""
 
 
-class LiftCarry(CheckError):
-    """A progression in a residue lift spans more than one residue class."""
-
-
 class ProgressionCeilingExceeded(CheckError):
     """A lift has more progressions than |S|^3/m^2; n is too small for m."""

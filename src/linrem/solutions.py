@@ -376,7 +376,14 @@ def min_copy_hitting_set(
     rows = [tuple(c.edges) for c in copies]
     if not all(rows):
         raise ValueError("a copy without edges cannot be hit")
-    return tuple(sorted(_min_hitting_set(rows, node_budget)))
+    # A copy sharing no edge with the copies packed before it needs its own edge.
+    packed: set = set()
+    floor = 0
+    for row in rows:
+        if packed.isdisjoint(row):
+            floor += 1
+            packed.update(row)
+    return tuple(sorted(_min_hitting_set(rows, node_budget, floor)))
 
 
 def translate_edge_deletion(host, edges: Iterable, sets: SetFamily) -> SetFamily:

@@ -5,6 +5,14 @@ construction: a per-part walk over an index it builds from the edge
 list, and a naive scan over vertex subsets using a backtracking
 placement test. Agreement between the routes, the edge bookkeeping
 checks, and the copy-count identity together certify the representation.
+
+Per-solution and copy-structure share one pass over the enumerated
+copies. A copy is fixed by (solution, x) and recovers its solution from
+its U-part vertices. So if every recovered solution is admissible and
+each of the T solutions recovers n^(r-1) copies, every solution spans
+its full family. Edge-disjointness is structural: a color-j edge holds
+all of x, and one solution's diagonal keys are another's shifted inside
+each U part, so one family's distinct keys settle every family.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, MissingEdge, SearchBudgetExceeded
-from .hrep import Host, VKey, copies_for_solution
+from .errors import InvariantViolation, SearchBudgetExceeded
+from .hrep import Host, VKey
 from .solutions import count_system, iter_solutions
 
 PartIndex = list[dict[tuple[int, ...], list[int]]]
@@ -336,67 +344,65 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     return CheckEntry("edge-equation", True)
 
 
-def check_per_solution(host: Host) -> CheckEntry:
-    """Each solution spans its full copy family, pairwise edge-disjoint."""
-    expected = host.n ** (host.r - 1)
-    for sol in iter_solutions(host.ns, host.sets):
-        try:
-            copies = copies_for_solution(host, sol)
-        except MissingEdge as exc:
-            return CheckEntry("per-solution", False, f"solution {sol}: {exc}")
-        if len(copies) != expected:
-            return CheckEntry(
-                "per-solution",
-                False,
-                f"solution {sol} spans {len(copies)} copies, wants {expected}",
-            )
-        owner: dict = {}
-        for copy in copies:
-            for ref in copy.edges:
-                if ref in owner and owner[ref] != copy.xs:
-                    return CheckEntry(
-                        "per-solution",
-                        False,
-                        f"solution {sol}: edge {ref} shared by x={owner[ref]} and x={copy.xs}",
-                    )
-                owner[ref] = copy.xs
-    return CheckEntry("per-solution", True)
+def check_copies(host: Host, copies: list[VKey], solutions: int) -> tuple[CheckEntry, CheckEntry]:
+    """Per-solution and copy-structure entries from one pass over the copies.
 
-
-def check_copy_structure(host: Host, copies: list[VKey]) -> CheckEntry:
-    """Every enumerated copy must come from an admissible solution."""
+    Copies recovering no admissible solution fail copy-structure and stay
+    out of the per-solution tallies, which the module docstring explains.
+    """
     ns = host.ns
     n = host.n
     width = host.r - 1
-    mix = host.coeffs.mix
     admissible = host.sets_n.frozensets()
     diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
+    rows = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
+    expected = n**width
+    structure = labels = ""
+    tally: Counter = Counter()
+    first = None
+    owner: dict[tuple[int, VKey], tuple[int, ...]] = {}
     for vkey in copies:
         if tuple(v // n for v in vkey) != tuple(range(host.k)):
-            return CheckEntry(
-                "copy-structure", False, f"copy {vkey} does not meet every part once"
-            )
+            structure = structure or f"copy {vkey} does not meet every part once"
+            continue
         xs = tuple(v % n for v in vkey[:width])
         us = tuple(v % n for v in vkey[width:])
-        sol = [
-            (us[j] - sum(c * x for c, x in zip(mix[j], xs))) % n for j in range(host.free)
-        ]
-        for i in range(ns.ell):
-            row = ns.base.rows[i]
-            acc = ns.base.rhs[i] - sol[ns.pivots[i]]
-            for j in ns.support[i]:
-                acc -= row[j] * sol[j]
-            sol.append(acc * diag_inv[i] % n)
-        for col, val in enumerate(sol):
-            if val not in admissible[col]:
-                return CheckEntry(
-                    "copy-structure",
-                    False,
-                    f"copy {vkey} needs value {val} in set {col + 1}, not admissible",
-                )
-        if not ns.base.is_solution(tuple(sol)):
-            return CheckEntry("copy-structure", False, f"copy {vkey} recovers non-solution {sol}")
-    return CheckEntry("copy-structure", True)
+        sol = [(u - sum(c * x for c, x in zip(a, xs))) % n for u, a in zip(us, host.coeffs.mix)]
+        for row, rhs, m_i, support, inv in rows:
+            sol.append((rhs - sol[m_i] - sum(row[j] * sol[j] for j in support)) * inv % n)
+        bad = next((col for col, val in enumerate(sol) if val not in admissible[col]), None)
+        if bad is not None:
+            structure = structure or (
+                f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
+            )
+            continue
+        if not ns.base.is_solution(sol):
+            structure = structure or f"copy {vkey} recovers non-solution {sol}"
+            continue
+        sol = tuple(sol)
+        tally[sol] += 1
+        first = first or sol
+        # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
+        keys = [vkey[:width] + (vkey[width + j],) for j in range(host.free)]
+        keys += [host.diag_key(i, xs, us) for i in range(host.ell)]
+        for c, key in enumerate(keys):
+            if host.by_key.get(key) != (c, sol[c]):
+                labels = labels or f"solution {sol}: color {c + 1} edge missing for x={xs}"
+            elif c >= host.free and sol == first:
+                ref = (c, key)
+                prev = owner.setdefault(ref, xs)
+                if prev != xs:
+                    labels = labels or f"solution {sol}: edge {ref} shared by x={prev} and x={xs}"
+    short = min((s for s, k in tally.items() if k != expected), default=None)
+    if not labels and short is not None:
+        labels = f"solution {short} spans {tally[short]} copies, wants {expected}"
+    elif not labels and len(tally) != solutions:  # the only walk over solutions
+        missing = next((s for s in iter_solutions(ns, host.sets) if s not in tally), None)
+        labels = f"solution {missing} spans 0 copies, wants {expected}"
+    return (
+        CheckEntry("per-solution", not labels, labels),
+        CheckEntry("copy-structure", not structure, structure),
+    )
 
 
 def check_representation(
@@ -420,8 +426,7 @@ def check_representation(
     if not entry.passed:
         entry.witness = f"{len(copies)} copies, wants {expected}"
     report.entries.append(entry)
-    report.entries.append(check_per_solution(host))
-    report.entries.append(check_copy_structure(host, copies))
+    report.entries.extend(check_copies(host, copies, solutions))
     if host.ns.ell * host.n**host.r <= guard:
         report.entries.append(check_edge_equation(host, guard=guard))
     report.edges = len(host.records)

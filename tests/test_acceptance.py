@@ -48,8 +48,8 @@ from linrem.solutions import (
     translate_edge_deletion,
 )
 from linrem.verify import (
+    check_copies,
     check_edge_equation,
-    check_per_solution,
     check_simple,
     count_copies,
     enumerate_copies,
@@ -175,7 +175,8 @@ def test_criterion_04_per_solution_structure(corpus):
     failures = []
     solutions_seen = 0
     for inst in corpus:
-        entry = check_per_solution(inst.host)
+        solutions = count_system(inst.ns.base, inst.host.sets_n)
+        entry = check_copies(inst.host, enumerate_copies(inst.host), solutions)[0]
         if not entry.passed:
             failures.append((inst.index, entry.witness))
             continue

@@ -452,6 +452,8 @@ MATRIX = {
     "count": ("count",),
     "represent": ("represent",),
     "verify": ("verify",),
+    "verify-naive": ("verify", "--naive"),
+    "verify-workers2": ("verify", "--workers", "2"),
     "removal": ("removal",),
     "removal-total": ("removal", "--mode", "total"),
 }

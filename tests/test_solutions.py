@@ -89,7 +89,7 @@ def test_iter_solutions_matches_brute():
     ns = normalize(system)
     sets = mk_sets(5, [[0, 1, 2], [1, 2, 3], [0, 2, 4], [1, 4]])
     found = list(iter_solutions(ns, sets))
-    # check_per_solution reports the first failing solution in this order.
+    # check_copies names the first solution without copies in this order.
     assert found == sorted(found)
     unpermuted = set()
     for sol in found:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import pytest
 
@@ -6,11 +7,11 @@ from conftest import full_sets, mk_sets, mk_system
 from linrem.errors import SearchBudgetExceeded
 from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import normalize
+from linrem.solutions import count_system
 from linrem.verify import (
-    check_copy_structure,
+    check_copies,
     check_edge_counts,
     check_edge_equation,
-    check_per_solution,
     check_representation,
     check_simple,
     count_copies,
@@ -157,28 +158,83 @@ def test_check_edge_equation(triangle_small, ap4_full):
         check_edge_equation(triangle_small, guard=10)
 
 
-def test_check_per_solution(triangle_small, ap4_full):
-    assert check_per_solution(triangle_small).passed
-    assert check_per_solution(ap4_full).passed
+def check_both(host, copies=None):
+    """check_copies over the per-part copies unless given, with the host's T."""
+    if copies is None:
+        copies = enumerate_copies(host)
+    return check_copies(host, copies, count_system(host.ns.base, host.sets_n))
+
+
+def drop_edges(host, keep):
+    """Copy of host without the edges that fail keep(color, label, key)."""
+    bad = copy.deepcopy(host)
+    bad.records = [rec for rec in bad.records if keep(*rec)]
+    bad.by_key = {key: (color, label) for color, label, key in bad.records}
+    return bad
+
+
+def test_check_copies_per_solution(triangle_small, ap4_full):
+    for host in (triangle_small, ap4_full):
+        assert [e.passed for e in check_both(host)] == [True, True]
+    # The walk reads the edge list, the label check reads by_key.
     bad = copy.deepcopy(triangle_small)
     del bad.by_key[(0, 6)]
-    entry = check_per_solution(bad)
+    per_solution, structure = check_both(bad)
+    assert not per_solution.passed and structure.passed
+    assert per_solution.witness == "solution (1, 1, 2): color 1 edge missing for x=(0,)"
+
+
+def test_check_copies_relabeled_edge(triangle_small):
+    # The x=0 diagonal edge of (1, 1, 2) moves to the other admissible
+    # label in both stores; the copy is still found, its label is wrong.
+    bad = copy.deepcopy(triangle_small)
+    idx = bad.records.index((2, 2, (6, 11)))
+    bad.records[idx] = (2, 1, (6, 11))
+    bad.by_key[(6, 11)] = (2, 1)
+    per_solution, structure = check_both(bad)
+    assert not per_solution.passed and structure.passed
+    assert per_solution.witness == "solution (1, 1, 2): color 3 edge missing for x=(0,)"
+
+
+def test_check_copies_missing_family(triangle_small):
+    one_gone = drop_edges(triangle_small, lambda color, label, key: key != (6, 11))
+    entry = check_both(one_gone)[0]
+    assert entry.witness == "solution (1, 1, 2) spans 4 copies, wants 5"
+    # Every label-2 diagonal edge gone: the solution spans nothing.
+    all_gone = drop_edges(triangle_small, lambda color, label, key: (color, label) != (2, 2))
+    entry = check_both(all_gone)[0]
     assert not entry.passed
-    assert entry.witness.startswith("solution (1, 1, 2)")
+    assert entry.witness == "solution (1, 1, 2) spans 0 copies, wants 5"
 
 
-def test_check_copy_structure(triangle_small):
-    copies = enumerate_copies(triangle_small)
-    assert check_copy_structure(triangle_small, copies).passed
+def test_check_copies_shared_diagonal(triangle_small):
+    # Zero mix columns put every copy of a solution on one diagonal edge.
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    per_solution, structure = check_both(flat)
+    assert structure.passed and not per_solution.passed
+    assert per_solution.witness == (
+        "solution (1, 1, 2): edge (2, (6, 11)) shared by x=(0,) and x=(1,)"
+    )
 
-    entry = check_copy_structure(triangle_small, [(0, 1, 6)])
+
+def test_check_copies_structure(triangle_small):
+    entry = check_both(triangle_small, [(0, 1, 6)])[1]
     assert not entry.passed
     assert "does not meet every part once" in entry.witness
 
     # (0, 5, 10) decodes to the all-zero solution, whose labels are banned.
-    entry = check_copy_structure(triangle_small, [(0, 5, 10)])
+    entry = check_both(triangle_small, [(0, 5, 10)])[1]
     assert not entry.passed
     assert "value 0 in set 1" in entry.witness
+
+    # A stray copy ahead of the real ones fails copy-structure alone: the
+    # pass goes on and still tallies the full family.
+    per_solution, structure = check_both(
+        triangle_small, [(0, 5, 10)] + enumerate_copies(triangle_small)
+    )
+    assert per_solution.passed
+    assert not structure.passed and "value 0 in set 1" in structure.witness
 
 
 # ---------------------------------------------------------------------------
