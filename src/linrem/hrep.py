@@ -10,12 +10,18 @@ copies of a fixed template, and nothing else does.
 Vertex ids are part*n + value, so tuples built in part order are already
 sorted and double as canonical edge keys. A built host keeps only the edge
 list and its vertex-key index; the checks derive every tally they need.
+
+The edge stream does its per x-tuple work once per color, not once per
+edge. copies_for_solution builds one solution's U vertices once per
+x-tuple and reads every edge key off them, through Host.diag_layout for
+the row colors; that layout is also what the verifier's loops use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvariantViolation, MissingEdge, ParseError, SimplicityViolation
 from .linsys import NormalizedSystem, SetFamily, mat_rank
@@ -178,13 +184,19 @@ class Host:
         width = self.r - 1
         return f"V{part + 1}" if part < width else f"U{part - width + 1}"
 
-    def diag_key(self, i: int, xs, us) -> VKey:
-        """Vertex key of the color-(free+i) edge the copy parameters select."""
-        n = self.n
-        width = self.r - 1
-        key = tuple(t * n + xs[t] for t in self.coeffs.outside[i])
-        key += tuple((width + j) * n + us[j] for j in self.ns.support[i])
-        return key + ((width + self.ns.pivots[i]) * n + us[self.ns.pivots[i]],)
+    def diag_layout(self) -> tuple[tuple[int, tuple[int, ...], itemgetter], ...]:
+        """Per row i, how a copy's color-(free+i) edge key is read off it.
+
+        Each entry is (color, x-positions outside row i's block, getter of
+        the support then pivot vertices from the copy's U-part vertices).
+        The key is those x-part vertices followed by the getter's tuple;
+        normalize leaves every row a support column, so it is a tuple.
+        """
+        ns = self.ns
+        return tuple(
+            (self.free + i, self.coeffs.outside[i], itemgetter(*ns.support[i], ns.pivots[i]))
+            for i in range(self.ell)
+        )
 
 
 def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily):
@@ -192,37 +204,47 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
 
     Streaming form of the host; build_host materializes it. Colors ascend,
     labels ascend within a color, vertex tuples ascend within a label.
+
+    What depends only on the x-tuple is computed once per color, before
+    the label loop: the vertex-key prefix and its mix offset for a free
+    color; the key without its pivot vertex and the closing-minus-support
+    sum for a row color. Per label, a table maps that offset or sum to
+    the closing vertex, so an edge costs one lookup and one concatenation.
     """
     n = ns.field.q
     width = ns.uniformity - 1
     free = ns.free_count
     rows = ns.base.rows
     rhs = ns.base.rhs
+    parts = [range(t * n, (t + 1) * n) for t in range(width + free)]
+    # A vertex id is part*n + value, so dot products over ids agree with
+    # dot products over values mod n.
+    prefixes = list(itertools.product(*parts[:width]))
     for j in range(free):
         a = coeffs.mix[j]
-        upart = width + j
+        heads = [(key, sum(c * v for c, v in zip(a, key)) % n) for key in prefixes]
+        upart = parts[width + j]
         for label in sets_n.sets[j]:
-            for xs in itertools.product(range(n), repeat=width):
-                y = (label + sum(c * x for c, x in zip(a, xs))) % n
-                key = tuple(t * n + x for t, x in enumerate(xs)) + (upart * n + y,)
-                yield j, label, key
+            tails = [(upart[(label + y) % n],) for y in range(n)]
+            for key, y in heads:
+                yield j, label, key + tails[y]
     for i in range(ns.ell):
         color = free + i
         d = ns.diag_cols[i]
-        m_i = ns.pivots[i]
         support = ns.support[i]
-        outs = coeffs.outside[i]
-        closing = coeffs.closing[i]
+        coefs = coeffs.closing[i] + tuple(-rows[i][j] for j in support)
+        heads = [
+            (key, sum(c * v for c, v in zip(coefs, key)) % n)
+            for key in itertools.product(
+                *(parts[t] for t in coeffs.outside[i]), *(parts[width + j] for j in support)
+            )
+        ]
+        ppart = parts[width + ns.pivots[i]]
         for label in sets_n.sets[d]:
-            base = (rhs[i] - rows[i][d] * label) % n
-            for xs in itertools.product(range(n), repeat=len(outs)):
-                xacc = base + sum(c * x for c, x in zip(closing, xs))
-                xkey = tuple(t * n + x for t, x in zip(outs, xs))
-                for ys in itertools.product(range(n), repeat=len(support)):
-                    y = (xacc - sum(rows[i][j] * yv for j, yv in zip(support, ys))) % n
-                    key = xkey + tuple((width + j) * n + yv for j, yv in zip(support, ys))
-                    key += ((width + m_i) * n + y,)
-                    yield color, label, key
+            base = rhs[i] - rows[i][d] * label
+            tails = [(ppart[(base + y) % n],) for y in range(n)]
+            for key, y in heads:
+                yield color, label, key + tails[y]
 
 
 def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
@@ -243,29 +265,29 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[ColoredCo
     Raises MissingEdge if any expected edge is absent or carries the wrong
     color or label, so a successful return certifies the copy family.
     """
-    ns = host.ns
     n = host.n
     width = host.r - 1
     free = host.free
     mix = host.coeffs.mix
+    rows = host.diag_layout()
     out = []
     for xs in itertools.product(range(n), repeat=width):
         us = tuple(
             (solution[j] + sum(c * x for c, x in zip(mix[j], xs))) % n for j in range(free)
         )
-        edges = []
         xpart = tuple(t * n + x for t, x in enumerate(xs))
+        upart = tuple((width + j) * n + u for j, u in enumerate(us))
+        edges = []
         for j in range(free):
-            key = xpart + ((width + j) * n + us[j],)
+            key = xpart + (upart[j],)
             if host.by_key.get(key) != (j, solution[j]):
                 raise MissingEdge(f"color {j + 1} edge missing for x={xs}")
             edges.append((j, key))
-        for i in range(host.ell):
-            key = host.diag_key(i, xs, us)
-            expect = (free + i, solution[ns.diag_cols[i]])
-            if host.by_key.get(key) != expect:
-                raise MissingEdge(f"color {free + i + 1} edge missing for x={xs}")
-            edges.append((free + i, key))
+        for color, outs, get_u in rows:
+            key = tuple(xpart[t] for t in outs) + get_u(upart)
+            if host.by_key.get(key) != (color, solution[color]):
+                raise MissingEdge(f"color {color + 1} edge missing for x={xs}")
+            edges.append((color, key))
         out.append(ColoredCopy(xs=xs, us=us, labels=tuple(solution), edges=tuple(edges)))
     return out
 

@@ -13,6 +13,14 @@ each of the T solutions recovers n^(r-1) copies, every solution spans
 its full family. Edge-disjointness is structural: a color-j edge holds
 all of x, and one solution's diagonal keys are another's shifted inside
 each U part, so one family's distinct keys settle every family.
+
+Both loops do per x-tuple what depends only on x: the vertex-key
+prefix, each row's x-part key, and the candidate U vertices (walk) or
+the map from a U vertex back to its x = 0 vertex (check). Decoding a
+solution and testing it against the sets and the rows is done once per
+solution, on its first copy; every copy still looks up each of its
+edges. The walk and the naive scan both return nothing at once when
+some color has no edge.
 """
 
 from __future__ import annotations
@@ -43,27 +51,35 @@ def _part_index(host: Host) -> PartIndex:
 
 
 def _iter_per_part(host: Host, index: PartIndex, x0: int | None = None):
-    """Copies found by walking one vertex per part, optionally fixing x_1."""
+    """Copies found by walking one vertex per part, optionally fixing x_1.
+
+    Per x-tuple the vertex-key prefix, each row's x-part key and the
+    candidate U vertices are built once; a candidate product then costs
+    one by_key probe per row.
+    """
     n = host.n
     width = host.r - 1
+    by_key = host.by_key
+    u_base = [(width + j) * n for j in range(host.free)]
+    rows = host.diag_layout()
     first = range(n) if x0 is None else (x0,)
     for xs in itertools.product(first, *[range(n)] * (width - 1)):
         cands = []
-        for j in range(host.free):
-            vals = index[j].get(xs)
+        for base, values in zip(u_base, index):
+            vals = values.get(xs)
             if not vals:
                 break
-            cands.append(vals)
+            cands.append([base + u for u in vals])
         else:
+            prefix = tuple(t * n + x for t, x in enumerate(xs))
+            xkeys = [(color, tuple(prefix[t] for t in outs), get_u) for color, outs, get_u in rows]
             for us in itertools.product(*cands):
-                for i in range(host.ell):
-                    stored = host.by_key.get(host.diag_key(i, xs, us))
-                    if stored is None or stored[0] != host.free + i:
+                for color, xkey, get_u in xkeys:
+                    stored = by_key.get(xkey + get_u(us))
+                    if stored is None or stored[0] != color:
                         break
                 else:
-                    yield tuple(t * n + x for t, x in enumerate(xs)) + tuple(
-                        (width + j) * n + u for j, u in enumerate(us)
-                    )
+                    yield prefix + us
 
 
 def _init_worker(host: Host, index: PartIndex) -> None:
@@ -90,8 +106,15 @@ def _pool(host: Host, index: PartIndex, workers: int):
     return ctx.Pool(min(workers, host.n), initializer=_init_worker, initargs=(host, index))
 
 
+def _color_missing(host: Host) -> bool:
+    """Does some color have no edge at all, so that no copy can exist."""
+    return not set(range(host.free + host.ell)) <= {color for color, _, _ in host.records}
+
+
 def count_copies(host: Host, workers: int = 1) -> int:
     """Number of template copies, without materializing them."""
+    if _color_missing(host):
+        return 0
     index = _part_index(host)
     if workers <= 1:
         return sum(1 for _ in _iter_per_part(host, index))
@@ -166,26 +189,28 @@ def enumerate_copies(
 ) -> list[VKey]:
     """All copies as sorted vertex tuples, in sorted order.
 
+    A host with a color that has no edge has no copy, whatever the mode.
+
     per-part walks one vertex per part. naive scans vertex subsets with
     subset_spans_copy; above subset_cap subsets it first certifies from
     the stored edges that only one-per-part subsets can span, and scans
     those. Both naive routes are complete.
     """
+    if mode not in ("per-part", "naive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n, k = host.n, host.k
+    if mode == "naive" and n**k > guard:
+        raise SearchBudgetExceeded(f"naive scan needs {n ** k} tuples, guard is {guard}")
+    if _color_missing(host):
+        return []
     if mode == "per-part":
         index = _part_index(host)
         if workers <= 1:
             return sorted(_iter_per_part(host, index))
         with _pool(host, index, workers) as pool:
-            chunks = pool.map(_enum_x0, range(host.n))
+            chunks = pool.map(_enum_x0, range(n))
         return sorted(itertools.chain.from_iterable(chunks))
-    if mode != "naive":
-        raise ValueError(f"unknown mode {mode!r}")
-    n, k = host.n, host.k
-    if n**k > guard:
-        raise SearchBudgetExceeded(f"naive scan needs {n ** k} tuples, guard is {guard}")
     colors = host.free + host.ell
-    if not set(range(colors)) <= {color for color, _, _ in host.records}:
-        return []
     if math.comb(n * k, k) <= subset_cap:
         return sorted(
             combo
@@ -245,7 +270,7 @@ class VerificationReport:
 
 
 def check_simple(host: Host) -> CheckEntry:
-    """No vertex set may carry two edges, whatever their colors."""
+    """No vertex set may carry two edges, and by_key must index the edge list exactly."""
     seen: dict[VKey, tuple[int, int]] = {}
     for color, label, key in host.records:
         if key in seen:
@@ -255,6 +280,18 @@ def check_simple(host: Host) -> CheckEntry:
                 f"vertices {key} carry {seen[key]} and {(color, label)}",
             )
         seen[key] = (color, label)
+    if seen != host.by_key:
+        key = next(
+            key
+            for key in itertools.chain(seen, host.by_key)
+            if seen.get(key) != host.by_key.get(key)
+        )
+        return CheckEntry(
+            "simple",
+            False,
+            f"vertices {key} carry {seen.get(key)} in the edge list, "
+            f"{host.by_key.get(key)} in by_key",
+        )
     return CheckEntry("simple", True)
 
 
@@ -349,50 +386,86 @@ def check_copies(host: Host, copies: list[VKey], solutions: int) -> tuple[CheckE
 
     Copies recovering no admissible solution fail copy-structure and stay
     out of the per-solution tallies, which the module docstring explains.
+    The x-part work is redone only when the prefix changes, so sorted
+    copies pay it once per x-tuple; a solution is decoded and checked on
+    its first copy.
     """
     ns = host.ns
     n = host.n
     width = host.r - 1
+    by_key = host.by_key
+    mix = host.coeffs.mix
+    rows = host.diag_layout()
     admissible = host.sets_n.frozensets()
     diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
-    rows = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
+    eqs = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
+    x_parts = tuple(range(width))
+    u_parts = tuple(range(width, host.k))
     expected = n**width
     structure = labels = ""
-    tally: Counter = Counter()
+    # x = 0 U vertices of an admissible solution -> [solution, (color, label)
+    # per color, copies seen].
+    solved: dict[tuple[int, ...], list] = {}
     first = None
     owner: dict[tuple[int, VKey], tuple[int, ...]] = {}
+    prefix = None
     for vkey in copies:
-        if tuple(v // n for v in vkey) != tuple(range(host.k)):
-            structure = structure or f"copy {vkey} does not meet every part once"
+        if vkey[:width] != prefix:
+            prefix = vkey[:width]
+            xs = tuple(v % n for v in prefix)
+            x_ok = tuple(v // n for v in prefix) == x_parts
+            if x_ok:
+                # Each U vertex maps to the one its solution's copy has at
+                # x = 0: the same part, shifted back by that part's mix offset.
+                at_zero = {}
+                free_key = {}
+                for j, a in enumerate(mix):
+                    off = sum(c * x for c, x in zip(a, xs))
+                    lo = (width + j) * n
+                    for u in range(lo, lo + n):
+                        at_zero[u] = lo + (u - off) % n
+                        free_key[u] = prefix + (u,)
+                diag = [(tuple(prefix[t] for t in outs), get_u) for _, outs, get_u in rows]
+        us = vkey[width:]
+        # A tallied x = 0 tuple has every vertex in its own part, so only a
+        # new one needs the part check.
+        zero = tuple(map(at_zero.get, us)) if x_ok else None
+        known = solved.get(zero)
+        if known is None:
+            if not x_ok or tuple(v // n for v in us) != u_parts:
+                structure = structure or f"copy {vkey} does not meet every part once"
+                continue
+            sol = [v % n for v in zero]
+            for row, rhs, m_i, support, inv in eqs:
+                sol.append((rhs - sol[m_i] - sum(row[j] * sol[j] for j in support)) * inv % n)
+            bad = next((col for col, val in enumerate(sol) if val not in admissible[col]), None)
+            if bad is not None:
+                structure = structure or (
+                    f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
+                )
+                continue
+            if not ns.base.is_solution(sol):
+                structure = structure or f"copy {vkey} recovers non-solution {sol}"
+                continue
+            # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
+            known = solved[zero] = [tuple(sol), list(enumerate(sol)), 0]
+            first = first or known
+        known[2] += 1
+        keys = list(map(free_key.__getitem__, us))
+        keys += [xkey + get_u(us) for xkey, get_u in diag]
+        got = list(map(by_key.get, keys))
+        if got == known[1] and known is not first:
             continue
-        xs = tuple(v % n for v in vkey[:width])
-        us = tuple(v % n for v in vkey[width:])
-        sol = [(u - sum(c * x for c, x in zip(a, xs))) % n for u, a in zip(us, host.coeffs.mix)]
-        for row, rhs, m_i, support, inv in rows:
-            sol.append((rhs - sol[m_i] - sum(row[j] * sol[j] for j in support)) * inv % n)
-        bad = next((col for col, val in enumerate(sol) if val not in admissible[col]), None)
-        if bad is not None:
-            structure = structure or (
-                f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
-            )
-            continue
-        if not ns.base.is_solution(sol):
-            structure = structure or f"copy {vkey} recovers non-solution {sol}"
-            continue
-        sol = tuple(sol)
-        tally[sol] += 1
-        first = first or sol
-        # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
-        keys = [vkey[:width] + (vkey[width + j],) for j in range(host.free)]
-        keys += [host.diag_key(i, xs, us) for i in range(host.ell)]
+        sol, want, _ = known
         for c, key in enumerate(keys):
-            if host.by_key.get(key) != (c, sol[c]):
+            if got[c] != want[c]:
                 labels = labels or f"solution {sol}: color {c + 1} edge missing for x={xs}"
-            elif c >= host.free and sol == first:
+            elif c >= host.free and known is first:
                 ref = (c, key)
                 prev = owner.setdefault(ref, xs)
                 if prev != xs:
                     labels = labels or f"solution {sol}: edge {ref} shared by x={prev} and x={xs}"
+    tally = {sol: count for sol, _, count in solved.values()}
     short = min((s for s, k in tally.items() if k != expected), default=None)
     if not labels and short is not None:
         labels = f"solution {short} spans {tally[short]} copies, wants {expected}"

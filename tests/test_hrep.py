@@ -1,10 +1,11 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from conftest import cofactor_det, full_sets, mk_sets, mk_system
-from linrem.errors import MissingEdge, ParseError
+from linrem.errors import InputError, MissingEdge, ParseError
 from linrem.hrep import (
     TemplateEdge,
     build_coefficients,
@@ -169,6 +170,66 @@ def test_host_iteration_deterministic():
     coeffs = build_coefficients(ns)
     sets_n = ns.permute_family(sets)
     assert list(iter_host_edges(ns, coeffs, sets_n)) == list(iter_host_edges(ns, coeffs, sets_n))
+
+
+def reference_host_edges(ns, coeffs, sets_n):
+    """The edge stream written as one formula per edge, with no hoisted work."""
+    n = ns.field.q
+    width = ns.uniformity - 1
+    free = ns.free_count
+    rows = ns.base.rows
+    rhs = ns.base.rhs
+    for j in range(free):
+        a = coeffs.mix[j]
+        upart = width + j
+        for label in sets_n.sets[j]:
+            for xs in itertools.product(range(n), repeat=width):
+                y = (label + sum(c * x for c, x in zip(a, xs))) % n
+                key = tuple(t * n + x for t, x in enumerate(xs)) + (upart * n + y,)
+                yield j, label, key
+    for i in range(ns.ell):
+        color = free + i
+        d = ns.diag_cols[i]
+        m_i = ns.pivots[i]
+        support = ns.support[i]
+        outs = coeffs.outside[i]
+        closing = coeffs.closing[i]
+        for label in sets_n.sets[d]:
+            base = (rhs[i] - rows[i][d] * label) % n
+            for xs in itertools.product(range(n), repeat=len(outs)):
+                xacc = base + sum(c * x for c, x in zip(closing, xs))
+                xkey = tuple(t * n + x for t, x in zip(outs, xs))
+                for ys in itertools.product(range(n), repeat=len(support)):
+                    y = (xacc - sum(rows[i][j] * yv for j, yv in zip(support, ys))) % n
+                    key = xkey + tuple((width + j) * n + yv for j, yv in zip(support, ys))
+                    key += ((width + m_i) * n + y,)
+                    yield color, label, key
+
+
+def test_host_edges_match_per_edge_formula():
+    # Random full-rank systems with partial and empty sets; the stream
+    # must equal the per-edge formula edge for edge, order included.
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 60:
+        q = rng.choice([2, 3, 5, 7, 11, 13])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        rhs = [rng.randrange(q) for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, rhs))
+        except InputError:
+            continue
+        if q ** (ns.uniformity - 1) > 3000:
+            continue
+        sets = mk_sets(q, [rng.sample(range(q), rng.choice([0, 1, q // 2, q])) for _ in range(p)])
+        coeffs = build_coefficients(ns)
+        sets_n = ns.permute_family(sets)
+        assert list(iter_host_edges(ns, coeffs, sets_n)) == list(
+            reference_host_edges(ns, coeffs, sets_n)
+        )
+        checked += 1
 
 
 def test_host_x_index_label_order():

@@ -1,12 +1,14 @@
 import copy
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
 from conftest import full_sets, mk_sets, mk_system
 from linrem.errors import SearchBudgetExceeded
 from linrem.hrep import build_coefficients, build_host
-from linrem.linsys import normalize
+from linrem.linsys import normalize, parse_system
 from linrem.solutions import count_system
 from linrem.verify import (
     check_copies,
@@ -53,6 +55,25 @@ def test_count_copies_values(triangle_small, triangle_full, ap4_full):
 def test_count_copies_empty_host():
     host = make_host(5, [[1, 1, -1]], [0], [[], [], []])
     assert count_copies(host) == 0
+    assert enumerate_copies(host, mode="naive") == []
+
+
+class NoLookups(dict):
+    """An edge index whose lookups fail the test."""
+
+    def get(self, *args):
+        raise AssertionError(f"by_key.get{args} was called")
+
+
+def test_copy_walks_skip_a_color_without_edges():
+    # The block column's set is empty, so the row color has no edge and no
+    # copy exists; no route may look up an edge to find that out.
+    host = make_host(5, [[1, 1, -1]], [0], [[1, 2], [1, 2], []])
+    assert host.sets_n.sets[host.ns.diag_cols[0]] == ()
+    host.by_key = NoLookups(host.by_key)
+    assert count_copies(host) == 0
+    assert count_copies(host, workers=2) == 0
+    assert enumerate_copies(host) == []
     assert enumerate_copies(host, mode="naive") == []
 
 
@@ -110,6 +131,34 @@ def test_check_simple(triangle_small):
     entry = check_simple(bad)
     assert not entry.passed
     assert str(key) in entry.witness
+
+
+def test_check_simple_by_key_must_index_records():
+    # A free-color edge in no solution's copy family, relabeled in by_key
+    # only: simple is the one check that reads both stores whole.
+    text = (Path(__file__).resolve().parent.parent / "systems" / "triangle.sys").read_text()
+    system, _ = parse_system(text)
+    ns = normalize(system)
+    host = build_host(ns, build_coefficients(ns), mk_sets(5, [[1, 2, 4], [1, 2], [1, 2]]))
+    assert check_simple(host).passed
+    assert (0, 2, (0, 7)) in host.records
+    relabeled = copy.deepcopy(host)
+    relabeled.by_key[(0, 7)] = (0, 3)
+    report = check_representation(relabeled)
+    assert [e.name for e in report.entries if not e.passed] == ["simple"]
+    assert report.entries[0].witness == (
+        "vertices (0, 7) carry (0, 2) in the edge list, (0, 3) in by_key"
+    )
+    dropped = copy.deepcopy(host)
+    del dropped.by_key[(0, 7)]
+    assert check_simple(dropped).witness == (
+        "vertices (0, 7) carry (0, 2) in the edge list, None in by_key"
+    )
+    extra = copy.deepcopy(host)
+    extra.by_key[(0, 1)] = (0, 1)
+    assert check_simple(extra).witness == (
+        "vertices (0, 1) carry None in the edge list, (0, 1) in by_key"
+    )
 
 
 def test_check_edge_counts(triangle_small):
@@ -182,6 +231,14 @@ def test_check_copies_per_solution(triangle_small, ap4_full):
     per_solution, structure = check_both(bad)
     assert not per_solution.passed and structure.passed
     assert per_solution.witness == "solution (1, 1, 2): color 1 edge missing for x=(0,)"
+    # The last copy's color-2 edge: a solution other than the first one.
+    last = enumerate_copies(ap4_full)[-1]
+    assert last == (4, 9, 14, 19)
+    bad = copy.deepcopy(ap4_full)
+    del bad.by_key[(4, 9, 19)]
+    per_solution, structure = check_both(bad)
+    assert not per_solution.passed and structure.passed
+    assert per_solution.witness == "solution (2, 1, 0, 4): color 2 edge missing for x=(4, 4)"
 
 
 def test_check_copies_relabeled_edge(triangle_small):
@@ -235,6 +292,46 @@ def test_check_copies_structure(triangle_small):
     )
     assert per_solution.passed
     assert not structure.passed and "value 0 in set 1" in structure.witness
+
+    # U vertices swapped between parts, after their solution is tallied.
+    per_solution, structure = check_both(
+        triangle_small, enumerate_copies(triangle_small) + [(0, 11, 6)]
+    )
+    assert per_solution.passed
+    assert structure.witness == "copy (0, 11, 6) does not meet every part once"
+
+
+@pytest.mark.parametrize("name", ["triangle_small", "ap4_full"])
+def test_check_copies_any_order(name, request):
+    # The per-x work is cached on the copy's prefix; an order in which the
+    # prefix changes at every copy must give the sorted order's entries.
+    host = request.getfixturevalue(name)
+    copies = enumerate_copies(host)
+    want = check_both(host, copies)
+    assert [e.passed for e in want] == [True, True]
+    shuffled = copies[:]
+    random.Random(11).shuffle(shuffled)
+    half = len(copies) // 2
+    alternating = [c for pair in zip(copies[:half], copies[half:]) for c in pair]
+    alternating += copies[2 * half:]
+    assert alternating[0][:host.r - 1] != alternating[1][:host.r - 1]
+    for order in (copies[::-1], shuffled, alternating):
+        assert sorted(order) == copies
+        assert check_both(host, order) == want
+
+
+def test_check_copies_stray_copy_twice(triangle_small):
+    # A non-admissible copy is checked again each time it appears, and the
+    # first witness stands.
+    copies = enumerate_copies(triangle_small)
+    shuffled = copies[:]
+    random.Random(5).shuffle(shuffled)
+    for order in (copies, shuffled):
+        per_solution, structure = check_both(
+            triangle_small, [(0, 5, 10)] + order[:2] + [(1, 5, 10)] + order[2:] + [(0, 5, 10)]
+        )
+        assert per_solution.passed
+        assert structure.witness == "copy (0, 5, 10) needs value 0 in set 1, not admissible"
 
 
 # ---------------------------------------------------------------------------
