@@ -98,12 +98,11 @@ def _edge_refs(host, parsed):
             raise EdgeNotInHost(f"color {color} out of range")
         key = []
         for name, val in verts:
-            part = int(name[1:]) - 1
-            if name[0] == "U":
-                part += width
-            if not (0 <= part < host.k and 0 <= val < host.n):
+            index = int(name[1:])
+            count, first = (width, 0) if name[0] == "V" else (host.free, width)
+            if not (1 <= index <= count and 0 <= val < host.n):
                 raise ParseError(f"vertex {name}:{val} out of range")
-            key.append(part * host.n + val)
+            key.append((first + index - 1) * host.n + val)
         key.sort()
         ref = (color - 1, tuple(key))
         stored = host.by_key.get(ref[1])

@@ -297,10 +297,12 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[ColoredCo
 
 
 def export_host(host: Host) -> str:
-    lines = []
-    for color, label, key in host.records:
-        parts = " ".join(f"{host.part_name(v // host.n)}:{v % host.n}" for v in key)
-        lines.append(f"{color + 1} {label} {parts}")
+    n = host.n
+    names = [f"{host.part_name(v // n)}:{v % n}" for v in range(n * host.k)]
+    lines = [
+        f"{color + 1} {label} " + " ".join(map(names.__getitem__, key))
+        for color, label, key in host.records
+    ]
     return "\n".join(sorted(lines)) + "\n"
 
 

@@ -2,9 +2,12 @@
 
 Copy enumeration comes in two routes that share no logic with the
 construction: a per-part walk over an index it builds from the edge
-list, and a naive scan over vertex subsets using a backtracking
-placement test. Agreement between the routes, the edge bookkeeping
-checks, and the copy-count identity together certify the representation.
+list, and a naive scan testing vertex k-sets with a backtracking
+placement test. The scan is seeded: a spanning set holds an edge of the
+rarest color and meets every part that some color's edges all touch, so
+only k-sets extending such an edge into those parts are tested.
+Agreement between the routes, the edge bookkeeping checks, and the
+copy-count identity together certify the representation.
 
 Per-solution and copy-structure share one pass over the enumerated
 copies. A copy is fixed by (solution, x) and recovers its solution from
@@ -26,7 +29,6 @@ some color has no edge.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
@@ -184,17 +186,18 @@ def enumerate_copies(
     host: Host,
     mode: str = "per-part",
     guard: int = 10**6,
-    subset_cap: int = 500_000,
     workers: int = 1,
 ) -> list[VKey]:
     """All copies as sorted vertex tuples, in sorted order.
 
     A host with a color that has no edge has no copy, whatever the mode.
 
-    per-part walks one vertex per part. naive scans vertex subsets with
-    subset_spans_copy; above subset_cap subsets it first certifies from
-    the stored edges that only one-per-part subsets can span, and scans
-    those. Both naive routes are complete.
+    per-part walks one vertex per part. naive tests seeded k-sets with
+    subset_spans_copy: each edge e of the rarest color, one vertex in each
+    unavoidable part (one that every edge of some color touches) that e
+    misses, and any vertices in the spare slots. A spanning set holds such
+    an e and meets every unavoidable part, so it is among them. On a built
+    host every part is unavoidable: |E_rarest| * n^(k-r) sets.
     """
     if mode not in ("per-part", "naive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -211,30 +214,24 @@ def enumerate_copies(
             chunks = pool.map(_enum_x0, range(n))
         return sorted(itertools.chain.from_iterable(chunks))
     colors = host.free + host.ell
-    if math.comb(n * k, k) <= subset_cap:
-        return sorted(
-            combo
-            for combo in itertools.combinations(range(n * k), k)
-            if subset_spans_copy(host, combo)
-        )
-    # Every edge of color c touches all parts in common[c]; if each part is
-    # unavoidable for some color, a subset missing a part contains no edge
-    # of that color and cannot span. That confines the scan to one vertex
-    # per part.
     common = [set(range(k)) for _ in range(colors)]
     for color, _, key in host.records:
         common[color] &= {v // n for v in key}
-    for part in range(k):
-        if not any(part in com for com in common):
-            raise SearchBudgetExceeded(
-                f"{math.comb(n * k, k)} subsets exceed cap {subset_cap} and part "
-                f"{part} is avoidable, so the scan cannot be confined"
-            )
-    return sorted(
-        combo
-        for combo in itertools.product(*(range(part * n, (part + 1) * n) for part in range(k)))
-        if subset_spans_copy(host, combo)
-    )
+    unavoidable = set().union(*common)
+    sizes = Counter(color for color, _, _ in host.records)
+    rarest = min(range(colors), key=sizes.__getitem__)
+    seeded = set()
+    for key in [key for color, _, key in host.records if color == rarest]:
+        missing = [range(p * n, (p + 1) * n) for p in sorted(unavoidable - {v // n for v in key})]
+        spare = k - len(key) - len(missing)
+        others = [v for v in range(n * k) if v not in key]
+        for picks in itertools.product(*missing):
+            for fill in itertools.combinations(others, max(spare, 0)):
+                cand = set(key).union(picks, fill)
+                # Too many missing parts, or a fill vertex that repeats a pick.
+                if len(cand) == k:
+                    seeded.add(tuple(sorted(cand)))
+    return sorted(combo for combo in seeded if subset_spans_copy(host, combo))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,24 @@ def test_translate_rejects_foreign_edge(capsys, tmp_path):
     assert err.startswith("EdgeNotInHost:")
 
 
+@pytest.mark.parametrize(
+    "line, vertex",
+    [
+        pytest.param("1 1 U0:0 U1:1", "U0:0", id="U0"),
+        pytest.param("1 1 V1:0 V2:1", "V2:1", id="V-past-r-1"),
+    ],
+)
+def test_translate_rejects_a_part_the_host_lacks(capsys, tmp_path, line, vertex):
+    # triangle.sys has parts V1, U1 and U2 only.
+    edges = tmp_path / "deleted.edges"
+    edges.write_text(line + "\n")
+    assert run(capsys, "translate", TRIANGLE, str(edges)) == (
+        2,
+        "",
+        f"ParseError: vertex {vertex} out of range\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import random
 from pathlib import Path
 
@@ -94,10 +95,40 @@ def test_enumerate_naive_agrees(triangle_small, triangle_full):
 
 
 def test_enumerate_naive_confined_route(ap4_full):
-    # comb(20, 4) = 4845 exceeds a tiny subset cap, forcing the
-    # one-vertex-per-part route; the result must not change.
-    confined = enumerate_copies(ap4_full, mode="naive", subset_cap=10)
-    assert confined == enumerate_copies(ap4_full)
+    # Every part of a built host is unavoidable, so the seeded scan only
+    # extends each edge by one vertex in each part it misses; the result
+    # must still match the per-part walk, one vertex per part.
+    naive = enumerate_copies(ap4_full, mode="naive")
+    assert naive == enumerate_copies(ap4_full)
+    assert all([v // ap4_full.n for v in combo] == [0, 1, 2, 3] for combo in naive)
+
+
+def test_enumerate_naive_with_an_avoidable_part(triangle_small):
+    # Edges of colors 1 and 2 inside U1 and U2 leave part V1 untouched by
+    # some edge of every color, so a copy may miss V1 or meet a part twice.
+    host = copy.deepcopy(triangle_small)
+    n, k = host.n, host.k
+    row = host.free
+    a, b = next(key for color, _, key in host.records if color == row)
+    for c in range(n, 3 * n):
+        pairs = [tuple(sorted(pair)) for pair in ((a, c), (b, c))]
+        if c not in (a, b) and not any(pair in host.by_key for pair in pairs):
+            break
+    for color, pair in enumerate(pairs):
+        host.records.append((color, 1, pair))
+        host.by_key[pair] = (color, 1)
+    assert all(
+        any(all(v // n != 0 for v in key) for col, _, key in host.records if col == color)
+        for color in range(host.free + host.ell)
+    )
+    every = [
+        combo
+        for combo in itertools.combinations(range(n * k), k)
+        if subset_spans_copy(host, combo)
+    ]
+    assert tuple(sorted((a, b, c))) in every
+    assert len(every) > len(enumerate_copies(host))
+    assert enumerate_copies(host, mode="naive") == every
 
 
 def test_enumerate_guard_and_mode(triangle_full):
