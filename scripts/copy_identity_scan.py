@@ -24,7 +24,7 @@ from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import LinearSystem, SetFamily, normalize
 from linrem.solutions import count_system
-from linrem.verify import check_simple, count_copies
+from linrem.verify import check_simple, enumerate_copies
 
 
 def draw_instance(rng: random.Random, copy_cap: int):
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         done += 1
         shapes[(ns.field.q, ns.p, ns.ell)] += 1
         host = build_host(ns, build_coefficients(ns), sets)
-        copies = count_copies(host)
+        copies = len(enumerate_copies(host))
         total_copies += copies
         if copies != solutions * shell:
             mismatches += 1

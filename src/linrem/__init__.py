@@ -49,7 +49,6 @@ from .verify import (
     check_edge_equation,
     check_representation,
     check_simple,
-    count_copies,
     enumerate_copies,
     subset_spans_copy,
 )

@@ -131,13 +131,16 @@ class LowerBoundInstance:
 def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerBoundInstance:
     """Lift X a copy per 2m-block: S = {x in 1..n with x mod 2m in X}.
 
-    Requires 2m | n and X a progression-free subset of {1..m}. Residues
-    a, b, c in X of a progression in S have a + c = 2b mod 2m with both
-    sides in [2, 2m], so a + c = 2b and X forces a = b = c. The size of S
+    Requires n, m >= 1, 2m | n and X a progression-free subset of
+    {1..m}. Residues a, b, c in X of a progression in S have
+    a + c = 2b mod 2m with both sides in [2, 2m], so a + c = 2b and X
+    forces a = b = c. The size of S
     and the |S|^3/m^2 ceiling are checked on the result, raising
     LiftSizeMismatch and ProgressionCeilingExceeded. guard caps the size
     of S the quadratic progression scan will accept.
     """
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     xs = tuple(sorted(set(X)))
     if any(not 1 <= x <= m for x in xs):
         raise ValueError(f"X must lie in 1..{m}")

@@ -145,11 +145,14 @@ def build_template(ns: NormalizedSystem) -> Template:
 
 @dataclass(frozen=True)
 class ColoredCopy:
-    """One template copy: x-parameter, U-part vertices, labels, edges."""
+    """One template copy of a solution: x-parameter, U-part values, edges.
+
+    Each edge is (color, vertex key); its label is the solution's value
+    in that color, which copies_for_solution checked against the store.
+    """
 
     xs: tuple[int, ...]
     us: tuple[int, ...]
-    labels: tuple[int, ...]
     edges: tuple[EdgeRef, ...]
 
     def vertices(self, n: int, width: int) -> VKey:
@@ -288,7 +291,7 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[ColoredCo
             if host.by_key.get(key) != (color, solution[color]):
                 raise MissingEdge(f"color {color + 1} edge missing for x={xs}")
             edges.append((color, key))
-        out.append(ColoredCopy(xs=xs, us=us, labels=tuple(solution), edges=tuple(edges)))
+        out.append(ColoredCopy(xs=xs, us=us, edges=tuple(edges)))
     return out
 
 

@@ -1,13 +1,15 @@
 """Independent verification of a built host.
 
-Copy enumeration comes in two routes that share no logic with the
-construction: a per-part walk over an index it builds from the edge
-list, and a naive scan testing vertex k-sets with a backtracking
-placement test. The scan is seeded: a spanning set holds an edge of the
-rarest color and meets every part that some color's edges all touch, so
-only k-sets extending such an edge into those parts are tested.
-Agreement between the routes, the edge bookkeeping checks, and the
-copy-count identity together certify the representation.
+Copy enumeration has one front door, enumerate_copies, with two routes
+that share no logic with the construction: a per-part walk over an
+index it builds from the edge list, and a naive scan testing vertex
+k-sets with a backtracking placement test. The index keeps each
+candidate list sorted, so the walk yields copies in order and nothing
+sorts its output. The scan is seeded: a spanning set holds an edge of
+the rarest color and meets every part that some color's edges all
+touch, so only k-sets extending such an edge into those parts are
+tested. Agreement between the routes, the edge bookkeeping checks, and
+the copy-count identity together certify the representation.
 
 Per-solution and copy-structure share one pass over the enumerated
 copies. A copy is fixed by (solution, x) and recovers its solution from
@@ -42,13 +44,19 @@ _WORK: tuple[Host, PartIndex] | None = None
 
 
 def _part_index(host: Host) -> PartIndex:
-    """Per free color j, each x-tuple's reachable U_j values, in edge-list order."""
+    """Per free color j, each x-tuple's reachable U_j values, ascending.
+
+    Sorted lists make the walk yield copies in lexicographic order.
+    """
     n = host.n
     width = host.r - 1
     index: PartIndex = [{} for _ in range(host.free)]
     for color, _, key in host.records:
         if color < host.free:
             index[color].setdefault(tuple(v % n for v in key[:width]), []).append(key[-1] % n)
+    for values in index:
+        for vals in values.values():
+            vals.sort()
     return index
 
 
@@ -57,7 +65,9 @@ def _iter_per_part(host: Host, index: PartIndex, x0: int | None = None):
 
     Per x-tuple the vertex-key prefix, each row's x-part key and the
     candidate U vertices are built once; a candidate product then costs
-    one by_key probe per row.
+    one by_key probe per row. x-tuples come in lexicographic order, parts
+    occupy ascending vertex ranges and each candidate list is ascending,
+    so the copies come out sorted.
     """
     n = host.n
     width = host.r - 1
@@ -89,39 +99,10 @@ def _init_worker(host: Host, index: PartIndex) -> None:
     _WORK = (host, index)
 
 
-def _work() -> tuple[Host, PartIndex]:
+def _enum_x0(x0: int) -> list[VKey]:
     if _WORK is None:
         raise InvariantViolation("pool worker started without a host")
-    return _WORK
-
-
-def _count_x0(x0: int) -> int:
-    return sum(1 for _ in _iter_per_part(*_work(), x0))
-
-
-def _enum_x0(x0: int) -> list[VKey]:
-    return list(_iter_per_part(*_work(), x0))
-
-
-def _pool(host: Host, index: PartIndex, workers: int):
-    ctx = multiprocessing.get_context("fork")
-    return ctx.Pool(min(workers, host.n), initializer=_init_worker, initargs=(host, index))
-
-
-def _color_missing(host: Host) -> bool:
-    """Does some color have no edge at all, so that no copy can exist."""
-    return not set(range(host.free + host.ell)) <= {color for color, _, _ in host.records}
-
-
-def count_copies(host: Host, workers: int = 1) -> int:
-    """Number of template copies, without materializing them."""
-    if _color_missing(host):
-        return 0
-    index = _part_index(host)
-    if workers <= 1:
-        return sum(1 for _ in _iter_per_part(host, index))
-    with _pool(host, index, workers) as pool:
-        return sum(pool.map(_count_x0, range(host.n)))
+    return list(_iter_per_part(*_WORK, x0))
 
 
 def _has_matching(cands: list[set]) -> bool:
@@ -192,7 +173,9 @@ def enumerate_copies(
 
     A host with a color that has no edge has no copy, whatever the mode.
 
-    per-part walks one vertex per part. naive tests seeded k-sets with
+    per-part walks one vertex per part, which yields the copies already
+    sorted; with workers > 1 each worker walks one value of x_1 and the
+    chunks join in x_1 order. naive tests seeded k-sets with
     subset_spans_copy: each edge e of the rarest color, one vertex in each
     unavoidable part (one that every edge of some color touches) that e
     misses, and any vertices in the spare slots. A spanning set holds such
@@ -204,22 +187,22 @@ def enumerate_copies(
     n, k = host.n, host.k
     if mode == "naive" and n**k > guard:
         raise SearchBudgetExceeded(f"naive scan needs {n ** k} tuples, guard is {guard}")
-    if _color_missing(host):
+    colors = host.free + host.ell
+    sizes = Counter(color for color, _, _ in host.records)
+    rarest = min(range(colors), key=sizes.__getitem__)
+    if not sizes[rarest]:
         return []
     if mode == "per-part":
         index = _part_index(host)
         if workers <= 1:
-            return sorted(_iter_per_part(host, index))
-        with _pool(host, index, workers) as pool:
-            chunks = pool.map(_enum_x0, range(n))
-        return sorted(itertools.chain.from_iterable(chunks))
-    colors = host.free + host.ell
+            return list(_iter_per_part(host, index))
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(workers, n), initializer=_init_worker, initargs=(host, index)) as pool:
+            return list(itertools.chain.from_iterable(pool.map(_enum_x0, range(n))))
     common = [set(range(k)) for _ in range(colors)]
     for color, _, key in host.records:
         common[color] &= {v // n for v in key}
     unavoidable = set().union(*common)
-    sizes = Counter(color for color, _, _ in host.records)
-    rarest = min(range(colors), key=sizes.__getitem__)
     seeded = set()
     for key in [key for color, _, key in host.records if color == rarest]:
         missing = [range(p * n, (p + 1) * n) for p in sorted(unavoidable - {v // n for v in key})]

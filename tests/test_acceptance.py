@@ -25,7 +25,7 @@ from conftest import (
     record_criterion,
 )
 from linrem.behrend import build_lower_bound_instance
-from linrem.errors import InputError, SearchBudgetExceeded
+from linrem.errors import InputError, MissingEdge, SearchBudgetExceeded
 from linrem.field import PrimeField
 from linrem.hrep import (
     Host,
@@ -51,7 +51,6 @@ from linrem.verify import (
     check_copies,
     check_edge_equation,
     check_simple,
-    count_copies,
     enumerate_copies,
 )
 
@@ -137,7 +136,7 @@ def test_criterion_01_copy_count_identity(corpus):
     failures = []
     for inst in corpus:
         shell = inst.host.n ** (inst.host.r - 1)
-        copies = count_copies(inst.host)
+        copies = len(enumerate_copies(inst.host))
         solutions = count_system(inst.ns.base, inst.host.sets_n)
         if copies != solutions * shell:
             failures.append((inst.index, copies, solutions, shell))
@@ -183,12 +182,13 @@ def test_criterion_04_per_solution_structure(corpus):
         for sol in iter_solutions(inst.ns, inst.sets):
             solutions_seen += 1
             # iter_solutions yields normalized column order, which is the
-            # label order; the edge store lookups inside
-            # copies_for_solution bind each label to its stored edge.
-            for copy in copies_for_solution(inst.host, sol):
-                if copy.labels != sol:
-                    failures.append((inst.index, sol, copy.labels))
-                    break
+            # label order; copies_for_solution raises MissingEdge unless
+            # every expected edge is stored with its color and label.
+            try:
+                copies_for_solution(inst.host, sol)
+            except MissingEdge as exc:
+                failures.append((inst.index, sol, str(exc)))
+                break
     _finish(
         4,
         failures,

@@ -137,6 +137,10 @@ def test_build_lower_bound_instance_errors():
         build_lower_bound_instance(16, 2, [1, 3])
     with pytest.raises(ValueError, match="progression"):
         build_lower_bound_instance(24, 3, [1, 2, 3])
+    # n and m below 1: no division by m = 0, no empty or negative lift.
+    for n, m, xs in [(4, 0, []), (4, -1, []), (-4, 1, [1]), (0, 1, [1])]:
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            build_lower_bound_instance(n, m, xs)
     # Valid inputs outside the asymptotic regime break the coarse ceiling.
     with pytest.raises(ProgressionCeilingExceeded, match="exceeds"):
         build_lower_bound_instance(72, 9, [1, 3])

@@ -442,6 +442,9 @@ def test_behrend_error_paths(capsys):
     assert code == 2 and err.startswith("ValueError:")
     code, _, err = run(capsys, "behrend", "9", "9", "--sphere", "3", "2")
     assert code == 2 and "radix" in err
+    for argv in (["4", "0"], ["4", "-1"], ["-4", "1", "--elements", "1"]):
+        code, out, err = run(capsys, "behrend", *argv)
+        assert (code, out) == (2, "") and err.startswith("ValueError: need n >= 1 and m >= 1")
 
 
 def test_behrend_out_of_regime_fails_check(capsys):

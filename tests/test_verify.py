@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import full_sets, mk_sets, mk_system
-from linrem.errors import SearchBudgetExceeded
+from linrem.errors import InputError, SearchBudgetExceeded
 from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import normalize, parse_system
 from linrem.solutions import count_system
@@ -17,7 +17,6 @@ from linrem.verify import (
     check_edge_equation,
     check_representation,
     check_simple,
-    count_copies,
     enumerate_copies,
     subset_spans_copy,
 )
@@ -48,14 +47,14 @@ def ap4_full():
 
 
 def test_count_copies_values(triangle_small, triangle_full, ap4_full):
-    assert count_copies(triangle_small) == 5
-    assert count_copies(triangle_full) == 125
-    assert count_copies(ap4_full) == 625
+    assert len(enumerate_copies(triangle_small)) == 5
+    assert len(enumerate_copies(triangle_full)) == 125
+    assert len(enumerate_copies(ap4_full)) == 625
 
 
 def test_count_copies_empty_host():
     host = make_host(5, [[1, 1, -1]], [0], [[], [], []])
-    assert count_copies(host) == 0
+    assert enumerate_copies(host) == []
     assert enumerate_copies(host, mode="naive") == []
 
 
@@ -72,14 +71,13 @@ def test_copy_walks_skip_a_color_without_edges():
     host = make_host(5, [[1, 1, -1]], [0], [[1, 2], [1, 2], []])
     assert host.sets_n.sets[host.ns.diag_cols[0]] == ()
     host.by_key = NoLookups(host.by_key)
-    assert count_copies(host) == 0
-    assert count_copies(host, workers=2) == 0
     assert enumerate_copies(host) == []
+    assert enumerate_copies(host, workers=2) == []
     assert enumerate_copies(host, mode="naive") == []
 
 
 def test_count_copies_workers_agree(ap4_full):
-    assert count_copies(ap4_full, workers=2) == 625
+    assert enumerate_copies(ap4_full, workers=2) == enumerate_copies(ap4_full)
 
 
 def test_enumerate_matches_count(triangle_small, triangle_full):
@@ -87,6 +85,33 @@ def test_enumerate_matches_count(triangle_small, triangle_full):
     assert len(per_part) == 5
     assert per_part == sorted(per_part)
     assert len(enumerate_copies(triangle_full)) == 125
+    # Random full-rank systems with partial and empty sets. The edge list
+    # is in label order, not U-value order, so the walk comes out sorted
+    # only because the index sorts each candidate list; the worker route
+    # must join its x_1 chunks into the same list.
+    rng = random.Random(20261018)
+    walked = copies_seen = 0
+    while walked < 30:
+        q = rng.choice([3, 5, 7, 11, 13])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        rhs = [rng.randrange(q) for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, rhs))
+        except InputError:
+            continue
+        if q**ns.vertex_count > 30_000:
+            continue
+        sets = mk_sets(q, [rng.sample(range(q), rng.randint(0, q)) for _ in range(p)])
+        host = build_host(ns, build_coefficients(ns), sets)
+        copies = enumerate_copies(host)
+        assert len(copies) == count_system(ns.base, host.sets_n) * q ** (ns.uniformity - 1)
+        assert copies == sorted(copies)
+        assert enumerate_copies(host, workers=2) == copies
+        walked += 1
+        copies_seen += len(copies)
+    assert copies_seen > 0
 
 
 def test_enumerate_naive_agrees(triangle_small, triangle_full):
