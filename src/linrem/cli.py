@@ -8,6 +8,7 @@ input file and seed, so every subcommand is golden-file testable.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -170,7 +171,10 @@ def cmd_behrend(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The linrem parser, built on the first call and shared by every later
+    call in the process; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="linrem",
         description="Hypergraph encodings and removal searches for linear systems over prime fields.",

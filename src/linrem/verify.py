@@ -31,7 +31,6 @@ some color has no edge.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -196,6 +195,7 @@ def enumerate_copies(
         index = _part_index(host)
         if workers <= 1:
             return list(_iter_per_part(host, index))
+        import multiprocessing
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(workers, n), initializer=_init_worker, initargs=(host, index)) as pool:
             return list(itertools.chain.from_iterable(pool.map(_enum_x0, range(n))))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_count, mk_sets, removal_oracle, subprocess_env
-from linrem.cli import main
+from linrem.cli import build_parser, main
 from linrem.linsys import parse_system
 from linrem.hrep import parse_host_export, render_host_export
 
@@ -526,3 +526,24 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "behrend", "400", "10", "--elements", "1,2,4") == (0, "400 10 3 60 600 540 2160\n", "")
+    assert run(capsys, "behrend", "400", "10") == (0, "400 10 5 100 1000 900 10000\n", "")
+    assert run(capsys, "behrend", "400", "10", "--sphere", "2", "2") == (0, "400 10 2 40 400 360 640\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["count"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "count", TRIANGLE) == (0, "T=1\n", "")
+    usages = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usages.append(capsys.readouterr().out)
+    assert usages[0] == usages[1]
+    assert usages[0].startswith("usage: linrem")
+    assert build_parser.cache_info().misses == 1

@@ -266,7 +266,7 @@ def test_removal_matches_oracle(data):
     assert_optimal(system, sets)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_systems())
 # pin with a two-variable residual
 @example((7, [[1, 1, 0], [0, 0, 1]], [0, 3], [[0, 1, 2], [0, 5, 6], [1, 3]]))

@@ -2,9 +2,11 @@
 
 import ast
 import os
+import subprocess
 import sys
 
 import linrem
+from conftest import subprocess_env
 
 SRC = os.path.dirname(os.path.abspath(linrem.__file__))
 
@@ -33,3 +35,12 @@ def test_package_has_no_asserts_and_imports_only_stdlib():
             elif isinstance(node, ast.ImportFrom) and node.level == 0 and not _stdlib(node.module):
                 problems.append(f"{name}:{node.lineno}: imports {node.module}")
     assert problems == []
+
+
+def test_cli_import_leaves_out_the_pool_machinery():
+    # multiprocessing is imported only where verify --workers starts a pool.
+    probe = "import sys, linrem.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

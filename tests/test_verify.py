@@ -46,13 +46,13 @@ def ap4_full():
 # Copy counting and enumeration.
 
 
-def test_count_copies_values(triangle_small, triangle_full, ap4_full):
+def test_copy_counts_of_small_hosts(triangle_small, triangle_full, ap4_full):
     assert len(enumerate_copies(triangle_small)) == 5
     assert len(enumerate_copies(triangle_full)) == 125
     assert len(enumerate_copies(ap4_full)) == 625
 
 
-def test_count_copies_empty_host():
+def test_host_without_edges_has_no_copies():
     host = make_host(5, [[1, 1, -1]], [0], [[], [], []])
     assert enumerate_copies(host) == []
     assert enumerate_copies(host, mode="naive") == []
@@ -76,7 +76,7 @@ def test_copy_walks_skip_a_color_without_edges():
     assert enumerate_copies(host, mode="naive") == []
 
 
-def test_count_copies_workers_agree(ap4_full):
+def test_pool_walk_matches_sequential_walk(ap4_full):
     assert enumerate_copies(ap4_full, workers=2) == enumerate_copies(ap4_full)
 
 
