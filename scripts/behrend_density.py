@@ -29,7 +29,7 @@ def main(argv=None) -> int:
         "--blocks", type=int, default=64, help="ambient length in units of 2m"
     )
     parser.add_argument(
-        "--guard", type=int, default=5000, help="largest |S| the quadratic scan accepts"
+        "--guard", type=int, default=1_000_000, help="largest |S| a lift may hold"
     )
     args = parser.parse_args(argv)
 

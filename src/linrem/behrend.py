@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import (
     IndivisibleAmbient,
-    LiftSizeMismatch,
     ProgressionCeilingExceeded,
     SearchBudgetExceeded,
 )
@@ -46,44 +45,54 @@ def max_ap3_free(m: int, guard: int = 30) -> tuple[int, tuple[int, ...]]:
     """Largest progression-free subset of {1..m}, exact.
 
     Returns (size, witness) with the lexicographically least witness
-    among the maximum-size sets. Depth-first over elements in ascending
-    order, include branch first, so the first maximum found is the least.
+    among the maximum-size sets. Computes r(L), the maximum for {1..L},
+    for L = 1..m bottom up, since r(L) is r(L-1) or r(L-1) + 1: each
+    length searches for a set of size r(L-1) + 1. A progression-free
+    subset of {nxt..L} translates to one of {1..L-nxt+1}, so a branch
+    that cannot reach the target with r(L-nxt+1) more elements is cut
+    (Gasarch, Glenn and Kruskal, "Finding large 3-free sets I", 2008).
+    The depth-first search takes elements ascending, include branch
+    first, so the first set of the target size it meets is the least.
     """
     if m > guard:
         raise SearchBudgetExceeded(f"m={m} exceeds exhaustive guard {guard}")
     if m < 1:
         return 0, ()
-    best_size = 0
-    best: tuple[int, ...] = ()
-    chosen: list[int] = []
-    in_set = [False] * (2 * m + 1)
+    r = [0] * (m + 1)
 
-    def extendable(e: int) -> bool:
-        # Elements arrive ascending, so e can only be the right endpoint.
-        for a in chosen:
-            if (a + e) % 2 == 0 and in_set[(a + e) // 2]:
+    def search(length: int, target: int) -> tuple[int, ...] | None:
+        chosen: list[int] = []
+        in_set = [False] * (length + 1)
+
+        def walk(nxt: int) -> bool:
+            if len(chosen) == target:
+                return True
+            if len(chosen) + r[length - nxt + 1] < target:
                 return False
-        return True
+            # Elements arrive ascending, so nxt can only be the right endpoint.
+            for a in chosen:
+                if (a + nxt) % 2 == 0 and in_set[(a + nxt) // 2]:
+                    break
+            else:
+                chosen.append(nxt)
+                in_set[nxt] = True
+                if walk(nxt + 1):
+                    return True
+                in_set[nxt] = False
+                chosen.pop()
+            return walk(nxt + 1)
 
-    def walk(nxt: int) -> None:
-        nonlocal best_size, best
-        if len(chosen) + (m - nxt + 1) <= best_size:
-            return
-        if nxt > m:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = tuple(chosen)
-            return
-        if extendable(nxt):
-            chosen.append(nxt)
-            in_set[nxt] = True
-            walk(nxt + 1)
-            in_set[nxt] = False
-            chosen.pop()
-        walk(nxt + 1)
+        return tuple(chosen) if walk(1) else None
 
-    walk(1)
-    return best_size, best
+    for length in range(1, m + 1):
+        # r(length - 1) + 1 bounds r(length) while its own search runs.
+        r[length] = r[length - 1] + 1
+        witness = search(length, r[length])
+        if witness is None:
+            r[length] -= 1
+    if witness is None:
+        witness = search(m, r[m])
+    return r[m], witness
 
 
 def behrend_sphere(m: int, base: int, dim: int) -> tuple[int, ...]:
@@ -129,34 +138,43 @@ class LowerBoundInstance:
 
 
 def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerBoundInstance:
-    """Lift X a copy per 2m-block: S = {x in 1..n with x mod 2m in X}.
+    """Lift X a copy per 2m-block: S = {x + 2m*k : x in X, 0 <= k < n/2m}.
 
     Requires n, m >= 1, 2m | n and X a progression-free subset of
     {1..m}. Residues a, b, c in X of a progression in S have
     a + c = 2b mod 2m with both sides in [2, 2m], so a + c = 2b and X
-    forces a = b = c. The size of S
-    and the |S|^3/m^2 ceiling are checked on the result, raising
-    LiftSizeMismatch and ProgressionCeilingExceeded. guard caps the size
-    of S the quadratic progression scan will accept.
+    forces a = b = c.
+
+    The counts come from the residue classes, not from S. With c = n/2m
+    blocks, x1 + 2m*k1 and x3 + 2m*k3 have their midpoint in S exactly
+    when x1 + x3 is even, (x1 + x3)/2 is in X and k1 + k3 is even: the
+    midpoint's residue is (x1 + x3)/2 + m*(k1 + k3) mod 2m, and X holds
+    nothing above m. So ap3_total is count_ap3(X) total times
+    ceil(c/2)^2 + floor(c/2)^2, by periodicity alone, in work that does
+    not grow with n. guard caps |S| = |X|*c, and the |S|^3/m^2 ceiling
+    is checked on the counts (raising ProgressionCeilingExceeded), both
+    before S is built.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     xs = tuple(sorted(set(X)))
     if any(not 1 <= x <= m for x in xs):
         raise ValueError(f"X must lie in 1..{m}")
-    if count_ap3(xs)[1] != 0:
+    residue_total, residue_nontrivial = count_ap3(xs)
+    if residue_nontrivial != 0:
         raise ValueError("X contains a 3-term progression")
     if n % (2 * m) != 0:
         raise IndivisibleAmbient(f"2m = {2 * m} does not divide n = {n}")
-    members = frozenset(xs)
-    s = tuple(x for x in range(1, n + 1) if x % (2 * m) in members)
-    if len(s) != n * len(xs) // (2 * m):
-        raise LiftSizeMismatch(f"lift has {len(s)} elements, expected {n * len(xs) // (2 * m)}")
-    total, nontrivial = count_ap3(s, guard=guard)
+    blocks = n // (2 * m)
+    size = len(xs) * blocks
+    if size > guard:
+        raise SearchBudgetExceeded(f"{size} elements exceed guard {guard}")
+    total = residue_total * (((blocks + 1) // 2) ** 2 + (blocks // 2) ** 2)
     # Coarse ceiling; fails when n is too small relative to m, which the
     # asymptotic regime never is.
-    if total * m * m > len(s) ** 3:
+    if total * m * m > size**3:
         raise ProgressionCeilingExceeded(
-            f"progression count {total} exceeds |S|^3/m^2 = {len(s) ** 3 / (m * m):g}"
+            f"progression count {total} exceeds |S|^3/m^2 = {size ** 3 / (m * m):g}"
         )
-    return LowerBoundInstance(n=n, m=m, X=xs, S=s, ap3_total=total, ap3_nontrivial=nontrivial)
+    s = tuple(x + 2 * m * k for k in range(blocks) for x in xs)
+    return LowerBoundInstance(n=n, m=m, X=xs, S=s, ap3_total=total, ap3_nontrivial=total - size)

@@ -66,9 +66,5 @@ class InvariantViolation(CheckError):
     """An internal invariant of a reduction or search failed; indicates a bug."""
 
 
-class LiftSizeMismatch(CheckError):
-    """A residue lift holds other than n*|X|/(2m) elements; indicates a bug."""
-
-
 class ProgressionCeilingExceeded(CheckError):
     """A lift has more progressions than |S|^3/m^2; n is too small for m."""

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,54 @@ def test_max_ap3_free_small_values():
 def test_max_ap3_free_guard():
     with pytest.raises(SearchBudgetExceeded):
         max_ap3_free(31)
+
+
+def reference_max_ap3_free(m):
+    """The unbounded depth-first search that max_ap3_free replaced."""
+    if m < 1:
+        return 0, ()
+    best_size = 0
+    best = ()
+    chosen = []
+    in_set = [False] * (2 * m + 1)
+
+    def extendable(e):
+        for a in chosen:
+            if (a + e) % 2 == 0 and in_set[(a + e) // 2]:
+                return False
+        return True
+
+    def walk(nxt):
+        nonlocal best_size, best
+        if len(chosen) + (m - nxt + 1) <= best_size:
+            return
+        if nxt > m:
+            if len(chosen) > best_size:
+                best_size = len(chosen)
+                best = tuple(chosen)
+            return
+        if extendable(nxt):
+            chosen.append(nxt)
+            in_set[nxt] = True
+            walk(nxt + 1)
+            in_set[nxt] = False
+            chosen.pop()
+        walk(nxt + 1)
+
+    walk(1)
+    return best_size, best
+
+
+def test_max_ap3_free_matches_reference_search():
+    for m in range(0, 23):
+        assert max_ap3_free(m) == reference_max_ap3_free(m), m
+
+
+def test_max_ap3_free_sizes_up_to_guard():
+    # r_3(1..30), OEIS A003002.
+    expected = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9,
+                9, 9, 9, 10, 10, 11, 11, 11, 11, 12]
+    assert [max_ap3_free(m)[0] for m in range(1, 31)] == expected
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -151,6 +200,33 @@ def test_build_lower_bound_guard_passthrough():
         build_lower_bound_instance(2048, 2, [1, 2], guard=500)
     inst = build_lower_bound_instance(2048, 2, [1, 2], guard=1100)
     assert len(inst.S) == 1024
+
+
+def test_build_lower_bound_guard_checked_before_the_lift():
+    # |S| would be 10^12; the guard refuses it without building S.
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match="500000000000 elements exceed guard 500"):
+        build_lower_bound_instance(10**12, 1, [1])
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_residue_count_matches_pair_scan(data):
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    x = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=m))))
+    blocks = data.draw(st.integers(min_value=1, max_value=12))
+    weight = ((blocks + 1) // 2) ** 2 + (blocks // 2) ** 2
+    # The residue count needs periodicity only, not a progression-free X.
+    lift = [v + 2 * m * k for k in range(blocks) for v in x]
+    assert count_ap3(lift, guard=10**6)[0] == count_ap3(x)[0] * weight
+    try:
+        inst = build_lower_bound_instance(2 * m * blocks, m, x, guard=10**6)
+    except (ValueError, ProgressionCeilingExceeded):
+        return
+    assert tuple(lift) == inst.S
+    assert (inst.ap3_total, inst.ap3_nontrivial) == count_ap3(inst.S, guard=10**6)
+    assert inst.ap3_total == len(x) * weight
 
 
 def test_lifting_keeps_residues():

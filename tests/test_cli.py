@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -445,6 +446,20 @@ def test_behrend_error_paths(capsys):
     for argv in (["4", "0"], ["4", "-1"], ["-4", "1", "--elements", "1"]):
         code, out, err = run(capsys, "behrend", *argv)
         assert (code, out) == (2, "") and err.startswith("ValueError: need n >= 1 and m >= 1")
+
+
+def test_behrend_guard_refuses_before_the_lift(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "behrend", "20000000", "1", "--elements", "1")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("SearchBudgetExceeded: 10000000 elements exceed guard 500")
+    # One block of m = 10^9: the counts are read off X, not off 1..n.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "behrend", "2000000000", "1000000000", "--elements", "1")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("ProgressionCeilingExceeded: progression count 1 exceeds")
 
 
 def test_behrend_out_of_regime_fails_check(capsys):
