@@ -18,7 +18,7 @@ import random
 import sys
 
 from linrem.linsys import SetFamily, parse_system
-from linrem.solutions import count_system, plan_removal
+from linrem.solutions import epsdelta_scan
 
 
 def main(argv=None) -> int:
@@ -33,33 +33,24 @@ def main(argv=None) -> int:
         system, _ = parse_system(fh.read())
     q = system.field.q
     p = system.p
-    denom = q ** (p - system.ell)
 
     print(f"system {args.input}: q={q} p={p} ell={system.ell}")
     print(f"{'size':>4} {'mean_eps':>9} {'mean_delta':>10} {'max_delta':>9} {'free%':>6}")
     for size in range(1, min(q, args.guard // p) + 1):
-        eps_sum = 0.0
-        delta_sum = 0.0
-        delta_max = 0.0
-        free = 0
-        for trial in range(args.trials):
+
+        def generate(trial: int) -> SetFamily:
             rng = random.Random(f"{args.seed}:{size}:{trial}")
-            fam = SetFamily.make(
+            return SetFamily.make(
                 system.field,
                 [sorted(rng.sample(range(q), size)) for _ in range(p)],
             )
-            count = count_system(system, fam)
-            if count == 0:
-                free += 1
-                continue
-            result = plan_removal(system, fam, guard=args.guard)
-            eps_sum += count / denom
-            delta = result.budget / q
-            delta_sum += delta
-            delta_max = max(delta_max, delta)
-        busy = args.trials - free
-        mean_eps = eps_sum / busy if busy else 0.0
-        mean_delta = delta_sum / busy if busy else 0.0
+
+        records = epsdelta_scan(system, generate, args.trials, removal_guard=args.guard)
+        busy = [(eps, delta) for _, eps, delta in records if eps != 0.0]
+        free = args.trials - len(busy)
+        mean_eps = sum(eps for eps, _ in busy) / len(busy) if busy else 0.0
+        mean_delta = sum(delta for _, delta in busy) / len(busy) if busy else 0.0
+        delta_max = max((delta for _, delta in busy), default=0.0)
         print(
             f"{size:>4} {mean_eps:>9.4f} {mean_delta:>10.4f} {delta_max:>9.4f} "
             f"{100 * free / args.trials:>5.0f}%"

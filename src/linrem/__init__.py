@@ -25,7 +25,6 @@ from .linsys import (
     LinearSystem,
     NormalizedSystem,
     ReductionResult,
-    ReductionTrace,
     SetFamily,
     block_identity,
     format_system,

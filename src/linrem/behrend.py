@@ -10,6 +10,7 @@ is what makes the removal threshold collapse slowly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -151,16 +152,17 @@ def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerB
     midpoint's residue is (x1 + x3)/2 + m*(k1 + k3) mod 2m, and X holds
     nothing above m. So ap3_total is count_ap3(X) total times
     ceil(c/2)^2 + floor(c/2)^2, by periodicity alone, in work that does
-    not grow with n. guard caps |S| = |X|*c, and the |S|^3/m^2 ceiling
-    is checked on the counts (raising ProgressionCeilingExceeded), both
-    before S is built.
+    not grow with n. guard caps |S| = |X|*c, and |X| at
+    max(500, isqrt(guard)); the |S|^3/m^2 ceiling is checked on the
+    counts (raising ProgressionCeilingExceeded), all before S is built.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     xs = tuple(sorted(set(X)))
     if any(not 1 <= x <= m for x in xs):
         raise ValueError(f"X must lie in 1..{m}")
-    residue_total, residue_nontrivial = count_ap3(xs)
+    # X's scan is quadratic, so it is priced at max(guard, 500^2) pair tests.
+    residue_total, residue_nontrivial = count_ap3(xs, guard=max(500, math.isqrt(guard)))
     if residue_nontrivial != 0:
         raise ValueError("X contains a 3-term progression")
     if n % (2 * m) != 0:

@@ -13,7 +13,7 @@ import random
 import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
-from .errors import CheckError, EdgeNotInHost, EmptyW, InputError, ParseError, SearchBudgetExceeded
+from .errors import CheckError, EmptyW, InputError, SearchBudgetExceeded
 from .hrep import build_coefficients, build_host, export_host, parse_host_export
 from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system, reduce_degenerate
 from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
@@ -90,35 +90,12 @@ def cmd_removal(args) -> int:
     return 0
 
 
-def _edge_refs(host, parsed):
-    """Turn export-format lines into (color, vertex key) references."""
-    width = host.r - 1
-    refs = []
-    for color, label, verts in parsed:
-        if not 1 <= color <= host.free + host.ell:
-            raise EdgeNotInHost(f"color {color} out of range")
-        key = []
-        for name, val in verts:
-            index = int(name[1:])
-            count, first = (width, 0) if name[0] == "V" else (host.free, width)
-            if not (1 <= index <= count and 0 <= val < host.n):
-                raise ParseError(f"vertex {name}:{val} out of range")
-            key.append((first + index - 1) * host.n + val)
-        key.sort()
-        ref = (color - 1, tuple(key))
-        stored = host.by_key.get(ref[1])
-        if stored != (color - 1, label):
-            raise EdgeNotInHost(f"no color-{color} edge labeled {label} on {ref[1]}")
-        refs.append(ref)
-    return refs
-
-
 def cmd_translate(args) -> int:
     system, sets = _load(args.input)
     host, red = _build(system, sets)
     with open(args.edges, "r", encoding="utf-8") as fh:
-        parsed = parse_host_export(fh.read())
-    rest = translate_edge_deletion(host, _edge_refs(host, parsed), host.sets)
+        edges = parse_host_export(host, fh.read())
+    rest = translate_edge_deletion(host, edges, host.sets)
     # The host's column k is the input's column red.kept_columns[k].
     removals = [()] * system.p
     for col, before, after in zip(red.kept_columns, host.sets.sets, rest.sets):

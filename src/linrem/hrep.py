@@ -15,6 +15,9 @@ The edge stream does its per x-tuple work once per color, not once per
 edge. copies_for_solution builds one solution's U vertices once per
 x-tuple and reads every edge key off them, through Host.diag_layout for
 the row colors; that layout is also what the verifier's loops use.
+
+export_host writes one `color label part:value ...` line per edge, and
+parse_host_export reads such lines back into the host's edge references.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import InvariantViolation, MissingEdge, ParseError, SimplicityViolation
+from .errors import EdgeNotInHost, InvariantViolation, MissingEdge, ParseError, SimplicityViolation
 from .linsys import NormalizedSystem, SetFamily, mat_rank
 
 VKey = tuple[int, ...]
@@ -309,9 +312,15 @@ def export_host(host: Host) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def parse_host_export(text: str) -> list[tuple[int, int, tuple[tuple[str, int], ...]]]:
-    """Parse export lines back into (color, label, ((part, value), ...))."""
-    out = []
+def parse_host_export(host: Host, text: str) -> list[EdgeRef]:
+    """Read export lines back into (color, vertex key) references of host.
+
+    Every line is parsed before any is looked up, so a malformed line is
+    reported ahead of a foreign edge. A line whose color, vertices or
+    label do not name a stored edge raises EdgeNotInHost, or ParseError
+    for a vertex outside its part.
+    """
+    parsed = []
     for no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -328,13 +337,22 @@ def parse_host_export(text: str) -> list[tuple[int, int, tuple[tuple[str, int], 
                 verts.append((name, int(val)))
         except ValueError:
             raise ParseError(f"line {no}: malformed edge line") from None
-        out.append((color, label, tuple(verts)))
-    return out
-
-
-def render_host_export(parsed: list[tuple[int, int, tuple[tuple[str, int], ...]]]) -> str:
-    lines = [
-        f"{color} {label} " + " ".join(f"{name}:{val}" for name, val in verts)
-        for color, label, verts in parsed
-    ]
-    return "\n".join(sorted(lines)) + "\n"
+        parsed.append((color, label, verts))
+    n = host.n
+    width = host.r - 1
+    refs = []
+    for color, label, verts in parsed:
+        if not 1 <= color <= host.free + host.ell:
+            raise EdgeNotInHost(f"color {color} out of range")
+        ids = []
+        for name, val in verts:
+            index = int(name[1:])
+            count, first = (width, 0) if name[0] == "V" else (host.free, width)
+            if not (1 <= index <= count and 0 <= val < n):
+                raise ParseError(f"vertex {name}:{val} out of range")
+            ids.append((first + index - 1) * n + val)
+        key = tuple(sorted(ids))
+        if host.by_key.get(key) != (color - 1, label):
+            raise EdgeNotInHost(f"no color-{color} edge labeled {label} on {key}")
+        refs.append((color - 1, key))
+    return refs

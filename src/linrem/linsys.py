@@ -9,7 +9,7 @@ All indices in code are 0-based; user-facing text is 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyW, InvariantViolation, NoFreeColumns, ParseError, RankDeficient
@@ -265,48 +265,6 @@ def normalize(sys: LinearSystem) -> NormalizedSystem:
 
 
 @dataclass(frozen=True)
-class PinStep:
-    """A one-nonzero row pinned column `column` to the constant `value`."""
-
-    column: int
-    value: int
-
-
-@dataclass(frozen=True)
-class FoldStep:
-    """A two-nonzero row folded column `removed` into column `kept`.
-
-    The row read alpha*x_kept + x_removed = rhs, so lifting a reduced
-    solution sets x_removed = rhs - alpha*x_kept. The kept set was
-    intersected with the image of the removed set.
-    """
-
-    kept: int
-    removed: int
-    alpha: int
-    rhs: int
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    field: PrimeField
-    original_p: int
-    steps: tuple = ()
-    empty_witness: PinStep | None = None
-
-    def lift(self, kept_columns: Sequence[int], solution: Sequence[int]) -> tuple[int, ...]:
-        """Extend a reduced solution (over kept_columns) to all columns."""
-        fld = self.field
-        values = dict(zip(kept_columns, solution))
-        for step in reversed(self.steps):
-            if isinstance(step, PinStep):
-                values[step.column] = step.value
-            else:
-                values[step.removed] = fld.sub(step.rhs, fld.mul(step.alpha, values[step.kept]))
-        return tuple(values[j] for j in range(self.original_p))
-
-
-@dataclass(frozen=True)
 class ReductionResult:
     """Outcome of reduce_degenerate.
 
@@ -315,16 +273,26 @@ class ReductionResult:
       two_var        a single equation with exactly two nonzero entries
       unconstrained  no equations remain; every tuple in the sets solves
       empty          a pinned value was outside its set; no solutions
+
+    dropped holds one (column, rhs, terms) per stripped row, in input
+    columns and strip order: the row reads x_column = rhs - sum of c*x_j
+    over its terms, at most one (kept column j, c). For kind empty it
+    ends with the pin whose value is outside its set.
     """
 
     kind: str
     system: LinearSystem | None
     sets: SetFamily | None
     kept_columns: tuple[int, ...]
-    trace: ReductionTrace
+    dropped: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
 
     def lift(self, solution: Sequence[int]) -> tuple[int, ...]:
-        return self.trace.lift(self.kept_columns, solution)
+        """Extend a reduced solution (over kept_columns) to all columns."""
+        q = self.sets.field.q
+        values = dict(zip(self.kept_columns, solution))
+        for column, rhs, terms in self.dropped:
+            values[column] = (rhs - sum(c * values[j] for j, c in terms)) % q
+        return tuple(values[j] for j in range(len(values)))
 
 
 def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
@@ -332,12 +300,14 @@ def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
 
     In block-identity form every row has one block entry, its own, so
     deleting a row with its block column leaves every other row as it
-    was. A row with no free nonzero pins its block unknown, a row with
-    one folds its block unknown into that free unknown, and any other
-    row is long. Pins go first, then folds, each in row order; solution
-    counts are preserved exactly and the trace lifts reduced solutions
-    back. With no long row the last fold stays, a single equation with
-    two nonzero entries, flagged two_var.
+    was, and the row gives its block unknown as rhs minus its free terms.
+    A row with no free nonzero pins its block unknown, a row with one
+    ties it to that free unknown, whose set keeps the values that send
+    the block unknown into its own set; any other row is long. Pins go
+    first, then folds, each in row order; solution counts are preserved
+    exactly and lift back-substitutes the dropped rows. With no long row
+    the last fold stays, a single equation with two nonzero entries,
+    flagged two_var.
     """
     fld = sys.field
     rows, rhs, perm = block_identity(sys)
@@ -347,37 +317,30 @@ def reduce_degenerate(sys: LinearSystem, sets: SetFamily) -> ReductionResult:
     folds = [i for i in range(sys.ell) if len(nz[i]) == 1]
     stay = [i for i in range(sys.ell) if len(nz[i]) > 1] or folds[-1:]
     cur = list(sets.sets)
-    steps: list = []
-    for i in pins:
-        if [j for j, v in enumerate(rows[i]) if v] != [free + i] or rows[i][free + i] != 1:
-            raise InvariantViolation(f"one-entry row {rows[i]} is not its own unit block entry")
-        step = PinStep(perm[free + i], rhs[i])
-        if rhs[i] not in cur[step.column]:
-            trace = ReductionTrace(fld, sys.p, tuple(steps), step)
-            return ReductionResult("empty", None, None, (), trace)
-        steps.append(step)
-    for i in folds:
-        if i in stay:
+    dropped = []
+    for i in pins + [i for i in folds if i not in stay]:
+        if [j for j in range(free, sys.p) if rows[i][j]] != [free + i] or rows[i][free + i] != 1:
+            raise InvariantViolation(f"degenerate row {rows[i]} is not its own unit block entry")
+        column = perm[free + i]
+        terms = tuple((perm[j], rows[i][j]) for j in nz[i])
+        dropped.append((column, rhs[i], terms))
+        allowed = set(cur[column])
+        if not terms:
+            if rhs[i] not in allowed:
+                return ReductionResult("empty", None, None, (), tuple(dropped))
             continue
-        if rows[i][free + i] != 1:
-            raise InvariantViolation(f"two-entry row {rows[i]} lacks its unit block entry")
-        (a,) = nz[i]
-        step = FoldStep(kept=perm[a], removed=perm[free + i], alpha=rows[i][a], rhs=rhs[i])
-        # x_removed = rhs - alpha*x_kept: keep the x_kept values it maps into S_removed.
-        image = {fld.div(fld.sub(rhs[i], s), step.alpha) for s in cur[step.removed]}
-        cur[step.kept] = tuple(v for v in cur[step.kept] if v in image)
-        steps.append(step)
+        ((j, c),) = terms
+        cur[j] = tuple(v for v in cur[j] if (rhs[i] - c * v) % fld.q in allowed)
     cols = sorted([*range(free), *(free + i for i in stay)], key=perm.__getitem__)
     kept = tuple(perm[j] for j in cols)
     out_sets = SetFamily(fld, tuple(cur[j] for j in kept))
-    trace = ReductionTrace(fld, sys.p, tuple(steps))
     if not stay:
-        return ReductionResult("unconstrained", None, out_sets, kept, trace)
+        return ReductionResult("unconstrained", None, out_sets, kept, tuple(dropped))
     system = LinearSystem(
         fld, tuple(tuple(rows[i][j] for j in cols) for i in stay), tuple(rhs[i] for i in stay)
     )
     kind = "two_var" if len(nz[stay[0]]) == 1 else "reduced"
-    return ReductionResult(kind, system, out_sets, kept, trace)
+    return ReductionResult(kind, system, out_sets, kept, tuple(dropped))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,34 @@ def test_build_lower_bound_guard_passthrough():
     assert len(inst.S) == 1024
 
 
+def _no_digit_two(k):
+    """The 2^k shifted base-3 numbers below 3^k with no digit 2: progression-free."""
+    return [
+        1 + sum(b * 3**i for i, b in enumerate(bits))
+        for bits in itertools.product((0, 1), repeat=k)
+    ]
+
+
+def test_build_lower_bound_residue_guard_follows_the_caller():
+    # X's pair scan is priced from the caller's guard: max(500, isqrt(guard)) elements.
+    sphere = behrend_sphere(5**8, 3, 8)
+    assert len(sphere) == 588
+    with pytest.raises(SearchBudgetExceeded, match="588 elements exceed guard 500"):
+        build_lower_bound_instance(2 * 5**8, 5**8, sphere)
+    # At guard 10^6 X passes; with one block only the progression ceiling stops it.
+    with pytest.raises(ProgressionCeilingExceeded):
+        build_lower_bound_instance(2 * 5**8, 5**8, sphere, guard=10**6)
+    xs = _no_digit_two(9)
+    m = max(xs)
+    inst = build_lower_bound_instance(2 * m * 185, m, xs, guard=10**6)
+    assert (len(xs), m, len(inst.S)) == (512, 9842, 512 * 185)
+    assert inst.ap3_total - inst.ap3_nontrivial == len(inst.S)
+    with pytest.raises(SearchBudgetExceeded, match="512 elements exceed guard 500"):
+        build_lower_bound_instance(2 * m * 185, m, xs, guard=10**5)
+    with pytest.raises(SearchBudgetExceeded, match="1024 elements exceed guard 1000"):
+        build_lower_bound_instance(2 * 29525, 29525, _no_digit_two(10), guard=10**6)
+
+
 def test_build_lower_bound_guard_checked_before_the_lift():
     # |S| would be 10^12; the guard refuses it without building S.
     start = time.perf_counter()

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import cofactor_det, full_sets, mk_sets, mk_system
-from linrem.errors import InputError, MissingEdge, ParseError
+from linrem.errors import EdgeNotInHost, InputError, MissingEdge, ParseError
 from linrem.hrep import (
     TemplateEdge,
     build_coefficients,
@@ -15,7 +15,6 @@ from linrem.hrep import (
     export_host,
     iter_host_edges,
     parse_host_export,
-    render_host_export,
 )
 from linrem.linsys import mat_vec, normalize
 from linrem.verify import _part_index
@@ -333,16 +332,25 @@ def test_export_round_trip():
     ns = ap4_ns()
     sets = mk_sets(5, [[0, 2], [1, 4], [3], [2, 3]])
     host = build_host(ns, build_coefficients(ns), sets)
-    text = export_host(host)
-    assert render_host_export(parse_host_export(text)) == text
+    refs = parse_host_export(host, export_host(host))
+    assert sorted(refs) == sorted((color, key) for color, _, key in host.records)
 
 
 def test_parse_export_errors():
+    ns = triangle5_ns()
+    host = build_host(ns, build_coefficients(ns), mk_sets(5, [[1, 2]] * 3))
     with pytest.raises(ParseError, match="line 1"):
-        parse_host_export("1 2\n")
+        parse_host_export(host, "1 2\n")
     with pytest.raises(ParseError, match="line 2"):
-        parse_host_export("1 2 V1:0 U1:1\n1 x V1:0 U1:1\n")
+        parse_host_export(host, "1 2 V1:0 U1:1\n1 x V1:0 U1:1\n")
     with pytest.raises(ParseError, match="malformed"):
-        parse_host_export("1 2 W1:0 U1:1\n")
-    assert parse_host_export("") == []
-    assert parse_host_export("\n  \n") == []
+        parse_host_export(host, "1 2 W1:0 U1:1\n")
+    assert parse_host_export(host, "") == []
+    assert parse_host_export(host, "\n  \n") == []
+    # Every line is parsed before any is looked up.
+    with pytest.raises(ParseError, match="line 2: malformed"):
+        parse_host_export(host, "9 1 V1:0 U1:1\n1 x V1:0 U1:1\n")
+    with pytest.raises(EdgeNotInHost, match="color 9 out of range"):
+        parse_host_export(host, "9 1 V1:0 U1:1\n")
+    with pytest.raises(EdgeNotInHost, match="no color-1 edge labeled 3"):
+        parse_host_export(host, "1 3 V1:0 U1:3\n")

@@ -7,9 +7,7 @@ from conftest import brute_count, brute_solutions, cofactor_det, mk_sets, mk_sys
 from linrem.errors import EmptyW, NoFreeColumns, ParseError, RankDeficient
 from linrem.field import PrimeField
 from linrem.linsys import (
-    FoldStep,
     LinearSystem,
-    PinStep,
     SetFamily,
     block_identity,
     format_system,
@@ -201,7 +199,7 @@ def test_reduce_pin_then_two_var_residual():
     sets = mk_sets(7, [range(7), range(7), [1, 3]])
     red = reduce_degenerate(system, sets)
     assert red.kind == "two_var"
-    assert red.trace.steps == (PinStep(column=2, value=3),)
+    assert red.dropped == ((2, 3, ()),)
     assert red.system.rows == ((1, 1),)
     assert red.system.rhs == (0,)
     assert red.kept_columns == (0, 1)
@@ -214,7 +212,7 @@ def test_reduce_pin_outside_set_is_empty():
     red = reduce_degenerate(system, sets)
     assert red.kind == "empty"
     assert red.system is None
-    assert red.trace.empty_witness == PinStep(column=2, value=3)
+    assert red.dropped == ((2, 3, ()),)
     assert brute_count(system, sets) == 0
 
 
@@ -224,7 +222,7 @@ def test_reduce_fold_updates_kept_set():
     red = reduce_degenerate(system, sets)
     # Row 1 folds x3 into x1; the remaining single two-entry row stays put.
     assert red.kind == "two_var"
-    assert red.trace.steps == (FoldStep(kept=0, removed=2, alpha=1, rhs=2),)
+    assert red.dropped == ((2, 2, ((0, 1),)),)
     assert red.kept_columns == (0, 1, 3)
     assert red.sets.sets[0] == tuple(range(5))
     residual = [
@@ -241,7 +239,7 @@ def test_reduce_fold_narrows_kept_set():
     sets = mk_sets(5, [range(5), [0, 1], range(5)])
     red = reduce_degenerate(system, sets)
     assert red.kind == "two_var"
-    assert red.trace.steps == (FoldStep(kept=0, removed=1, alpha=1, rhs=1),)
+    assert red.dropped == ((1, 1, ((0, 1),)),)
     assert red.sets.sets[0] == (0, 1)
     lifted = {red.lift(sol) for sol in brute_solutions(red.system, red.sets)}
     assert lifted == set(brute_solutions(system, sets))
@@ -252,7 +250,7 @@ def test_reduce_keeps_long_rows():
     sets = SetFamily.full(F7, 4)
     red = reduce_degenerate(system, sets)
     assert red.kind == "reduced"
-    assert red.trace.steps == (PinStep(column=3, value=3),)
+    assert red.dropped == ((3, 3, ()),)
     assert red.system.rows == ((1, 1, 1),)
     assert red.kept_columns == (0, 1, 2)
 

@@ -44,3 +44,20 @@ def test_behrend_density_reaches_dim_5():
     # residue and the count is |X| * (ceil(c/2)^2 + floor(c/2)^2).
     assert ap3 == size * (((blocks + 1) // 2) ** 2 + (blocks // 2) ** 2)
     assert nontrivial == ap3 - lifted
+
+
+def test_removal_thresholds_default_output():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "removal_thresholds.py")],
+        capture_output=True, text=True, cwd=ROOT, env=subprocess_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == (
+        "system systems/triangle.sys: q=5 p=3 ell=1\n"
+        "size  mean_eps mean_delta max_delta  free%\n"
+        "   1    0.0400     0.2000    0.2000    92%\n"
+        "   2    0.0697     0.2000    0.2000    12%\n"
+        "   3    0.2190     0.2450    0.4000     0%\n"
+        "   4    0.5130     0.4000    0.4000     0%\n"
+        "   5    1.0000     0.6000    0.6000     0%\n"
+    )
