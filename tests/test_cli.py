@@ -10,7 +10,8 @@ import pytest
 from conftest import brute_count, mk_sets, removal_oracle, subprocess_env
 from linrem.cli import _build, build_parser, main
 from linrem.linsys import parse_system
-from linrem.hrep import parse_host_export
+from linrem.hrep import copies_for_solution, parse_host_export
+from linrem.solutions import iter_solutions
 
 TRIANGLE = "systems/triangle.sys"
 AP4 = "systems/ap4.sys"
@@ -221,6 +222,41 @@ def test_represent_dump_round_trip(capsys, tmp_path):
     assert sorted(refs) == sorted((color, key) for color, _, key in host.records)
 
 
+def test_translate_round_trip_on_ap4(capsys, tmp_path):
+    # ap4.sys is the bundled system whose encoding keeps two rows. The
+    # deleted edges are dump lines: walking every solution's copies, each
+    # copy no earlier pick hits gives up its edge of color (i mod 4), so the
+    # set meets every copy without being minimal. Each solution's copies
+    # are edge-disjoint, so translating it must free the family, and a set
+    # loses at most p|E|/n^(r-1) values.
+    start = time.perf_counter()
+    dump = tmp_path / "host.edges"
+    assert run(capsys, "represent", AP4, "--dump", str(dump))[0] == 0
+    text = dump.read_text()
+    system, sets = parse_system((SYSTEMS / "ap4.sys").read_text())
+    host, _ = _build(system, sets)
+    line_of = dict(zip(parse_host_export(host, text), text.splitlines()))
+    copies = [c for sol in iter_solutions(host.ns, host.sets) for c in copies_for_solution(host, sol)]
+    deleted = {}
+    for i, copy in enumerate(copies):
+        if not any(ref in deleted for ref in copy.edges):
+            ref = copy.edges[i % len(copy.edges)]
+            deleted[ref] = line_of[ref]
+    assert all(any(ref in deleted for ref in copy.edges) for copy in copies)
+    edges = tmp_path / "deleted.edges"
+    edges.write_text("\n".join(deleted.values()) + "\n")
+    code, out, err = run(capsys, "translate", AP4, str(edges))
+    assert (code, err) == (0, "")
+    freed = write_system(tmp_path, out)
+    assert run(capsys, "count", freed) == (0, "T=0\n", "")
+    _, after = parse_system(out)
+    per_solution = host.n ** (host.r - 1)
+    for before, rest in zip(sets.sets, after.sets):
+        assert set(rest) <= set(before)
+        assert (len(before) - len(rest)) * per_solution <= system.p * len(deleted)
+    assert time.perf_counter() - start < 2
+
+
 def test_translate_threshold_crossed(capsys, tmp_path):
     # All five diagonal edges labeled 2: the per-set rule evicts the label.
     edges = tmp_path / "deleted.edges"
@@ -293,6 +329,15 @@ def test_verify_triangle(capsys):
         "CHECK edge-equation PASS\n"
         "COUNTS edges=30 T=1 copies=5\n"
     )
+
+
+def test_verify_reports_a_check_the_guard_leaves_out(capsys):
+    # triangle.sys's edge-equation check needs 1 * 5^2 tuples.
+    base = run(capsys, "verify", TRIANGLE)
+    assert base[2] == ""
+    code, out, err = run(capsys, "verify", TRIANGLE, "--guard", "10")
+    assert (code, err) == (0, "skipped edge-equation: needs 25 tuples, guard is 10\n")
+    assert out == base[1].replace("CHECK edge-equation PASS\n", "")
 
 
 def test_verify_modes_agree(capsys):

@@ -37,8 +37,9 @@ def test_package_has_no_asserts_and_imports_only_stdlib():
     assert problems == []
 
 
-def test_cli_import_leaves_out_the_pool_machinery():
-    # multiprocessing is imported only where verify --workers starts a pool.
+def test_cli_import_leaves_out_multiprocessing():
+    # Importing multiprocessing costs every subcommand start-up time
+    # (the benchmark's setup_s), and no code path uses it.
     probe = "import sys, linrem.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, check=True
