@@ -53,8 +53,8 @@ def main(argv=None) -> int:
             print(f"{dim:>3} {m:>7} {len(xs):>4}  skipped: in-regime |S| exceeds guard {args.guard}")
             continue
         print(
-            f"{dim:>3} {m:>7} {len(xs):>4} {inst.n:>9} {len(inst.S):>7} "
-            f"{len(inst.S) / inst.n:>7.4f} {inst.ap3_total:>9} "
+            f"{dim:>3} {m:>7} {len(xs):>4} {inst.n:>9} {inst.size:>7} "
+            f"{inst.size / inst.n:>7.4f} {inst.ap3_total:>9} "
             f"{inst.ap3_nontrivial:>8} {inst.bound:>11}"
         )
     return 0

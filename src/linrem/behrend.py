@@ -123,19 +123,28 @@ def behrend_sphere(m: int, base: int, dim: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LowerBoundInstance:
-    """A residue-lifted progression-free set with its exact counts."""
+    """A residue-lifted progression-free set with its exact counts; S is built on request."""
 
     n: int
     m: int
     X: tuple[int, ...]
-    S: tuple[int, ...]
     ap3_total: int
     ap3_nontrivial: int
 
     @property
+    def size(self) -> int:
+        """|S| = |X| * n/2m, without building S."""
+        return len(self.X) * (self.n // (2 * self.m))
+
+    @property
+    def S(self) -> tuple[int, ...]:
+        """S = {x + 2m*k : x in X, 0 <= k < n/2m}, block by block."""
+        return tuple(x + 2 * self.m * k for k in range(self.n // (2 * self.m)) for x in self.X)
+
+    @property
     def bound(self) -> int:
         """Floor of |S|^3 / m^2, the coarse progression-count ceiling."""
-        return len(self.S) ** 3 // (self.m * self.m)
+        return self.size**3 // (self.m * self.m)
 
 
 def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerBoundInstance:
@@ -154,7 +163,7 @@ def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerB
     ceil(c/2)^2 + floor(c/2)^2, by periodicity alone, in work that does
     not grow with n. guard caps |S| = |X|*c, and |X| at
     max(500, isqrt(guard)); the |S|^3/m^2 ceiling is checked on the
-    counts (raising ProgressionCeilingExceeded), all before S is built.
+    counts (raising ProgressionCeilingExceeded); S is never built here.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
@@ -178,5 +187,4 @@ def build_lower_bound_instance(n: int, m: int, X, *, guard: int = 500) -> LowerB
         raise ProgressionCeilingExceeded(
             f"progression count {total} exceeds |S|^3/m^2 = {size ** 3 / (m * m):g}"
         )
-    s = tuple(x + 2 * m * k for k in range(blocks) for x in xs)
-    return LowerBoundInstance(n=n, m=m, X=xs, S=s, ap3_total=total, ap3_nontrivial=total - size)
+    return LowerBoundInstance(n=n, m=m, X=xs, ap3_total=total, ap3_nontrivial=total - size)

@@ -142,7 +142,7 @@ def cmd_behrend(args) -> int:
         print(f"ValueError: {exc}", file=sys.stderr)
         return 2
     print(
-        f"{inst.n} {inst.m} {len(inst.X)} {len(inst.S)} "
+        f"{inst.n} {inst.m} {len(inst.X)} {inst.size} "
         f"{inst.ap3_total} {inst.ap3_nontrivial} {inst.bound}"
     )
     return 0

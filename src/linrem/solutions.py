@@ -160,13 +160,14 @@ def _hit_masks(rows: Sequence[tuple]) -> tuple[dict, int]:
 def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) -> list:
     """Exact minimum set of elements meeting every row.
 
-    Branch and bound from a greedy upper bound, skipped when the greedy
-    cover is no larger than floor, a proven lower bound. Each node
-    branches on the elements of the first unhit row, keeping one element
-    per distinct gain (equal gains lead to identical subtrees), and
-    prunes with a packing lower bound: rows that no single element can
-    hit together each need their own element. Raises
-    SearchBudgetExceeded past node_budget nodes.
+    Branch and bound from a greedy upper bound, pruned by a greedy
+    packing: take the first unhit row, drop every row sharing an element
+    with it, repeat. The rows taken are pairwise disjoint, so each needs
+    its own element. The search is skipped when the greedy cover is no
+    larger than the root's packing or floor, the caller's lower bound.
+    Each node branches on the elements of the first unhit row, keeping
+    one element per distinct gain (equal gains lead to identical
+    subtrees). Raises SearchBudgetExceeded past node_budget nodes.
     """
     hits, all_mask = _hit_masks(rows)
     # reach[idx]: every row that some element of row idx also hits.
@@ -175,6 +176,14 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) ->
         for e in row:
             reach[idx] |= hits[e]
 
+    def lower_bound(covered: int) -> int:
+        taken = 0
+        rem = all_mask & ~covered
+        while rem:
+            taken += 1
+            rem &= ~reach[(rem & -rem).bit_length() - 1]
+        return taken
+
     best: list = []
     covered = 0
     order = sorted(hits)
@@ -182,21 +191,8 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) ->
         e = max(order, key=lambda e: bin(hits[e] & ~covered).count("1"))
         best.append(e)
         covered |= hits[e]
-    if len(best) <= floor:
+    if len(best) <= max(floor, lower_bound(0)):
         return best
-
-    def lower_bound(covered: int) -> int:
-        taken = 0
-        used = 0
-        rem = all_mask & ~covered
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            mask = reach[low.bit_length() - 1]
-            if not mask & used:
-                taken += 1
-            used |= mask
-        return taken
 
     chosen: list = []
     nodes = 0
@@ -337,9 +333,9 @@ def plan_removal(
     is min(min_j |S_j|, excess) in total mode and min(min_j |S_j|,
     ceil(excess / p')) in per-set-max mode, the least over components,
     and 0 once any component has several rows. Per-set-max deepens from
-    the floor and total keeps the greedy cover when it meets the floor.
-    Caps and covers below the floor are infeasible, so the answer is the
-    one the search from 0 finds.
+    the floor; total keeps the greedy cover when it meets the floor or
+    the root's packing bound. Caps and covers below either bound are
+    infeasible, so the answer is the one the search from 0 finds.
     """
     if sets.total_size() > guard:
         raise SearchBudgetExceeded(f"family size {sets.total_size()} exceeds guard {guard}")
@@ -376,14 +372,7 @@ def min_copy_hitting_set(
     rows = [tuple(c.edges) for c in copies]
     if not all(rows):
         raise ValueError("a copy without edges cannot be hit")
-    # A copy sharing no edge with the copies packed before it needs its own edge.
-    packed: set = set()
-    floor = 0
-    for row in rows:
-        if packed.isdisjoint(row):
-            floor += 1
-            packed.update(row)
-    return tuple(sorted(_min_hitting_set(rows, node_budget, floor)))
+    return tuple(sorted(_min_hitting_set(rows, node_budget)))
 
 
 def translate_edge_deletion(host, edges: Iterable, sets: SetFamily) -> SetFamily:

@@ -28,22 +28,26 @@ def test_script_exits_zero(script, args):
     assert done.stdout
 
 
-def test_behrend_density_reaches_dim_5():
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "behrend_density.py"),
-         "--max-dim", "5", "--guard", "2000000"],
-        capture_output=True, text=True, cwd=ROOT, env=subprocess_env(), timeout=120,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    rows = {row[0]: row for row in (line.split() for line in done.stdout.splitlines()[1:])}
-    assert sorted(rows) == ["1", "2", "3", "4", "5"]
-    m, size, n, lifted, ap3, nontrivial = (int(rows["5"][i]) for i in (1, 2, 3, 4, 6, 7))
-    blocks = n // (2 * m)
-    assert (m, lifted) == (3125, size * blocks)
+def test_behrend_density_reaches_dim_8():
+    # Dim 8 lifts to |S| = 154,140,672; the counts never need S itself.
     # Sphere sets are progression-free, so every progression stays in one
     # residue and the count is |X| * (ceil(c/2)^2 + floor(c/2)^2).
-    assert ap3 == size * (((blocks + 1) // 2) ** 2 + (blocks // 2) ** 2)
-    assert nontrivial == ap3 - lifted
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "behrend_density.py"),
+         "--max-dim", "8", "--guard", "1000000000"],
+        capture_output=True, text=True, cwd=ROOT, env=subprocess_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [[int(v) for i, v in enumerate(line.split()) if i != 5]
+            for line in done.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(range(1, 9))
+    for dim, m, size, n, lifted, ap3, nontrivial, ceiling in rows:
+        blocks = n // (2 * m)
+        assert (m, n % (2 * m), lifted) == (5**dim, 0, size * blocks)
+        assert ap3 == size * (((blocks + 1) // 2) ** 2 + (blocks // 2) ** 2)
+        assert nontrivial == ap3 - lifted
+        assert ceiling == lifted**3 // (m * m) >= ap3
+    assert rows[-1][1:5] == [390625, 588, 204_800_000_000, 154_140_672]
 
 
 def test_removal_thresholds_default_output():

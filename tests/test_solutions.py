@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import brute_count, brute_solutions, full_sets, mk_sets, mk_system, removal_oracle
-from linrem.errors import EdgeNotInHost, RankDeficient, SearchBudgetExceeded
+from linrem.errors import EdgeNotInHost, InputError, RankDeficient, SearchBudgetExceeded
 from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import SetFamily, normalize, parse_system
@@ -395,8 +397,22 @@ def test_budget_errors_say_how_far_the_search_got():
     assert _removal_floor(system, sets, "per-set-max") == 0
     with pytest.raises(SearchBudgetExceeded, match="passed 100 nodes at cap 2, deepening from floor 0"):
         plan_removal(system, sets, node_budget=100)
-    with pytest.raises(SearchBudgetExceeded, match="passed 100 nodes; best cover so far has 5 elements"):
-        plan_removal(system, sets, "total", node_budget=100)
+    # The total-mode search settles that instance at its root (below), so
+    # it is timed on a draw of x1 + x2 = x3 over F11 with 8-element sets:
+    # greedy covers with 9, and 48 nodes prove the floor's 8 optimal.
+    tri = mk_system(11, [[1, 1, -1]], [0])
+    draw = mk_sets(11, [[0, 2, 3, 4, 7, 8, 9, 10], [0, 1, 3, 4, 5, 7, 8, 9], [1, 4, 5, 6, 7, 8, 9, 10]])
+    with pytest.raises(SearchBudgetExceeded, match="passed 20 nodes; best cover so far has 8 elements"):
+        plan_removal(tri, draw, "total", node_budget=20)
+    assert plan_removal(tri, draw, "total", node_budget=48).total == 8
+
+
+def test_total_removal_packing_settles_at_the_root():
+    # Two rows get no Cauchy-Davenport floor, but the five constant
+    # progressions share no element, so no cover beats the greedy five.
+    system = mk_system(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0])
+    res = plan_removal(system, full_sets(5, 4), "total", node_budget=1)
+    assert res.removed == ((0, 1, 2, 3, 4), (), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +542,46 @@ def test_translate_per_set_bound():
         assert max(removed) <= (p * take) // n ** (r - 1)
 
 
+def test_translate_frees_multi_row_families_from_greedy_covers():
+    # The translation step needs neither a minimum cover nor a single row:
+    # any edge set meeting every copy frees the family, removing at most
+    # p*|E|/n^(r-1) values from each set.
+    rng = random.Random(17)
+    built = Counter()
+    redundant = 0
+    while sum(built.values()) < 60:
+        q = rng.choice((3, 5, 7))
+        ell = rng.choice((1, 2))
+        p = rng.randint(ell + 1, 4)
+        try:
+            system = mk_system(q, [[rng.randrange(q) for _ in range(p)] for _ in range(ell)],
+                               [rng.randrange(q) for _ in range(ell)])
+            ns = normalize(system)
+        except InputError:
+            continue
+        sets = mk_sets(q, [rng.sample(range(q), rng.randint(1, q)) for _ in range(p)])
+        solutions = list(iter_solutions(ns, sets))
+        if not 1 <= len(solutions) <= 20:
+            continue
+        host = build_host(ns, build_coefficients(ns), sets)
+        copies = [c for sol in solutions for c in copies_for_solution(host, sol)]
+        # A random greedy cover: each copy not yet hit gives up a random edge.
+        rng.shuffle(copies)
+        hitting: list = []
+        for c in copies:
+            if not set(c.edges) & set(hitting):
+                hitting.append(rng.choice(c.edges))
+        redundant += any(
+            all(set(c.edges) & (set(hitting) - {e}) for c in copies) for e in hitting
+        )
+        surviving = translate_edge_deletion(host, hitting, sets)
+        assert brute_count(system, surviving) == 0, (q, system.rows, sets.sets)
+        cap = p * len(hitting) // host.n ** (host.r - 1)
+        assert all(len(a) - len(b) <= cap for a, b in zip(sets.sets, surviving.sets))
+        built[ell] += 1
+    assert built[2] >= 15 and redundant >= 10, (built, redundant)
+
+
 def test_min_hitting_empty():
     assert min_copy_hitting_set(None, []) == ()
 
@@ -550,6 +606,14 @@ def test_min_hitting_shared_edge():
     a = _StubCopy(edges=(shared, (1, (3, 4))))
     b = _StubCopy(edges=(shared, (2, (5, 6))))
     assert min_copy_hitting_set(None, [a, b]) == (shared,)
+
+
+def test_min_hitting_beats_its_greedy_cover():
+    # g hits four copies, so greedy takes it and then needs a and b too;
+    # the two copies that only a or only b hits pack to 2, which a, b meets.
+    copies = [_StubCopy(edges=row) for row in
+              [("a", "g"), ("a", "g"), ("a",), ("b", "g"), ("b", "g"), ("b",)]]
+    assert min_copy_hitting_set(None, copies) == ("a", "b")
 
 
 def test_min_hitting_rejects_edgeless_copy():

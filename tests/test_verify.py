@@ -17,6 +17,7 @@ from linrem.verify import (
     check_edge_equation,
     check_representation,
     check_simple,
+    _has_matching,
     enumerate_copies,
     subset_spans_copy,
 )
@@ -166,6 +167,42 @@ def test_subset_spans_copy(triangle_small):
     # A subset of the wrong size is refused, not answered.
     with pytest.raises(ValueError):
         subset_spans_copy(triangle_small, (0, 6))
+
+
+def test_has_matching_needs_distinct_values():
+    assert not _has_matching([{1}, {1}])
+    # Slot 1 takes 1 from slot 0, which moves on to 2.
+    assert _has_matching([{1, 2}, {1}])
+
+
+def test_subset_spans_copy_says_no_with_every_color_present():
+    # 5-term all-ones row over F3: r = 4, k = 7. Colors 0-3 each hold the
+    # three x vertices and one u vertex; color 4 holds the four u vertices.
+    host = make_host(3, [[1] * 5], [0], [range(3)] * 5)
+    verts = enumerate_copies(host)[0]
+    edges = [combo for combo in itertools.combinations(verts, host.r) if combo in host.by_key]
+    assert sorted(host.by_key[e][0] for e in edges) == [0, 1, 2, 3, 4]
+    # Swap the colors of the color-0 and color-4 edges: the set still holds
+    # an edge of every color, but color 0 now shares no vertex with all of
+    # colors 1-3, so no vertex can play x.
+    edited = copy.copy(host)
+    edited.by_key = dict(host.by_key)
+    first, last = edges[0], edges[-1]
+    edited.by_key[first], edited.by_key[last] = host.by_key[last], host.by_key[first]
+
+    def placements(h):
+        # Bijections of template vertices onto verts that carry every edge.
+        return sum(
+            all(
+                h.by_key.get(tuple(sorted(place[w] for w in e.vertices)), (None,))[0] == e.color
+                for e in h.template.edges
+            )
+            for place in (dict(zip(h.template.vertices, perm)) for perm in itertools.permutations(verts))
+        )
+
+    assert subset_spans_copy(host, verts) and placements(host) > 0
+    assert not subset_spans_copy(edited, verts)
+    assert placements(edited) == 0
 
 
 # ---------------------------------------------------------------------------
