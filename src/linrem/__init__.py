@@ -13,10 +13,8 @@ from .hrep import (
     CoefficientTables,
     ColoredCopy,
     Host,
-    Template,
     build_coefficients,
     build_host,
-    build_template,
     copies_for_solution,
     export_host,
     iter_host_edges,

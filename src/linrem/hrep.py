@@ -14,7 +14,8 @@ list and its vertex-key index; the checks derive every tally they need.
 The edge stream does its per x-tuple work once per color, not once per
 edge. copies_for_solution builds one solution's U vertices once per
 x-tuple and reads every edge key off them, through Host.diag_layout for
-the row colors; that layout is also what the verifier's loops use.
+the row colors; the verifier's walk and copy check use that layout too,
+its naive oracle neither it nor the coefficient tables.
 
 export_host writes one `color label part:value ...` line per edge, and
 parse_host_export reads such lines back into the host's edge references.
@@ -102,51 +103,6 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
 
 
 @dataclass(frozen=True)
-class TemplateEdge:
-    color: int
-    vertices: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class Template:
-    """The colored pattern whose copies count solutions."""
-
-    uniformity: int
-    vertex_count: int
-    free: int
-    ell: int
-    vertices: tuple[tuple[str, int], ...]
-    edges: tuple[TemplateEdge, ...]
-
-
-def build_template(ns: NormalizedSystem) -> Template:
-    r = ns.uniformity
-    free = ns.free_count
-    xs = [("x", t) for t in range(r - 1)]
-    us = [("u", j) for j in range(free)]
-    edges = []
-    for j in range(free):
-        edges.append(TemplateEdge(j, tuple(sorted(xs + [us[j]]))))
-    for i in range(ns.ell):
-        block = set(ns.blocks[i])
-        verts = [v for v in xs if v[1] not in block]
-        verts += [us[j] for j in ns.support[i]]
-        verts.append(us[ns.pivots[i]])
-        edges.append(TemplateEdge(free + i, tuple(sorted(verts))))
-    for e in edges:
-        if len(e.vertices) != r:
-            raise InvariantViolation(f"template color {e.color + 1} has {len(e.vertices)} vertices")
-    return Template(
-        uniformity=r,
-        vertex_count=ns.vertex_count,
-        free=free,
-        ell=ns.ell,
-        vertices=tuple(xs + us),
-        edges=tuple(edges),
-    )
-
-
-@dataclass(frozen=True)
 class ColoredCopy:
     """One template copy of a solution: x-parameter, U-part values, edges.
 
@@ -172,10 +128,9 @@ class Host:
     (color, label). The two disagree in length only if a key repeats.
     """
 
-    def __init__(self, ns: NormalizedSystem, coeffs: CoefficientTables, template: Template, sets: SetFamily):
+    def __init__(self, ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily):
         self.ns = ns
         self.coeffs = coeffs
-        self.template = template
         self.sets = sets
         self.sets_n = ns.permute_family(sets)
         self.n = ns.field.q
@@ -255,7 +210,7 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
 
 def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
     """Materialize the edge store for a family given in original order."""
-    host = Host(ns, coeffs, build_template(ns), sets)
+    host = Host(ns, coeffs, sets)
     for color, label, key in iter_host_edges(ns, coeffs, host.sets_n):
         clash = host.by_key.get(key)
         if clash is not None:

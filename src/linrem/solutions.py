@@ -163,8 +163,8 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) ->
     Branch and bound from a greedy upper bound, pruned by a greedy
     packing: take the first unhit row, drop every row sharing an element
     with it, repeat. The rows taken are pairwise disjoint, so each needs
-    its own element. The search is skipped when the greedy cover is no
-    larger than the root's packing or floor, the caller's lower bound.
+    its own element. The root's packing raises floor, the caller's lower
+    bound, and the search stops once its incumbent (greedy first) meets it.
     Each node branches on the elements of the first unhit row, keeping
     one element per distinct gain (equal gains lead to identical
     subtrees). Raises SearchBudgetExceeded past node_budget nodes.
@@ -191,7 +191,8 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) ->
         e = max(order, key=lambda e: bin(hits[e] & ~covered).count("1"))
         best.append(e)
         covered |= hits[e]
-    if len(best) <= max(floor, lower_bound(0)):
+    floor = max(floor, lower_bound(0))
+    if len(best) <= floor:
         return best
 
     chosen: list = []
@@ -209,7 +210,7 @@ def _min_hitting_set(rows: Sequence[tuple], node_budget: int, floor: int = 0) ->
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + lower_bound(covered) >= len(best):
+        if max(floor, len(chosen) + lower_bound(covered)) >= len(best):
             return
         rem = all_mask & ~covered
         seen: set[int] = set()

@@ -1,15 +1,17 @@
 """Independent verification of a built host.
 
-Copy enumeration has one front door, enumerate_copies, with two routes
-that share no logic with the construction: a per-part walk over an
-index it builds from the edge list, and a naive scan testing vertex
-k-sets with a backtracking placement test. The index keeps each
-candidate list sorted, so the walk yields copies in order and nothing
-sorts its output. The scan is seeded: a spanning set holds an edge of
-the rarest color and meets every part that some color's edges all
-touch, so only k-sets extending such an edge into those parts are
-tested. Agreement between the routes, the edge bookkeeping checks, and
-the copy-count identity together certify the representation.
+Copy enumeration has one front door, enumerate_copies, with two routes:
+a per-part walk over an index it builds from the edge list, and a naive
+scan testing vertex k-sets with a backtracking placement test. The walk
+reads row-color keys through Host.diag_layout, as copies_for_solution
+does; the scan shares no logic with the construction and reads only the
+normalized system, records and by_key. The index keeps each candidate
+list sorted, so the walk yields copies in order and nothing sorts its
+output. The scan is seeded: a spanning set holds an edge of the rarest
+color and meets every part that some color's edges all touch, so only
+k-sets extending such an edge into those parts are tested. Agreement
+between the routes, the edge bookkeeping checks, and the copy-count
+identity together certify the representation.
 
 Per-solution and copy-structure share one pass over the enumerated
 copies. A copy is fixed by (solution, x) and recovers its solution from
@@ -34,8 +36,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey
+from .linsys import NormalizedSystem
 from .solutions import count_system, iter_solutions
 
 PartIndex = list[dict[tuple[int, ...], list[int]]]
@@ -108,6 +111,27 @@ def _has_matching(cands: list[set]) -> bool:
     return all(assign(i, set()) for i in range(len(cands)))
 
 
+def _template_parts(ns: NormalizedSystem) -> list[frozenset[int]]:
+    """Per color, the parts its template edge spans; template vertex t is part t.
+
+    Free color j spans the x parts and U part j. Row color free+i spans
+    the x parts outside row i's block and the U parts of its support and
+    pivot columns.
+    """
+    width = ns.uniformity - 1
+    parts = [frozenset([*range(width), width + j]) for j in range(ns.free_count)]
+    for block, support, pivot in zip(ns.blocks, ns.support, ns.pivots):
+        outside = [t for t in range(width) if t not in block]
+        parts.append(frozenset([*outside, *(width + j for j in (*support, pivot))]))
+    return parts
+
+
+def _vertex_masks(ns: NormalizedSystem) -> list[int]:
+    """Per template vertex, the bitmask of colors whose template edge holds it."""
+    parts = _template_parts(ns)
+    return [sum(1 << c for c, ps in enumerate(parts) if t in ps) for t in range(ns.vertex_count)]
+
+
 def subset_spans_copy(host: Host, subset) -> bool:
     """Does this vertex subset carry a colored copy of the template.
 
@@ -115,6 +139,10 @@ def subset_spans_copy(host: Host, subset) -> bool:
     the contained edges per color and searches for an injective placement
     of the template onto one edge of each color.
     """
+    return _spans_copy(host, subset, _vertex_masks(host.ns))
+
+
+def _spans_copy(host: Host, subset, masks: list[int]) -> bool:
     verts = tuple(sorted(subset))
     if len(set(verts)) != host.k:
         raise ValueError(f"subset {verts} does not have {host.k} distinct vertices")
@@ -125,27 +153,16 @@ def subset_spans_copy(host: Host, subset) -> bool:
             contained[stored[0]].append(combo)
     if any(not c for c in contained):
         return False
-    edge_sets = [set(e.vertices) for e in host.template.edges]
     for choice in itertools.product(*contained):
-        images = [set(c) for c in choice]
-        cands = []
-        for w in host.template.vertices:
-            allowed: set | None = None
-            banned: set = set()
-            for es, im in zip(edge_sets, images):
-                if w in es:
-                    allowed = set(im) if allowed is None else allowed & im
-                else:
-                    banned |= im
-            if allowed is None:
-                raise InvariantViolation(f"template vertex {w} lies on no edge")
-            cand = allowed - banned
-            if not cand:
-                break
-            cands.append(cand)
-        else:
-            if _has_matching(cands):
-                return True
+        # Template vertex t may go to a subset vertex that lies on the
+        # chosen edges of exactly the colors in masks[t].
+        on = dict.fromkeys(verts, 0)
+        for c, edge in enumerate(choice):
+            for v in edge:
+                on[v] |= 1 << c
+        cands = [{v for v in verts if on[v] == m} for m in masks]
+        if all(cands) and _has_matching(cands):
+            return True
     return False
 
 
@@ -193,7 +210,8 @@ def enumerate_copies(
                 # Too many missing parts, or a fill vertex that repeats a pick.
                 if len(cand) == k:
                     seeded.add(tuple(sorted(cand)))
-    return sorted(combo for combo in seeded if subset_spans_copy(host, combo))
+    masks = _vertex_masks(host.ns)
+    return sorted(combo for combo in seeded if _spans_copy(host, combo, masks))
 
 
 # ---------------------------------------------------------------------------

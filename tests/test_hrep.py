@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -5,19 +6,17 @@ from collections import Counter
 import pytest
 
 from conftest import cofactor_det, full_sets, mk_sets, mk_system
-from linrem.errors import EdgeNotInHost, InputError, MissingEdge, ParseError
+from linrem.errors import EdgeNotInHost, InputError, MissingEdge, ParseError, SimplicityViolation
 from linrem.hrep import (
-    TemplateEdge,
     build_coefficients,
     build_host,
-    build_template,
     copies_for_solution,
     export_host,
     iter_host_edges,
     parse_host_export,
 )
 from linrem.linsys import mat_vec, normalize
-from linrem.verify import _part_index
+from linrem.verify import _part_index, _template_parts
 
 
 def triangle7_ns():
@@ -76,41 +75,32 @@ def test_separation_matrices_nonsingular():
 
 
 # ---------------------------------------------------------------------------
-# Template.
+# Template, as the naive oracle reads it: per color, the parts its edge spans.
 
 
 def test_template_triangle():
-    tmpl = build_template(triangle7_ns())
-    assert tmpl.uniformity == 2
-    assert tmpl.vertex_count == 3
-    assert tmpl.vertices == (("x", 0), ("u", 0), ("u", 1))
-    assert tmpl.edges == (
-        TemplateEdge(0, (("u", 0), ("x", 0))),
-        TemplateEdge(1, (("u", 1), ("x", 0))),
-        TemplateEdge(2, (("u", 0), ("u", 1))),
-    )
+    ns = triangle7_ns()
+    assert ns.uniformity == 2
+    assert ns.vertex_count == 3
+    assert _template_parts(ns) == [{0, 1}, {0, 2}, {1, 2}]
 
 
 def test_template_ap4():
-    tmpl = build_template(ap4_ns())
-    assert tmpl.uniformity == 3
-    assert tmpl.vertex_count == 4
-    by_color = {e.color: set(e.vertices) for e in tmpl.edges}
-    assert by_color[0] == {("x", 0), ("x", 1), ("u", 0)}
-    assert by_color[1] == {("x", 0), ("x", 1), ("u", 1)}
-    assert by_color[2] == {("x", 1), ("u", 0), ("u", 1)}
-    assert by_color[3] == {("x", 0), ("u", 0), ("u", 1)}
-    assert all(len(e.vertices) == 3 for e in tmpl.edges)
+    ns = ap4_ns()
+    assert ns.uniformity == 3
+    assert ns.vertex_count == 4
+    assert _template_parts(ns) == [{0, 1, 2}, {0, 1, 3}, {1, 2, 3}, {0, 2, 3}]
 
 
 @pytest.mark.parametrize("p,q", [(3, 7), (4, 7), (5, 11)])
 def test_single_dense_equation_uniformity(p, q):
     ns = normalize(mk_system(q, [[1] * p], [0]))
     assert ns.uniformity == p - 1
-    tmpl = build_template(ns)
-    assert tmpl.uniformity == p - 1
     # p - 2 shared vertices plus one vertex per variable part.
-    assert tmpl.vertex_count == 2 * p - 3
+    assert ns.vertex_count == 2 * p - 3
+    parts = _template_parts(ns)
+    assert all(len(ps) == p - 1 for ps in parts)
+    assert set().union(*parts) == set(range(2 * p - 3))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +128,17 @@ def test_host_triangle_matches_direct_rules():
     host = build_host(ns, build_coefficients(ns), sets)
     assert len(host.records) == 30
     assert host.by_key == triangle5_expected_edges(sets.sets)
+
+
+def test_build_host_refuses_an_edge_with_two_labels():
+    # With a zero diagonal entry the row color's closing vertex no longer
+    # depends on the label, so labels 1 and 2 land on the same vertex pair.
+    ns = triangle5_ns()
+    row = list(ns.base.rows[0])
+    row[ns.diag_cols[0]] = 0
+    bad = dataclasses.replace(ns, base=dataclasses.replace(ns.base, rows=(tuple(row),)))
+    with pytest.raises(SimplicityViolation, match=r"edge \(5, 10\) carries both \(2, 1\) and \(2, 2\)"):
+        build_host(bad, build_coefficients(bad), mk_sets(5, [[1, 2]] * 3))
 
 
 def test_host_counts_per_color_label():

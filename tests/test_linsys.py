@@ -330,6 +330,18 @@ def test_parse_errors_carry_line_numbers():
         parse_system(TRIANGLE7 + "set all\n")
     with pytest.raises(ParseError, match="unexpected end"):
         parse_system("field 7\nsystem 1 3\n1 1 -1\nrhs 0\nset all\n")
+    head = "field 7\nsystem 1 3\n1 1 -1\n"
+    for text, message in [
+        ("field seven\n", "line 1: modulus must be an integer"),
+        ("field 7\nsystem 1\n", "line 2: expected 'system <ell> <p>'"),
+        ("field 7\nsystem one 3\n", "line 2: system dimensions must be integers"),
+        (head + "rhs x\n", "line 4: rhs entries must be integers"),
+        (head + "rhs 0\nset 1 2\n", "line 5: expected 'set all', 'set v1,v2,...' or bare 'set'"),
+        (head + "rhs 0\nset all\nset 1,two\n", "line 6: set values must be integers"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == message
 
 
 def test_parse_rank_deficient():

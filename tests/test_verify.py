@@ -18,6 +18,7 @@ from linrem.verify import (
     check_representation,
     check_simple,
     _has_matching,
+    _template_parts,
     enumerate_copies,
     subset_spans_copy,
 )
@@ -150,6 +151,27 @@ def test_enumerate_naive_with_an_avoidable_part(triangle_small):
     assert enumerate_copies(host, mode="naive") == every
 
 
+def test_walk_and_oracle_agree_on_a_missing_edge():
+    # Solutions (1, 1, 2) and (1, 2, 3). Without the color-0 edge at x = 0
+    # the walk finds no U1 candidate there and skips that x-tuple, and the
+    # oracle finds no x = 0 copy either.
+    host = make_host(5, [[1, 1, -1]], [0], [[1], [1, 2], [2, 3]])
+    assert len(enumerate_copies(host)) == 10
+    first = next(rec for rec in host.records if rec[0] == 0)
+    assert first == (0, 1, (0, 6))
+    host.records.remove(first)
+    del host.by_key[first[2]]
+    copies = enumerate_copies(host)
+    assert len(copies) == 8 and all(combo[0] != 0 for combo in copies)
+    assert enumerate_copies(host, mode="naive") == copies
+    report = check_representation(host)
+    assert [e.name for e in report.entries if not e.passed] == [
+        "edge-counts",
+        "copy-count",
+        "per-solution",
+    ]
+
+
 def test_enumerate_guard_and_mode(triangle_full):
     with pytest.raises(SearchBudgetExceeded):
         enumerate_copies(triangle_full, mode="naive", guard=10)
@@ -191,13 +213,15 @@ def test_subset_spans_copy_says_no_with_every_color_present():
     edited.by_key[first], edited.by_key[last] = host.by_key[last], host.by_key[first]
 
     def placements(h):
-        # Bijections of template vertices onto verts that carry every edge.
+        # Bijections of template vertices (one per part) onto verts that
+        # carry every color's edge.
+        parts = _template_parts(h.ns)
         return sum(
             all(
-                h.by_key.get(tuple(sorted(place[w] for w in e.vertices)), (None,))[0] == e.color
-                for e in h.template.edges
+                h.by_key.get(tuple(sorted(place[t] for t in ps)), (None,))[0] == color
+                for color, ps in enumerate(parts)
             )
-            for place in (dict(zip(h.template.vertices, perm)) for perm in itertools.permutations(verts))
+            for place in itertools.permutations(verts)
         )
 
     assert subset_spans_copy(host, verts) and placements(host) > 0
