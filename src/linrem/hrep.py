@@ -12,10 +12,12 @@ sorted and double as canonical edge keys. A built host keeps only the edge
 list and its vertex-key index; the checks derive every tally they need.
 
 The edge stream does its per x-tuple work once per color, not once per
-edge. copies_for_solution builds one solution's U vertices once per
-x-tuple and reads every edge key off them, through Host.diag_layout for
-the row colors; the verifier's walk and copy check use that layout too,
-its naive oracle neither it nor the coefficient tables.
+edge, and yields one batch of vertex keys per admissible label, which
+build_host files into both stores at once. copies_for_solution builds
+one solution's U vertices once per x-tuple and reads every edge key off
+them, through Host.diag_layout for the row colors; the verifier's walk
+and copy check use that layout too, its naive oracle neither it nor the
+coefficient tables.
 
 export_host writes one `color label part:value ...` line per edge, and
 parse_host_export reads such lines back into the host's edge references.
@@ -161,10 +163,11 @@ class Host:
 
 
 def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily):
-    """Generate every edge as (color, label, vertex key), deterministically.
+    """Generate the edges as one (color, label, vertex keys) batch per label.
 
     Streaming form of the host; build_host materializes it. Colors ascend,
-    labels ascend within a color, vertex tuples ascend within a label.
+    labels ascend within a color, vertex tuples ascend within a batch, and
+    no key repeats within a batch.
 
     What depends only on the x-tuple is computed once per color, before
     the label loop: the vertex-key prefix and its mix offset for a free
@@ -187,8 +190,7 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
         upart = parts[width + j]
         for label in sets_n.sets[j]:
             tails = [(upart[(label + y) % n],) for y in range(n)]
-            for key, y in heads:
-                yield j, label, key + tails[y]
+            yield j, label, [key + tails[y] for key, y in heads]
     for i in range(ns.ell):
         color = free + i
         d = ns.diag_cols[i]
@@ -204,19 +206,23 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
         for label in sets_n.sets[d]:
             base = rhs[i] - rows[i][d] * label
             tails = [(ppart[(base + y) % n],) for y in range(n)]
-            for key, y in heads:
-                yield color, label, key + tails[y]
+            yield color, label, [key + tails[y] for key, y in heads]
 
 
 def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
     """Materialize the edge store for a family given in original order."""
     host = Host(ns, coeffs, sets)
-    for color, label, key in iter_host_edges(ns, coeffs, host.sets_n):
-        clash = host.by_key.get(key)
-        if clash is not None:
-            raise SimplicityViolation(f"edge {key} carries both {clash} and {(color, label)}")
-        host.by_key[key] = (color, label)
-        host.records.append((color, label, key))
+    by_key, records = host.by_key, host.records
+    for color, label, keys in iter_host_edges(ns, coeffs, host.sets_n):
+        value = (color, label)
+        size = len(by_key)
+        by_key.update(zip(keys, itertools.repeat(value)))
+        if len(by_key) - size < len(keys):
+            # A batch repeats no key, so an earlier batch holds it.
+            seen = {key: (c, lab) for c, lab, key in records}
+            key = next(key for key in keys if key in seen)
+            raise SimplicityViolation(f"edge {key} carries both {seen[key]} and {value}")
+        records.extend(zip(itertools.repeat(color), itertools.repeat(label), keys))
     return host
 
 

@@ -2,7 +2,7 @@
 
 Copy enumeration has one front door, enumerate_copies, with two routes:
 a per-part walk over an index it builds from the edge list, and a naive
-scan testing vertex k-sets with a backtracking placement test. The walk
+scan testing vertex k-sets with a counting placement test. The walk
 reads row-color keys through Host.diag_layout, as copies_for_solution
 does; the scan shares no logic with the construction and reads only the
 normalized system, records and by_key. The index keeps each candidate
@@ -21,13 +21,15 @@ its full family. Edge-disjointness is structural: a color-j edge holds
 all of x, and one solution's diagonal keys are another's shifted inside
 each U part, so one family's distinct keys settle every family.
 
-Both loops do per x-tuple what depends only on x: the vertex-key
-prefix, each row's x-part key, and the candidate U vertices (walk) or
-the map from a U vertex back to its x = 0 vertex (check). Decoding a
-solution and testing it against the sets and the rows is done once per
-solution, on its first copy; every copy still looks up each of its
-edges. The walk and the naive scan both return nothing at once when
-some color has no edge.
+Both loops do per x-tuple what depends only on x: each row's x-part
+key, and the candidate U vertices (walk) or, per U vertex, its x = 0
+vertex and the free-color edge it closes (check), so the check reads
+each free-color edge once per (x-tuple, U vertex), not once per copy.
+Decoding a solution and testing it against the sets and the rows is
+done once per solution, on its first copy; every copy still looks up
+each of its row-color edges, and builds its free-color keys only when
+a label is wrong. The walk and the naive scan both return nothing at
+once when some color has no edge.
 """
 
 from __future__ import annotations
@@ -45,16 +47,15 @@ PartIndex = list[dict[tuple[int, ...], list[int]]]
 
 
 def _part_index(host: Host) -> PartIndex:
-    """Per free color j, each x-tuple's reachable U_j values, ascending.
+    """Per free color j, each x-part key's reachable U_j vertices, ascending.
 
     Sorted lists make the walk yield copies in lexicographic order.
     """
-    n = host.n
     width = host.r - 1
     index: PartIndex = [{} for _ in range(host.free)]
     for color, _, key in host.records:
         if color < host.free:
-            index[color].setdefault(tuple(v % n for v in key[:width]), []).append(key[-1] % n)
+            index[color].setdefault(key[:width], []).append(key[-1])
     for values in index:
         for vals in values.values():
             vals.sort()
@@ -64,26 +65,19 @@ def _part_index(host: Host) -> PartIndex:
 def _iter_per_part(host: Host, index: PartIndex):
     """Copies found by walking one vertex per part.
 
-    Per x-tuple the vertex-key prefix, each row's x-part key and the
-    candidate U vertices are built once; a candidate product then costs
-    one by_key probe per row. x-tuples come in lexicographic order, parts
-    occupy ascending vertex ranges and each candidate list is ascending,
-    so the copies come out sorted.
+    Per x-tuple each row's x-part key and the candidate U vertices are
+    read once; a candidate product then costs one by_key probe per row.
+    x-part keys come in lexicographic order, parts occupy ascending vertex
+    ranges and each candidate list is ascending, so the copies come out
+    sorted.
     """
     n = host.n
     width = host.r - 1
     by_key = host.by_key
-    u_base = [(width + j) * n for j in range(host.free)]
     rows = host.diag_layout()
-    for xs in itertools.product(range(n), repeat=width):
-        cands = []
-        for base, values in zip(u_base, index):
-            vals = values.get(xs)
-            if not vals:
-                break
-            cands.append([base + u for u in vals])
-        else:
-            prefix = tuple(t * n + x for t, x in enumerate(xs))
+    for prefix in itertools.product(*(range(t * n, (t + 1) * n) for t in range(width))):
+        cands = [values.get(prefix) for values in index]
+        if all(cands):
             xkeys = [(color, tuple(prefix[t] for t in outs), get_u) for color, outs, get_u in rows]
             for us in itertools.product(*cands):
                 for color, xkey, get_u in xkeys:
@@ -92,23 +86,6 @@ def _iter_per_part(host: Host, index: PartIndex):
                         break
                 else:
                     yield prefix + us
-
-
-def _has_matching(cands: list[set]) -> bool:
-    """Can every slot pick a distinct value from its candidate set."""
-    match: dict = {}
-
-    def assign(i: int, seen: set) -> bool:
-        for v in cands[i]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or assign(match[v], seen):
-                match[v] = i
-                return True
-        return False
-
-    return all(assign(i, set()) for i in range(len(cands)))
 
 
 def _template_parts(ns: NormalizedSystem) -> list[frozenset[int]]:
@@ -153,15 +130,18 @@ def _spans_copy(host: Host, subset, masks: list[int]) -> bool:
             contained[stored[0]].append(combo)
     if any(not c for c in contained):
         return False
+    need = Counter(masks).items()
     for choice in itertools.product(*contained):
         # Template vertex t may go to a subset vertex that lies on the
-        # chosen edges of exactly the colors in masks[t].
+        # chosen edges of exactly the colors in masks[t]. Those candidates
+        # form one class per mark, so a placement exists iff each mark has
+        # as many subset vertices as template vertices.
         on = dict.fromkeys(verts, 0)
         for c, edge in enumerate(choice):
             for v in edge:
                 on[v] |= 1 << c
-        cands = [{v for v in verts if on[v] == m} for m in masks]
-        if all(cands) and _has_matching(cands):
+        have = Counter(on.values())
+        if all(have[m] >= count for m, count in need):
             return True
     return False
 
@@ -388,6 +368,9 @@ def check_copies(host: Host, copies: list[VKey], solutions: int) -> tuple[CheckE
     first = None
     owner: dict[tuple[int, VKey], tuple[int, ...]] = {}
     prefix = None
+    # The stored (color, label) of each U vertex's free-color edge at the
+    # current x-tuple, indexed by vertex id.
+    free_got: list = [None] * (n * host.k)
     for vkey in copies:
         if vkey[:width] != prefix:
             prefix = vkey[:width]
@@ -396,14 +379,14 @@ def check_copies(host: Host, copies: list[VKey], solutions: int) -> tuple[CheckE
             if x_ok:
                 # Each U vertex maps to the one its solution's copy has at
                 # x = 0: the same part, shifted back by that part's mix offset.
+                # Its free-color edge is read here, once per x-tuple.
                 at_zero = {}
-                free_key = {}
                 for j, a in enumerate(mix):
                     off = sum(c * x for c, x in zip(a, xs))
                     lo = (width + j) * n
                     for u in range(lo, lo + n):
                         at_zero[u] = lo + (u - off) % n
-                        free_key[u] = prefix + (u,)
+                        free_got[u] = by_key.get(prefix + (u,))
                 diag = [(tuple(prefix[t] for t in outs), get_u) for _, outs, get_u in rows]
         us = vkey[width:]
         # A tallied x = 0 tuple has every vertex in its own part, so only a
@@ -430,12 +413,13 @@ def check_copies(host: Host, copies: list[VKey], solutions: int) -> tuple[CheckE
             known = solved[zero] = [tuple(sol), list(enumerate(sol)), 0]
             first = first or known
         known[2] += 1
-        keys = list(map(free_key.__getitem__, us))
-        keys += [xkey + get_u(us) for xkey, get_u in diag]
-        got = list(map(by_key.get, keys))
+        got = list(map(free_got.__getitem__, us))
+        for xkey, get_u in diag:
+            got.append(by_key.get(xkey + get_u(us)))
         if got == known[1] and known is not first:
             continue
         sol, want, _ = known
+        keys = [prefix + (u,) for u in us] + [xkey + get_u(us) for xkey, get_u in diag]
         for c, key in enumerate(keys):
             if got[c] != want[c]:
                 labels = labels or f"solution {sol}: color {c + 1} edge missing for x={xs}"

@@ -207,8 +207,9 @@ def reference_host_edges(ns, coeffs, sets_n):
 
 
 def test_host_edges_match_per_edge_formula():
-    # Random full-rank systems with partial and empty sets; the stream
-    # must equal the per-edge formula edge for edge, order included.
+    # Random full-rank systems with partial and empty sets; the stream,
+    # one batch per label, must equal the per-edge formula edge for edge,
+    # order included, and so must both stores of the built host.
     rng = random.Random(2024)
     checked = 0
     while checked < 60:
@@ -226,21 +227,32 @@ def test_host_edges_match_per_edge_formula():
         sets = mk_sets(q, [rng.sample(range(q), rng.choice([0, 1, q // 2, q])) for _ in range(p)])
         coeffs = build_coefficients(ns)
         sets_n = ns.permute_family(sets)
-        assert list(iter_host_edges(ns, coeffs, sets_n)) == list(
-            reference_host_edges(ns, coeffs, sets_n)
-        )
+        want = list(reference_host_edges(ns, coeffs, sets_n))
+        batches = list(iter_host_edges(ns, coeffs, sets_n))
+        assert [(c, lab, key) for c, lab, keys in batches for key in keys] == want
+        assert len({(c, lab) for c, lab, _ in batches}) == len(batches)
+        host = build_host(ns, coeffs, sets)
+        assert host.records == want
+        assert list(host.by_key.items()) == [(key, (c, lab)) for c, lab, key in want]
         checked += 1
 
 
 def test_host_x_index_label_order():
-    # The per-part walk of the verifier indexes the edge list itself and
-    # keeps each x-tuple's U values ascending, so the walk comes out sorted.
-    ns = triangle5_ns()
-    sets = mk_sets(5, [[1, 2]] * 3)
-    index = _part_index(build_host(ns, build_coefficients(ns), sets))
-    for x in range(5):
-        assert index[0][(x,)] == sorted([(1 + x) % 5, (2 + x) % 5])
-        assert index[1][(x,)] == sorted([(1 - x) % 5, (2 - x) % 5])
+    # The per-part walk of the verifier indexes the edge list itself, by
+    # x-part vertex ids, and keeps each list of U vertex ids ascending, so
+    # the walk comes out sorted. With two x parts the V2 ids (5..9) differ
+    # from their values.
+    ns = ap4_ns()
+    sets = mk_sets(5, [[0, 2], [1], [1, 2, 3], [4]])
+    host = build_host(ns, build_coefficients(ns), sets)
+    index = _part_index(host)
+    mix = host.coeffs.mix
+    assert [len(values) for values in index] == [25, 25]
+    for x1, x2 in itertools.product(range(5), repeat=2):
+        for j, values in enumerate(index):
+            off = mix[j][0] * x1 + mix[j][1] * x2
+            want = sorted((2 + j) * 5 + (label + off) % 5 for label in host.sets_n.sets[j])
+            assert values[(x1, 5 + x2)] == want
 
 
 def test_part_names():

@@ -17,7 +17,6 @@ from linrem.verify import (
     check_edge_equation,
     check_representation,
     check_simple,
-    _has_matching,
     _template_parts,
     enumerate_copies,
     subset_spans_copy,
@@ -189,12 +188,6 @@ def test_subset_spans_copy(triangle_small):
     # A subset of the wrong size is refused, not answered.
     with pytest.raises(ValueError):
         subset_spans_copy(triangle_small, (0, 6))
-
-
-def test_has_matching_needs_distinct_values():
-    assert not _has_matching([{1}, {1}])
-    # Slot 1 takes 1 from slot 0, which moves on to 2.
-    assert _has_matching([{1, 2}, {1}])
 
 
 def test_subset_spans_copy_says_no_with_every_color_present():
@@ -411,6 +404,17 @@ def test_check_copies_structure(triangle_small):
     assert structure.witness == "copy (0, 11, 6) does not meet every part once"
 
 
+def shuffled_and_alternating(host, copies):
+    """The copies shuffled, and interleaved so the x-prefix changes at every copy."""
+    shuffled = copies[:]
+    random.Random(11).shuffle(shuffled)
+    half = len(copies) // 2
+    alternating = [c for pair in zip(copies[:half], copies[half:]) for c in pair]
+    alternating += copies[2 * half:]
+    assert alternating[0][:host.r - 1] != alternating[1][:host.r - 1]
+    return shuffled, alternating
+
+
 @pytest.mark.parametrize("name", ["triangle_small", "ap4_full"])
 def test_check_copies_any_order(name, request):
     # The per-x work is cached on the copy's prefix; an order in which the
@@ -419,15 +423,27 @@ def test_check_copies_any_order(name, request):
     copies = enumerate_copies(host)
     want = check_both(host, copies)
     assert [e.passed for e in want] == [True, True]
-    shuffled = copies[:]
-    random.Random(11).shuffle(shuffled)
-    half = len(copies) // 2
-    alternating = [c for pair in zip(copies[:half], copies[half:]) for c in pair]
-    alternating += copies[2 * half:]
-    assert alternating[0][:host.r - 1] != alternating[1][:host.r - 1]
-    for order in (copies[::-1], shuffled, alternating):
+    for order in (copies[::-1], *shuffled_and_alternating(host, copies)):
         assert sorted(order) == copies
         assert check_both(host, order) == want
+
+
+def test_check_copies_relabeled_free_edge(ap4_full):
+    # The last copy's color-1 edge moves from label 1 to 2 in both stores.
+    # Every solution with first value 1 uses it at x=(4, 4), so the wrong
+    # label must be reported for a solution other than the first, although
+    # free-color edges are read once per x-tuple rather than per copy.
+    key = (4, 9, 14)
+    assert ap4_full.by_key[key] == (0, 1)
+    bad = copy.deepcopy(ap4_full)
+    bad.records[bad.records.index((0, 1, key))] = (0, 2, key)
+    bad.by_key[key] = (0, 2)
+    copies = enumerate_copies(bad)
+    assert copies == enumerate_copies(ap4_full)
+    for order in (copies, *shuffled_and_alternating(bad, copies)):
+        per_solution, structure = check_both(bad, order)
+        assert not per_solution.passed and structure.passed
+        assert per_solution.witness == "solution (1, 2, 3, 4): color 1 edge missing for x=(4, 4)"
 
 
 def test_check_copies_stray_copy_twice(triangle_small):
