@@ -48,12 +48,17 @@ def max_ap3_free(m: int, guard: int = 30) -> tuple[int, tuple[int, ...]]:
     Returns (size, witness) with the lexicographically least witness
     among the maximum-size sets. Computes r(L), the maximum for {1..L},
     for L = 1..m bottom up, since r(L) is r(L-1) or r(L-1) + 1: each
-    length searches for a set of size r(L-1) + 1. A progression-free
-    subset of {nxt..L} translates to one of {1..L-nxt+1}, so a branch
-    that cannot reach the target with r(L-nxt+1) more elements is cut
-    (Gasarch, Glenn and Kruskal, "Finding large 3-free sets I", 2008).
-    The depth-first search takes elements ascending, include branch
-    first, so the first set of the target size it meets is the least.
+    length searches for a set of size r(L-1) + 1, depth first over two
+    bitsets: avail holds the elements above the last one taken that no
+    pair of taken elements bans, and mirror has bit 2L - c per taken c,
+    so taking the least available a bans every 2a - c at once as
+    mirror >> (2L - 2a). The untaken elements span avail.bit_length() - a
+    values, and a progression-free subset of a span translates into
+    {1..span}, so a branch is cut when fewer than the elements it still
+    needs are available or than r(span) (Gasarch, Glenn and Kruskal,
+    "Finding large 3-free sets I", 2008). An element is excluded by
+    clearing its bit and looping; the include branch goes first and
+    elements ascend, so the first set of the target size met is the least.
     """
     if m > guard:
         raise SearchBudgetExceeded(f"m={m} exceeds exhaustive guard {guard}")
@@ -62,28 +67,24 @@ def max_ap3_free(m: int, guard: int = 30) -> tuple[int, tuple[int, ...]]:
     r = [0] * (m + 1)
 
     def search(length: int, target: int) -> tuple[int, ...] | None:
-        chosen: list[int] = []
-        in_set = [False] * (length + 1)
+        top = 2 * length
 
-        def walk(nxt: int) -> bool:
-            if len(chosen) == target:
-                return True
-            if len(chosen) + r[length - nxt + 1] < target:
-                return False
-            # Elements arrive ascending, so nxt can only be the right endpoint.
-            for a in chosen:
-                if (a + nxt) % 2 == 0 and in_set[(a + nxt) // 2]:
-                    break
-            else:
-                chosen.append(nxt)
-                in_set[nxt] = True
-                if walk(nxt + 1):
-                    return True
-                in_set[nxt] = False
-                chosen.pop()
-            return walk(nxt + 1)
+        def walk(avail: int, mirror: int, need: int) -> tuple[int, ...] | None:
+            if not need:
+                return ()
+            while avail.bit_count() >= need:
+                low = avail & -avail
+                a = low.bit_length() - 1
+                if r[avail.bit_length() - a] < need:
+                    return None
+                avail ^= low
+                taken = mirror | 1 << top - a
+                rest = walk(avail & ~(taken >> top - 2 * a), taken, need - 1)
+                if rest is not None:
+                    return (a,) + rest
+            return None
 
-        return tuple(chosen) if walk(1) else None
+        return walk((1 << length + 1) - 2, 0, target)
 
     for length in range(1, m + 1):
         # r(length - 1) + 1 bounds r(length) while its own search runs.

@@ -309,24 +309,22 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
         support = ns.support[i]
         admissible = frozenset(host.sets_n.sets[d])
         inv_d = ns.field.inv(row[d])
+        pbase = (width + m_i) * n
         for xs in itertools.product(range(n), repeat=len(outs)):
             xkey = tuple(t * n + x for t, x in zip(outs, xs))
+            # Zero-extending x to the block positions recovers the
+            # generating labels; the block contributions cancel.
+            offs = [sum(mix[j][t] * x for t, x in zip(outs, xs)) for j in support]
+            off_m = sum(mix[m_i][t] * x for t, x in zip(outs, xs))
             for ys in itertools.product(range(n), repeat=len(support)):
-                ykey = tuple((width + j) * n + y for j, y in zip(support, ys))
-                # Zero-extending x to the block positions recovers the
-                # generating labels; the block contributions cancel.
-                svals = [
-                    (y - sum(mix[j][t] * x for t, x in zip(outs, xs))) % n
-                    for j, y in zip(support, ys)
-                ]
+                ykey = xkey + tuple((width + j) * n + y for j, y in zip(support, ys))
+                acc = ns.base.rhs[i] + off_m
+                for j, y, o in zip(support, ys, offs):
+                    acc -= row[j] * ((y - o) % n)
                 for ym in range(n):
-                    s_m = (ym - sum(mix[m_i][t] * x for t, x in zip(outs, xs))) % n
-                    acc = ns.base.rhs[i] - s_m
-                    for j, s in zip(support, svals):
-                        acc -= row[j] * s
-                    label = acc * inv_d % n
+                    label = (acc - ym) * inv_d % n
                     member = label in admissible
-                    key = xkey + ykey + ((width + m_i) * n + ym,)
+                    key = ykey + (pbase + ym,)
                     stored = host.by_key.get(key)
                     present = stored is not None and stored[0] == host.free + i
                     if member != present or (present and stored[1] != label):

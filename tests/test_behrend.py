@@ -94,7 +94,7 @@ def reference_max_ap3_free(m):
 
 
 def test_max_ap3_free_matches_reference_search():
-    for m in range(0, 23):
+    for m in range(0, 31):
         assert max_ap3_free(m) == reference_max_ap3_free(m), m
 
 
@@ -108,14 +108,13 @@ def test_max_ap3_free_sizes_up_to_guard():
 @pytest.mark.parametrize("m", range(1, 11))
 def test_max_ap3_free_matches_subset_scan(m):
     best = 0
+    least = ()
     for bits in range(1 << m):
-        subset = [i + 1 for i in range(m) if bits >> i & 1]
+        subset = tuple(i + 1 for i in range(m) if bits >> i & 1)
         if ap3_brute(subset)[1] == 0:
-            best = max(best, len(subset))
-    size, witness = max_ap3_free(m)
-    assert size == best
-    assert ap3_brute(witness)[1] == 0
-    assert all(1 <= x <= m for x in witness)
+            if len(subset) > best or len(subset) == best and subset < least:
+                best, least = len(subset), subset
+    assert max_ap3_free(m) == (best, least)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import normalize, parse_system
 from linrem.solutions import count_system
 from linrem.verify import (
+    CheckEntry,
     check_copies,
     check_edge_counts,
     check_edge_equation,
@@ -308,6 +309,31 @@ def test_check_edge_equation(triangle_small, ap4_full):
     assert "row 1" in entry.witness and "store says None" in entry.witness
     with pytest.raises(SearchBudgetExceeded):
         check_edge_equation(triangle_small, guard=10)
+
+
+def test_check_edge_equation_ap4_witnesses(ap4_full):
+    # Row-color edges whose x-part vertex is not x = 0, so the x offsets of
+    # both the support and the pivot enter the predicted label.
+    relabeled = copy.deepcopy(ap4_full)
+    key = (6, 10, 17)
+    assert relabeled.by_key[key] == (2, 2)
+    relabeled.by_key[key] = (2, 3)
+    relabeled.records[relabeled.records.index((2, 2, key))] = (2, 3, key)
+    assert check_edge_equation(relabeled) == CheckEntry(
+        "edge-equation",
+        False,
+        "row 1 vertices (6, 10, 17): membership says edge with label 2, store says (2, 3)",
+    )
+
+    dropped = copy.deepcopy(ap4_full)
+    key = (3, 14, 18)
+    assert dropped.by_key.pop(key) == (3, 0)
+    dropped.records.remove((3, 0, key))
+    assert check_edge_equation(dropped) == CheckEntry(
+        "edge-equation",
+        False,
+        "row 2 vertices (3, 14, 18): membership says edge with label 0, store says None",
+    )
 
 
 def check_both(host, copies=None):
