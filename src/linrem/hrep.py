@@ -264,12 +264,20 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[ColoredCo
 
 
 def export_host(host: Host) -> str:
+    """The edges as sorted `color label part:value ...` lines.
+
+    Each run of edges sharing color, label and key length is formatted a
+    column at a time: its vertex names are looked up per key position,
+    and one format string fills every line of the run.
+    """
     n = host.n
     names = [f"{host.part_name(v // n)}:{v % n}" for v in range(n * host.k)]
-    lines = [
-        f"{color + 1} {label} " + " ".join(map(names.__getitem__, key))
-        for color, label, key in host.records
-    ]
+    lines: list[str] = []
+    for (color, label), run in itertools.groupby(host.records, itemgetter(0, 1)):
+        for size, keys in itertools.groupby(map(itemgetter(2), run), len):
+            line = f"{color + 1} {label}" + " %s" * size
+            columns = [map(names.__getitem__, col) for col in zip(*keys)]
+            lines.extend(map(line.__mod__, zip(*columns)))
     return "\n".join(sorted(lines)) + "\n"
 
 

@@ -13,23 +13,28 @@ k-sets extending such an edge into those parts are tested. Agreement
 between the routes, the edge bookkeeping checks, and the copy-count
 identity together certify the representation.
 
-Per-solution and copy-structure share one pass over the enumerated
-copies. A copy is fixed by (solution, x) and recovers its solution from
-its U-part vertices. So if every recovered solution is admissible and
-each of the T solutions recovers n^(r-1) copies, every solution spans
-its full family. Edge-disjointness is structural: a color-j edge holds
-all of x, and one solution's diagonal keys are another's shifted inside
-each U part, so one family's distinct keys settle every family.
+Per-solution and copy-structure share one pass over the copies. A copy
+is fixed by (solution, x) and recovers its solution from its U-part
+vertices. So if every recovered solution is admissible and each of the
+T solutions recovers n^(r-1) copies, every solution spans its full
+family. Edge-disjointness is structural: a color-j edge holds all of x,
+and one solution's diagonal keys are another's shifted inside each U
+part, so one family's distinct keys settle every family.
 
-Both loops do per x-tuple what depends only on x: each row's x-part
-key, and the candidate U vertices (walk) or, per U vertex, its x = 0
-vertex and the free-color edge it closes (check), so the check reads
-each free-color edge once per (x-tuple, U vertex), not once per copy.
-Decoding a solution and testing it against the sets and the rows is
-done once per solution, on its first copy; every copy still looks up
-each of its row-color edges, and builds its free-color keys only when
-a label is wrong. The walk and the naive scan both return nothing at
-once when some color has no edge.
+The walk yields one batch per x-tuple: its U-tuples and the row-color
+edge each of them closes, probed once. check_representation feeds those
+batches straight to the copy check and counts copies from their sizes,
+so no copy list is held; check_copies cuts any copy list into batches
+by x-part prefix and feeds the same check. Per batch the check reads
+each free-color edge once per U vertex. A batch holding one copy of
+every solution decoded so far, all labels right, passes with one set
+comparison; any other batch is checked copy by copy, decoding a
+solution on its first copy. The walk and the naive scan both return
+nothing at once when some color has no edge.
+
+edge-equation certifies every edge, not only those on copies: each row
+color's equation and each free color's shift rule, over every candidate
+vertex tuple.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import add, eq, itemgetter
 
 from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey
@@ -44,6 +51,8 @@ from .linsys import NormalizedSystem
 from .solutions import count_system, iter_solutions
 
 PartIndex = list[dict[tuple[int, ...], list[int]]]
+# What the walk's probe reads for an absent key: a color no edge has.
+_NO_EDGE = (None, None)
 
 
 def _part_index(host: Host) -> PartIndex:
@@ -62,30 +71,52 @@ def _part_index(host: Host) -> PartIndex:
     return index
 
 
-def _iter_per_part(host: Host, index: PartIndex):
-    """Copies found by walking one vertex per part.
+def _row_keys(rows, prefix: VKey) -> list[tuple[int, VKey, itemgetter]]:
+    """Per row of Host.diag_layout, (color, x-part key at prefix, U getter).
 
-    Per x-tuple each row's x-part key and the candidate U vertices are
-    read once; a candidate product then costs one by_key probe per row.
-    x-part keys come in lexicographic order, parts occupy ascending vertex
-    ranges and each candidate list is ascending, so the copies come out
-    sorted.
+    A copy's row edge key is the x-part key followed by the getter's
+    tuple of its U-part vertices.
     """
+    return [(color, tuple(map(prefix.__getitem__, outs)), get_u) for color, outs, get_u in rows]
+
+
+def _iter_per_part(host: Host):
+    """One (prefix, U-tuples, per-row stored edges) batch per x-tuple.
+
+    Per x-tuple each row's x-part key is read once and the candidate
+    U-tuples are the product of the per-part candidate lists. Each row
+    then probes every surviving candidate's edge once, in one by_key.get
+    pipeline, and keeps the candidates whose edge has that row's color;
+    stored[i] holds row i's (color, label) for each kept tuple. x-part
+    keys come in lexicographic order, parts occupy ascending vertex
+    ranges and each candidate list is ascending, so prefix + U-tuple comes
+    out sorted. Nothing is yielded when some color has no edge, and no
+    batch is yielded empty.
+    """
+    if not set(map(itemgetter(0), host.records)).issuperset(range(host.free + host.ell)):
+        return
+    index = _part_index(host)
     n = host.n
     width = host.r - 1
     by_key = host.by_key
     rows = host.diag_layout()
     for prefix in itertools.product(*(range(t * n, (t + 1) * n) for t in range(width))):
         cands = [values.get(prefix) for values in index]
-        if all(cands):
-            xkeys = [(color, tuple(prefix[t] for t in outs), get_u) for color, outs, get_u in rows]
-            for us in itertools.product(*cands):
-                for color, xkey, get_u in xkeys:
-                    stored = by_key.get(xkey + get_u(us))
-                    if stored is None or stored[0] != color:
-                        break
-                else:
-                    yield prefix + us
+        if not all(cands):
+            continue
+        batch = list(itertools.product(*cands))
+        stored: list[list] = []
+        for color, xkey, get_u in _row_keys(rows, prefix):
+            keys = map(add, repeat(xkey), map(get_u, batch))
+            got = list(map(by_key.get, keys, repeat(_NO_EDGE)))
+            keep = list(map(eq, map(itemgetter(0), got), repeat(color)))
+            if not all(keep):
+                batch = list(compress(batch, keep))
+                got = list(compress(got, keep))
+                stored = [list(compress(col, keep)) for col in stored]
+            stored.append(got)
+        if batch:
+            yield prefix, batch, stored
 
 
 def _template_parts(ns: NormalizedSystem) -> list[frozenset[int]]:
@@ -165,16 +196,16 @@ def enumerate_copies(
     """
     if mode not in ("per-part", "naive"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "per-part":
+        return [prefix + us for prefix, batch, _ in _iter_per_part(host) for us in batch]
     n, k = host.n, host.k
-    if mode == "naive" and n**k > guard:
+    if n**k > guard:
         raise SearchBudgetExceeded(f"naive scan needs {n ** k} tuples, guard is {guard}")
     colors = host.free + host.ell
     sizes = Counter(color for color, _, _ in host.records)
     rarest = min(range(colors), key=sizes.__getitem__)
     if not sizes[rarest]:
         return []
-    if mode == "per-part":
-        return list(_iter_per_part(host, _part_index(host)))
     common = [set(range(k)) for _ in range(colors)]
     for color, _, key in host.records:
         common[color] &= {v // n for v in key}
@@ -290,16 +321,18 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
 
     For each row, every choice of off-block x values and support-part and
     pivot-part vertices either solves the row's equation with an
-    admissible label and carries exactly that edge, or does neither.
-    Work is ell * n^r tuples, guarded.
+    admissible label and carries exactly that edge, or does neither. For
+    each free color j, the x-tuple x and U_j vertex u carry a color-j edge
+    exactly when (u - mix_j . x) mod n is admissible, labeled with it;
+    each (x, j) compares one list of probes with the list it predicts.
+    Work is (free + ell) * n^r tuples, guarded.
     """
     ns = host.ns
     n = host.n
     width = host.r - 1
-    if ns.ell * n**host.r > guard:
-        raise SearchBudgetExceeded(
-            f"edge equation check needs {ns.ell * n ** host.r} tuples, guard is {guard}"
-        )
+    tuples = (host.free + ns.ell) * n**host.r
+    if tuples > guard:
+        raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
     mix = host.coeffs.mix
     for i in range(ns.ell):
         row = ns.base.rows[i]
@@ -335,108 +368,229 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
                             f"{'edge' if member else 'no edge'} with label {label}, "
                             f"store says {stored}",
                         )
+    for j, a in enumerate(mix):
+        admissible = frozenset(host.sets_n.sets[j])
+        lo = (width + j) * n
+        tails = [(u,) for u in range(lo, lo + n)]
+        labels = [(j, t) if t in admissible else None for t in range(n)]
+        for prefix in itertools.product(*(range(t * n, (t + 1) * n) for t in range(width))):
+            s = sum(c * (v % n) for c, v in zip(a, prefix)) % n
+            # U_j vertex lo + t carries label (t - s) mod n, if admissible.
+            predicted = labels[n - s:] + labels[:n - s]
+            got = list(map(host.by_key.get, map(add, repeat(prefix), tails)))
+            if got == predicted:
+                continue
+            for tail, want, stored in zip(tails, predicted, got):
+                # As for a row, an edge of another color is no color-j edge.
+                present = stored is not None and stored[0] == j
+                if present != (want is not None) or (present and stored != want):
+                    label = (tail[0] - lo - s) % n
+                    return CheckEntry(
+                        "edge-equation",
+                        False,
+                        f"color {j + 1} vertices {prefix + tail}: membership says "
+                        f"{'edge' if want else 'no edge'} with label {label}, "
+                        f"store says {stored}",
+                    )
     return CheckEntry("edge-equation", True)
 
 
-def check_copies(host: Host, copies: list[VKey], solutions: int) -> tuple[CheckEntry, CheckEntry]:
+class _CopyCheck:
+    """Per-solution and copy-structure state, fed one x-tuple's copies at a time.
+
+    feed takes a prefix, its U-tuples and, per row, the (color, label)
+    stored on each tuple's row edge. Free-color edges are read here, once
+    per (x-tuple, U vertex). A batch holding exactly one copy of each
+    solution decoded so far, with every label right, is accepted by one
+    set comparison and credited to those solutions alone through the
+    count of such full batches; any other batch runs the per-copy check,
+    which decodes a solution on its first copy and fixes every witness.
+    """
+
+    def __init__(self, host: Host):
+        ns = host.ns
+        self.host = host
+        self.rows = host.diag_layout()
+        self.admissible = host.sets_n.frozensets()
+        diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
+        self.eqs = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
+        self.x_parts = tuple(range(host.r - 1))
+        self.u_parts = tuple(range(host.r - 1, host.k))
+        self.structure = self.labels = ""
+        # x = 0 U vertices of an admissible solution -> [solution,
+        # (color, label) per color, copies credited one by one, full
+        # batches before it was decoded, those x = 0 vertices].
+        self.solved: dict[tuple[int, ...], list] = {}
+        # Per solution, its x = 0 vertices and row (color, label)s: the set
+        # a full batch must equal. Per x = 0 vertex, its free-color label.
+        self.expect: set[tuple] = set()
+        self.zero_label: dict[int, tuple[int, int]] = {}
+        self.full = 0
+        self.first = None
+        self.owner: dict[tuple[int, VKey], tuple[int, ...]] = {}
+        # Per free color: its mix row, its U part and that part's vertex
+        # ids as free-color key tails.
+        n = host.n
+        self.u_ranges = [
+            (a, range(lo, lo + n), [(u,) for u in range(lo, lo + n)])
+            for a, lo in zip(host.coeffs.mix, range((host.r - 1) * n, host.k * n, n))
+        ]
+        # The stored (color, label) of each U vertex's free-color edge at
+        # the current x-tuple, indexed by the x = 0 vertex it maps to.
+        self.free_at_zero: list = [None] * (n * host.k)
+
+    def feed(self, prefix: VKey, batch: list[VKey], stored: list[list]) -> None:
+        host = self.host
+        n = host.n
+        by_key = host.by_key
+        if tuple(v // n for v in prefix) != self.x_parts:
+            self.structure = self.structure or (
+                f"copy {prefix + batch[0]} does not meet every part once"
+            )
+            return
+        xs = tuple(v % n for v in prefix)
+        # Each U vertex maps to the one its solution's copy has at x = 0:
+        # the same part, shifted back by that part's mix offset.
+        at_zero = {}
+        shifts = []
+        free_at_zero = self.free_at_zero
+        for a, part, tails in self.u_ranges:
+            s = sum(c * x for c, x in zip(a, xs)) % n
+            shifts.append(s)
+            at_zero.update(zip(part, itertools.chain(part[n - s:], part[:n - s])))
+            got = list(map(by_key.get, map(add, repeat(prefix), tails)))
+            free_at_zero[part.start:part.stop] = got[s:] + got[:s]
+        diag = _row_keys(self.rows, prefix)
+        solved = self.solved
+        first = self.first
+        if (
+            len(batch) == len(solved)
+            and list(map(free_at_zero.__getitem__, self.zero_label))
+            == list(self.zero_label.values())
+            and set(zip(*(map(at_zero.get, col) for col in zip(*batch)), *stored)) == self.expect
+        ):
+            # A batch is never empty, so the first solution has its copy here.
+            self.full += 1
+            us = tuple(
+                part[(z - part.start + s) % n]
+                for (_, part, _), z, s in zip(self.u_ranges, first[4], shifts)
+            )
+            for color, xkey, get_u in diag:
+                self._own(first, color, xkey + get_u(us), xs)
+            return
+        for us, *row_got in zip(batch, *stored):
+            zero = tuple(map(at_zero.get, us))
+            known = solved.get(zero)
+            if known is None:
+                known = self._decode(prefix + us, zero)
+                if known is None:
+                    continue
+                first = self.first
+            known[2] += 1
+            got = list(map(free_at_zero.__getitem__, zero)) + row_got
+            if got == known[1] and known is not first:
+                continue
+            for c, want in enumerate(known[1]):
+                if got[c] != want:
+                    self.labels = self.labels or (
+                        f"solution {known[0]}: color {c + 1} edge missing for x={xs}"
+                    )
+                elif c >= host.free and known is first:
+                    _, xkey, get_u = diag[c - host.free]
+                    self._own(first, c, xkey + get_u(us), xs)
+
+    def _decode(self, vkey: VKey, zero: tuple) -> list | None:
+        """Start the record of the solution a copy's x = 0 vertices encode.
+
+        A copy that meets some part twice or recovers no admissible
+        solution sets the copy-structure witness and gives None.
+        """
+        host = self.host
+        n = host.n
+        if tuple(v // n for v in vkey[host.r - 1:]) != self.u_parts:
+            self.structure = self.structure or f"copy {vkey} does not meet every part once"
+            return None
+        sol = [v % n for v in zero]
+        for row, rhs, m_i, support, inv in self.eqs:
+            sol.append((rhs - sol[m_i] - sum(row[j] * sol[j] for j in support)) * inv % n)
+        bad = next((col for col, val in enumerate(sol) if val not in self.admissible[col]), None)
+        if bad is not None:
+            self.structure = self.structure or (
+                f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
+            )
+            return None
+        if not host.ns.base.is_solution(sol):
+            self.structure = self.structure or f"copy {vkey} recovers non-solution {sol}"
+            return None
+        # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
+        want = list(enumerate(sol))
+        known = self.solved[zero] = [tuple(sol), want, 0, self.full, zero]
+        self.expect.add((*zero, *want[host.free:]))
+        self.zero_label.update(zip(zero, want))
+        self.first = self.first or known
+        return known
+
+    def _own(self, first: list, color: int, key: VKey, xs: tuple[int, ...]) -> None:
+        """Claim a row edge of the first solution's copy at x; it may have no other x."""
+        ref = (color, key)
+        prev = self.owner.setdefault(ref, xs)
+        if prev != xs:
+            self.labels = self.labels or (
+                f"solution {first[0]}: edge {ref} shared by x={prev} and x={xs}"
+            )
+
+    def entries(self, solutions: int) -> tuple[CheckEntry, CheckEntry]:
+        host = self.host
+        expected = host.n ** (host.r - 1)
+        tally = {sol: count + self.full - base for sol, _, count, base, _ in self.solved.values()}
+        labels = self.labels
+        short = min((s for s, k in tally.items() if k != expected), default=None)
+        if not labels and short is not None:
+            labels = f"solution {short} spans {tally[short]} copies, wants {expected}"
+        elif not labels and len(tally) != solutions:  # the only walk over solutions
+            missing = next((s for s in iter_solutions(host.ns, host.sets) if s not in tally), None)
+            labels = f"solution {missing} spans 0 copies, wants {expected}"
+        return (
+            CheckEntry("per-solution", not labels, labels),
+            CheckEntry("copy-structure", not self.structure, self.structure),
+        )
+
+
+def _listed_batches(host: Host, copies):
+    """Cut a copy iterable into the copy check's batches.
+
+    A batch is a run of copies sharing their x-part prefix and their
+    length, so that the check can read it a column at a time; its row
+    edges are read here. A copy without one vertex per part fails its
+    part check before any row edge of it would be read.
+    """
+    width = host.r - 1
+    by_key = host.by_key
+    rows = host.diag_layout()
+    for (prefix, size), group in itertools.groupby(copies, lambda vkey: (vkey[:width], len(vkey))):
+        batch = [vkey[width:] for vkey in group]
+        if size == host.k:
+            stored = [
+                list(map(by_key.get, map(add, repeat(xkey), map(get_u, batch))))
+                for _, xkey, get_u in _row_keys(rows, prefix)
+            ]
+        else:
+            stored = [[None] * len(batch) for _ in rows]
+        yield prefix, batch, stored
+
+
+def check_copies(host: Host, copies, solutions: int) -> tuple[CheckEntry, CheckEntry]:
     """Per-solution and copy-structure entries from one pass over the copies.
 
     Copies recovering no admissible solution fail copy-structure and stay
     out of the per-solution tallies, which the module docstring explains.
-    The x-part work is redone only when the prefix changes, so sorted
-    copies pay it once per x-tuple; a solution is decoded and checked on
-    its first copy.
+    copies may come in any order; sorted copies pay the x-part work once
+    per x-tuple.
     """
-    ns = host.ns
-    n = host.n
-    width = host.r - 1
-    by_key = host.by_key
-    mix = host.coeffs.mix
-    rows = host.diag_layout()
-    admissible = host.sets_n.frozensets()
-    diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
-    eqs = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
-    x_parts = tuple(range(width))
-    u_parts = tuple(range(width, host.k))
-    expected = n**width
-    structure = labels = ""
-    # x = 0 U vertices of an admissible solution -> [solution, (color, label)
-    # per color, copies seen].
-    solved: dict[tuple[int, ...], list] = {}
-    first = None
-    owner: dict[tuple[int, VKey], tuple[int, ...]] = {}
-    prefix = None
-    # The stored (color, label) of each U vertex's free-color edge at the
-    # current x-tuple, indexed by vertex id.
-    free_got: list = [None] * (n * host.k)
-    for vkey in copies:
-        if vkey[:width] != prefix:
-            prefix = vkey[:width]
-            xs = tuple(v % n for v in prefix)
-            x_ok = tuple(v // n for v in prefix) == x_parts
-            if x_ok:
-                # Each U vertex maps to the one its solution's copy has at
-                # x = 0: the same part, shifted back by that part's mix offset.
-                # Its free-color edge is read here, once per x-tuple.
-                at_zero = {}
-                for j, a in enumerate(mix):
-                    off = sum(c * x for c, x in zip(a, xs))
-                    lo = (width + j) * n
-                    for u in range(lo, lo + n):
-                        at_zero[u] = lo + (u - off) % n
-                        free_got[u] = by_key.get(prefix + (u,))
-                diag = [(tuple(prefix[t] for t in outs), get_u) for _, outs, get_u in rows]
-        us = vkey[width:]
-        # A tallied x = 0 tuple has every vertex in its own part, so only a
-        # new one needs the part check.
-        zero = tuple(map(at_zero.get, us)) if x_ok else None
-        known = solved.get(zero)
-        if known is None:
-            if not x_ok or tuple(v // n for v in us) != u_parts:
-                structure = structure or f"copy {vkey} does not meet every part once"
-                continue
-            sol = [v % n for v in zero]
-            for row, rhs, m_i, support, inv in eqs:
-                sol.append((rhs - sol[m_i] - sum(row[j] * sol[j] for j in support)) * inv % n)
-            bad = next((col for col, val in enumerate(sol) if val not in admissible[col]), None)
-            if bad is not None:
-                structure = structure or (
-                    f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
-                )
-                continue
-            if not ns.base.is_solution(sol):
-                structure = structure or f"copy {vkey} recovers non-solution {sol}"
-                continue
-            # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
-            known = solved[zero] = [tuple(sol), list(enumerate(sol)), 0]
-            first = first or known
-        known[2] += 1
-        got = list(map(free_got.__getitem__, us))
-        for xkey, get_u in diag:
-            got.append(by_key.get(xkey + get_u(us)))
-        if got == known[1] and known is not first:
-            continue
-        sol, want, _ = known
-        keys = [prefix + (u,) for u in us] + [xkey + get_u(us) for xkey, get_u in diag]
-        for c, key in enumerate(keys):
-            if got[c] != want[c]:
-                labels = labels or f"solution {sol}: color {c + 1} edge missing for x={xs}"
-            elif c >= host.free and known is first:
-                ref = (c, key)
-                prev = owner.setdefault(ref, xs)
-                if prev != xs:
-                    labels = labels or f"solution {sol}: edge {ref} shared by x={prev} and x={xs}"
-    tally = {sol: count for sol, _, count in solved.values()}
-    short = min((s for s, k in tally.items() if k != expected), default=None)
-    if not labels and short is not None:
-        labels = f"solution {short} spans {tally[short]} copies, wants {expected}"
-    elif not labels and len(tally) != solutions:  # the only walk over solutions
-        missing = next((s for s in iter_solutions(ns, host.sets) if s not in tally), None)
-        labels = f"solution {missing} spans 0 copies, wants {expected}"
-    return (
-        CheckEntry("per-solution", not labels, labels),
-        CheckEntry("copy-structure", not structure, structure),
-    )
+    check = _CopyCheck(host)
+    for batch in _listed_batches(host, copies):
+        check.feed(*batch)
+    return check.entries(solutions)
 
 
 def check_representation(
@@ -453,20 +607,29 @@ def check_representation(
     report = VerificationReport()
     report.entries.append(check_simple(host))
     report.entries.append(check_edge_counts(host))
-    copies = enumerate_copies(host, mode=mode, guard=guard)
+    # The walk's batches go straight to the copy check; no copy list.
+    if mode == "per-part":
+        batches = _iter_per_part(host)
+    else:
+        batches = _listed_batches(host, enumerate_copies(host, mode=mode, guard=guard))
+    check = _CopyCheck(host)
+    copies = 0
+    for prefix, batch, stored in batches:
+        copies += len(batch)
+        check.feed(prefix, batch, stored)
     solutions = count_system(host.ns.base, host.sets_n)
     expected = solutions * host.n ** (host.r - 1)
-    entry = CheckEntry("copy-count", len(copies) == expected)
+    entry = CheckEntry("copy-count", copies == expected)
     if not entry.passed:
-        entry.witness = f"{len(copies)} copies, wants {expected}"
+        entry.witness = f"{copies} copies, wants {expected}"
     report.entries.append(entry)
-    report.entries.extend(check_copies(host, copies, solutions))
-    tuples = host.ns.ell * host.n**host.r
+    report.entries.extend(check.entries(solutions))
+    tuples = (host.free + host.ell) * host.n**host.r
     if tuples <= guard:
         report.entries.append(check_edge_equation(host, guard=guard))
     else:
         report.skipped.append(("edge-equation", tuples))
     report.edges = len(host.records)
     report.solutions = solutions
-    report.copies = len(copies)
+    report.copies = copies
     return report

@@ -332,11 +332,11 @@ def test_verify_triangle(capsys):
 
 
 def test_verify_reports_a_check_the_guard_leaves_out(capsys):
-    # triangle.sys's edge-equation check needs 1 * 5^2 tuples.
+    # triangle.sys's edge-equation check needs (2 free + 1 row) * 5^2 tuples.
     base = run(capsys, "verify", TRIANGLE)
     assert base[2] == ""
     code, out, err = run(capsys, "verify", TRIANGLE, "--guard", "10")
-    assert (code, err) == (0, "skipped edge-equation: needs 25 tuples, guard is 10\n")
+    assert (code, err) == (0, "skipped edge-equation: needs 75 tuples, guard is 10\n")
     assert out == base[1].replace("CHECK edge-equation PASS\n", "")
 
 

@@ -13,6 +13,7 @@ from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import SetFamily, normalize, parse_system
 from linrem.solutions import (
+    _min_hitting_set,
     _removal_floor,
     count_system,
     epsdelta_scan,
@@ -615,6 +616,31 @@ def test_min_hitting_beats_its_greedy_cover():
     copies = [_StubCopy(edges=row) for row in
               [("a", "g"), ("a", "g"), ("a",), ("b", "g"), ("b", "g"), ("b",)]]
     assert min_copy_hitting_set(None, copies) == ("a", "b")
+
+
+def test_min_hitting_set_matches_a_subset_scan():
+    # Stub families of up to 10 rows over at most 8 elements. The kernel's
+    # cover must hit every row and be as small as the smallest subset that
+    # does, from the default floor and from any floor at most that size.
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        elements = list("abcdefgh"[: rng.randint(1, 8)])
+        rows = [
+            tuple(rng.sample(elements, rng.randint(1, min(4, len(elements)))))
+            for _ in range(rng.randint(1, 10))
+        ]
+        best = next(
+            size
+            for size in range(len(elements) + 1)
+            if any(
+                all(set(row) & set(pick) for row in rows)
+                for pick in itertools.combinations(elements, size)
+            )
+        )
+        for floor in (0, rng.randint(0, best)):
+            cover = _min_hitting_set(rows, node_budget=10**5, floor=floor)
+            assert len(cover) == len(set(cover)) == best
+            assert all(set(row) & set(cover) for row in rows)
 
 
 def test_min_hitting_rejects_edgeless_copy():

@@ -13,6 +13,7 @@ from linrem.linsys import normalize, parse_system
 from linrem.solutions import count_system
 from linrem.verify import (
     CheckEntry,
+    _iter_per_part,
     check_copies,
     check_edge_counts,
     check_edge_equation,
@@ -169,7 +170,11 @@ def test_walk_and_oracle_agree_on_a_missing_edge():
         "edge-counts",
         "copy-count",
         "per-solution",
+        "edge-equation",
     ]
+    assert report.entries[-1].witness == (
+        "color 1 vertices (0, 6): membership says edge with label 1, store says None"
+    )
 
 
 def test_enumerate_guard_and_mode(triangle_full):
@@ -239,7 +244,8 @@ def test_check_simple(triangle_small):
 
 def test_check_simple_by_key_must_index_records():
     # A free-color edge in no solution's copy family, relabeled in by_key
-    # only: simple is the one check that reads both stores whole.
+    # only: simple is the one check that reads both stores whole, and
+    # edge-equation the one that reads every free-color edge of by_key.
     text = (Path(__file__).resolve().parent.parent / "systems" / "triangle.sys").read_text()
     system, _ = parse_system(text)
     ns = normalize(system)
@@ -249,9 +255,12 @@ def test_check_simple_by_key_must_index_records():
     relabeled = copy.deepcopy(host)
     relabeled.by_key[(0, 7)] = (0, 3)
     report = check_representation(relabeled)
-    assert [e.name for e in report.entries if not e.passed] == ["simple"]
+    assert [e.name for e in report.entries if not e.passed] == ["simple", "edge-equation"]
     assert report.entries[0].witness == (
         "vertices (0, 7) carry (0, 2) in the edge list, (0, 3) in by_key"
+    )
+    assert report.entries[-1].witness == (
+        "color 1 vertices (0, 7): membership says edge with label 2, store says (0, 3)"
     )
     dropped = copy.deepcopy(host)
     del dropped.by_key[(0, 7)]
@@ -334,6 +343,49 @@ def test_check_edge_equation_ap4_witnesses(ap4_full):
         False,
         "row 2 vertices (3, 14, 18): membership says edge with label 0, store says None",
     )
+
+
+def test_check_edge_equation_free_colors():
+    # x1 + x2 + x3 = 0 over F7 with sets {0, 1}, {0, 2}, {0, 1, 2, 3} has
+    # the one solution (0, 0, 0), so its copies never use the color-2
+    # edges labeled 2. Moving one of them within U2 left the other five
+    # checks passing; only the free-color rule of edge-equation sees it.
+    host = make_host(7, [[1, 1, 1]], [0], [[0, 1], [0, 2], [0, 1, 2, 3]])
+    assert (host.free, host.ell) == (2, 1)
+    escapes = {}
+    moves = relabels = 0
+    for i, (color, label, key) in enumerate(host.records):
+        part = key[-1] // host.n * host.n
+        edits = [(color, label, key[:-1] + (v,)) for v in range(part, part + host.n)]
+        edits += [(color, other, key) for other in range(host.n)]
+        for edit in edits:
+            if edit == (color, label, key) or (edit[2] != key and edit[2] in host.by_key):
+                continue
+            bad = copy.copy(host)
+            bad.records = host.records[:]
+            bad.by_key = dict(host.by_key)
+            bad.records[i] = edit
+            del bad.by_key[key]
+            bad.by_key[edit[2]] = edit[:2]
+            moves += edit[2] != key
+            relabels += edit[2] == key
+            failed = [e for e in check_representation(bad).entries if not e.passed]
+            assert failed
+            if [e.name for e in failed] == ["edge-equation"]:
+                escapes[(key, edit[2])] = failed[0].witness
+    assert (moves, relabels) == (224, 336)
+    said = "color 2 vertices {}: membership says no edge with label 1, store says (1, 2)"
+    assert escapes == {
+        ((0, 16), (0, 15)): said.format((0, 15)),
+        ((1, 15), (1, 14)): said.format((1, 14)),
+        ((2, 14), (2, 20)): (
+            "color 2 vertices (2, 14): membership says edge with label 2, store says None"
+        ),
+        ((3, 20), (3, 19)): said.format((3, 19)),
+        ((4, 19), (4, 18)): said.format((4, 18)),
+        ((5, 18), (5, 17)): said.format((5, 17)),
+        ((6, 17), (6, 16)): said.format((6, 16)),
+    }
 
 
 def check_both(host, copies=None):
@@ -486,6 +538,143 @@ def test_check_copies_stray_copy_twice(triangle_small):
         assert structure.witness == "copy (0, 5, 10) needs value 0 in set 1, not admissible"
 
 
+def test_walk_batches_flatten_to_the_copies():
+    # Each batch is one x-tuple's U-tuples with, per row, the stored edge
+    # of every tuple; flattened, the batches are the sorted copy list,
+    # which the naive scan finds without the walk.
+    for host in (
+        make_host(5, [[1, 1, -1]], [0], [[1], [1, 2], [2, 3]]),
+        make_host(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0], [[0, 2], [1, 3], [1, 2, 3], [4]]),
+        make_host(3, [[1, 1, 1, 2]], [1], [range(3)] * 4),
+    ):
+        flat = []
+        for prefix, batch, stored in _iter_per_part(host):
+            assert batch and len(stored) == host.ell
+            for i, (color, outs, get_u) in enumerate(host.diag_layout()):
+                keys = [tuple(prefix[t] for t in outs) + get_u(us) for us in batch]
+                assert stored[i] == [host.by_key[key] for key in keys]
+                assert {c for c, _ in stored[i]} == {color}
+            flat += [prefix + us for us in batch]
+        assert flat == enumerate_copies(host) == enumerate_copies(host, mode="naive")
+        assert len(flat) == count_system(host.ns.base, host.sets_n) * host.n ** (host.r - 1)
+
+
+def test_full_batches_credit_only_known_solutions():
+    # Solutions (1, 1, 2) and (1, 2, 3). Without the color-2 edges that
+    # (1, 2, 3) uses at x = 0 and 1, the walk's batches at x = 0 and 1
+    # hold (1, 1, 2) alone, and the one at x = 1 is a full batch, credited
+    # before (1, 2, 3) is first decoded at x = 2. That solution has three
+    # copies, and a tally that gave it the earlier full batch would say 4.
+    host = make_host(5, [[1, 1, -1]], [0], [[1], [1, 2], [2, 3]])
+    late = {(0, 12), (1, 11)}
+    assert all(host.by_key[key] == (1, 2) for key in late)
+    bad = drop_edges(host, lambda color, label, key: key not in late)
+    copies = enumerate_copies(bad)
+    assert [c[0] for c in copies] == [0, 1, 2, 2, 3, 3, 4, 4]
+    witness = "solution (1, 2, 3) spans 3 copies, wants 5"
+    report = check_representation(bad)
+    assert [e.witness for e in report.entries if e.name == "per-solution"] == [witness]
+    assert check_both(bad)[0].witness == witness
+
+
+def tampered_hosts(seed, count):
+    """Seeded one- and two-row hosts over F3, F5 and F7, each untouched or
+    with one edge dropped, relabeled, moved within its part or repeated."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice([3, 5, 7])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, [rng.randrange(q) for _ in range(ell)]))
+        except InputError:
+            continue
+        if q**ns.vertex_count > 20_000:
+            continue
+        sets = [rng.sample(range(q), rng.randint(1, q)) for _ in range(p)]
+        host = build_host(ns, build_coefficients(ns), mk_sets(q, sets))
+        fault = rng.choice(["none", "drop", "relabel", "move", "duplicate"])
+        i = rng.randrange(len(host.records)) if host.records else None
+        if i is not None and fault != "none":
+            color, label, key = host.records[i]
+            if fault == "drop":
+                del host.records[i], host.by_key[key]
+            elif fault == "relabel":
+                label = (label + 1) % q
+                host.records[i] = (color, label, key)
+                host.by_key[key] = (color, label)
+            elif fault == "move":
+                moved = key[:-1] + (key[-1] // q * q + (key[-1] + 1) % q,)
+                if moved not in host.by_key:
+                    del host.by_key[key]
+                    host.records[i] = (color, label, moved)
+                    host.by_key[moved] = (color, label)
+            else:
+                host.records.append(host.records[i])
+        out.append((fault, host))
+    return out
+
+
+# (host, fault, copy-count, per-solution, copy-structure witnesses) of each
+# host below that fails one of those checks, as the per-copy check gave them
+# before the walk fed it whole batches.
+COPY_WITNESSES = [
+    (3, "duplicate", "52 copies, wants 50", "solution (4, 2, 0, 0) spans 6 copies, wants 5", ""),
+    (8, "duplicate", "76 copies, wants 75", "solution (0, 2, 0, 4) spans 26 copies, wants 25", ""),
+    (9, "drop", "5 copies, wants 6", "solution (0, 1, 2) spans 2 copies, wants 3", ""),
+    (12, "duplicate", "16 copies, wants 15", "solution (0, 3, 3) spans 6 copies, wants 5", ""),
+    (13, "drop", "135 copies, wants 140", "solution (0, 6, 5) spans 6 copies, wants 7", ""),
+    (15, "drop", "102 copies, wants 108", "solution (0, 0, 1, 1) spans 8 copies, wants 9", ""),
+    (19, "relabel", "", "solution (6, 2, 0, 1): color 2 edge missing for x=(5, 6)", ""),
+    (22, "relabel", "", "solution (1, 1, 1): color 1 edge missing for x=(0,)", ""),
+    (26, "relabel", "", "solution (1, 3, 0, 3): color 3 edge missing for x=(4,)", ""),
+    (27, "relabel", "", "solution (2, 2, 4, 5): color 4 edge missing for x=(4, 2)", ""),
+    (29, "drop", "8 copies, wants 9", "solution (2, 1, 1, 2) spans 8 copies, wants 9", ""),
+    (32, "duplicate", "16 copies, wants 15", "solution (1, 1, 0) spans 6 copies, wants 5", ""),
+    (34, "relabel", "", "solution (2, 4, 0): color 1 edge missing for x=(1,)", ""),
+    (40, "relabel", "", "solution (4, 3, 4, 2): color 4 edge missing for x=(2, 2)", ""),
+    (44, "move", "", "solution (0, 0, 0, 0) spans 2 copies, wants 3",
+     "copy (0, 3, 6, 10) needs value 1 in set 3, not admissible"),
+    (45, "move", "", "solution (1, 3, 1) spans 4 copies, wants 5",
+     "copy (3, 5, 14) needs value 2 in set 1, not admissible"),
+    (48, "move", "", "solution (0, 3, 2, 3) spans 48 copies, wants 49",
+     "copy (3, 10, 17, 21, 32) needs value 4 in set 2, not admissible"),
+    (53, "relabel", "", "solution (5, 1, 2, 5, 5): color 4 edge missing for x=(0, 6)", ""),
+    (54, "drop", "24 copies, wants 27", "solution (0, 0, 0, 0, 2) spans 8 copies, wants 9", ""),
+    (57, "relabel", "", "solution (2, 2, 1): color 1 edge missing for x=(4,)", ""),
+    (58, "duplicate", "204 copies, wants 196", "solution (2, 3, 0, 6) spans 8 copies, wants 7", ""),
+    (59, "drop", "374 copies, wants 375",
+     "solution (0, 2, 2, 2, 3) spans 124 copies, wants 125", ""),
+]
+
+
+def test_streamed_copy_check_matches_the_listed_one():
+    # check_representation feeds the walk's batches to the copy check;
+    # check_copies regroups a copy list. Both must give the witnesses the
+    # per-copy check gave. A shuffled list may name another first fault,
+    # but it fails the same checks.
+    failing = []
+    for idx, (fault, host) in enumerate(tampered_hosts(21, 60)):
+        report = check_representation(host)
+        entries = {e.name: e for e in report.entries}
+        copies = enumerate_copies(host)
+        assert report.copies == len(copies)
+        listed = check_both(host, copies)
+        assert [entries["per-solution"], entries["copy-structure"]] == list(listed)
+        shuffled = copies[:]
+        random.Random(idx).shuffle(shuffled)
+        assert [e.passed for e in check_both(host, shuffled)] == [e.passed for e in listed]
+        names = ("copy-count", "per-solution", "copy-structure")
+        witnesses = tuple(entries[name].witness for name in names)
+        if fault == "none":
+            assert report.passed
+        if any(witnesses):
+            failing.append((idx, fault, *witnesses))
+    assert failing == COPY_WITNESSES
+
+
 # ---------------------------------------------------------------------------
 # Full battery.
 
@@ -517,7 +706,7 @@ def test_report_skips_edge_equation_over_guard(triangle_small):
     report = check_representation(triangle_small, guard=10)
     assert report.passed
     assert "edge-equation" not in [e.name for e in report.entries]
-    assert report.skipped == [("edge-equation", 25)]
+    assert report.skipped == [("edge-equation", 75)]
     assert check_representation(triangle_small).skipped == []
 
 
