@@ -63,7 +63,7 @@ def cmd_represent(args) -> int:
     host, _ = _build(system, sets)
     print(
         f"r={host.r} k={host.k} colors={host.free + host.ell} "
-        f"edges={len(host.records)} labels={host.sets.total_size()}"
+        f"edges={len(host.by_key)} labels={host.sets.total_size()}"
     )
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:

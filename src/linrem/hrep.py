@@ -8,15 +8,15 @@ admissible solution then spans n^(r-1) pairwise edge-disjoint colored
 copies of a fixed template, and nothing else does.
 
 Vertex ids are part*n + value, so tuples built in part order are already
-sorted and double as canonical edge keys. A built host keeps only the edge
-list and its vertex-key index; the checks derive every tally they need.
+sorted and double as canonical edge keys. A built host keeps one store,
+by_key, each key's (color, label) in stream order; checks derive the rest.
 
 The edge stream does its per x-tuple work once per color, not once per
 edge, and yields one batch of vertex keys per admissible label, which
-build_host files into both stores at once. copies_for_solution builds
-one solution's U vertices once per x-tuple and reads every edge key off
-them, through Host.diag_layout for the row colors; the verifier's walk
-and copy check use that layout too, its naive oracle neither it nor the
+build_host files into by_key at once. copies_for_solution builds one
+solution's U vertices once per x-tuple and reads every edge key off them,
+through Host.diag_layout for the row colors; the verifier's walk and copy
+check use that layout too, its naive oracle neither it nor the
 coefficient tables.
 
 export_host writes one `color label part:value ...` line per edge, and
@@ -123,11 +123,11 @@ class ColoredCopy:
 
 
 class Host:
-    """Materialized edge store: one edge list and its vertex-key index.
+    """Materialized edge store: by_key maps each vertex key to its (color, label).
 
-    records is the authoritative edge list (color, label, vertex key) in
-    iter_host_edges order; by_key maps a vertex key to its unique
-    (color, label). The two disagree in length only if a key repeats.
+    A dict holds one value per key, so no key carries two edges, and it
+    keeps insertion order, so by_key.items() is the edge list in
+    iter_host_edges order.
     """
 
     def __init__(self, ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily):
@@ -140,8 +140,12 @@ class Host:
         self.k = ns.vertex_count
         self.free = ns.free_count
         self.ell = ns.ell
-        self.records: list[tuple[int, int, VKey]] = []
         self.by_key: dict[VKey, tuple[int, int]] = {}
+
+    @property
+    def records(self) -> tuple[tuple[int, int, VKey], ...]:
+        """The edges as (color, label, vertex key), derived from by_key; read-only."""
+        return tuple((color, label, key) for key, (color, label) in self.by_key.items())
 
     def part_name(self, part: int) -> str:
         width = self.r - 1
@@ -212,17 +216,18 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
 def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
     """Materialize the edge store for a family given in original order."""
     host = Host(ns, coeffs, sets)
-    by_key, records = host.by_key, host.records
-    for color, label, keys in iter_host_edges(ns, coeffs, host.sets_n):
+    by_key = host.by_key
+    for done, (color, label, keys) in enumerate(iter_host_edges(ns, coeffs, host.sets_n)):
         value = (color, label)
         size = len(by_key)
         by_key.update(zip(keys, itertools.repeat(value)))
         if len(by_key) - size < len(keys):
-            # A batch repeats no key, so an earlier batch holds it.
-            seen = {key: (c, lab) for c, lab, key in records}
+            # A batch repeats no key, so an earlier batch holds it. The
+            # update overwrote its value: replay the stream to name it.
+            earlier = itertools.islice(iter_host_edges(ns, coeffs, host.sets_n), done)
+            seen = {key: (c, lab) for c, lab, batch in earlier for key in batch}
             key = next(key for key in keys if key in seen)
             raise SimplicityViolation(f"edge {key} carries both {seen[key]} and {value}")
-        records.extend(zip(itertools.repeat(color), itertools.repeat(label), keys))
     return host
 
 
@@ -273,8 +278,8 @@ def export_host(host: Host) -> str:
     n = host.n
     names = [f"{host.part_name(v // n)}:{v % n}" for v in range(n * host.k)]
     lines: list[str] = []
-    for (color, label), run in itertools.groupby(host.records, itemgetter(0, 1)):
-        for size, keys in itertools.groupby(map(itemgetter(2), run), len):
+    for (color, label), run in itertools.groupby(host.by_key.items(), itemgetter(1)):
+        for size, keys in itertools.groupby(map(itemgetter(0), run), len):
             line = f"{color + 1} {label}" + " %s" * size
             columns = [map(names.__getitem__, col) for col in zip(*keys)]
             lines.extend(map(line.__mod__, zip(*columns)))
@@ -301,7 +306,7 @@ def parse_host_export(host: Host, text: str) -> list[EdgeRef]:
             verts = []
             for t in toks[2:]:
                 name, val = t.split(":")
-                if name[0] not in "VU" or not name[1:].isdigit():
+                if name[:1] not in ("V", "U") or not name[1:].isdecimal():
                     raise ValueError
                 verts.append((name, int(val)))
         except ValueError:

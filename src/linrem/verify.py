@@ -5,7 +5,7 @@ a per-part walk over an index it builds from the edge list, and a naive
 scan testing vertex k-sets with a counting placement test. The walk
 reads row-color keys through Host.diag_layout, as copies_for_solution
 does; the scan shares no logic with the construction and reads only the
-normalized system, records and by_key. The index keeps each candidate
+normalized system and by_key. The index keeps each candidate
 list sorted, so the walk yields copies in order and nothing sorts its
 output. The scan is seeded: a spanning set holds an edge of the rarest
 color and meets every part that some color's edges all touch, so only
@@ -43,7 +43,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, eq, itemgetter
+from operator import add, eq, itemgetter, lt
 
 from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey
@@ -62,7 +62,7 @@ def _part_index(host: Host) -> PartIndex:
     """
     width = host.r - 1
     index: PartIndex = [{} for _ in range(host.free)]
-    for color, _, key in host.records:
+    for key, (color, _) in host.by_key.items():
         if color < host.free:
             index[color].setdefault(key[:width], []).append(key[-1])
     for values in index:
@@ -93,7 +93,7 @@ def _iter_per_part(host: Host):
     out sorted. Nothing is yielded when some color has no edge, and no
     batch is yielded empty.
     """
-    if not set(map(itemgetter(0), host.records)).issuperset(range(host.free + host.ell)):
+    if not set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell)):
         return
     index = _part_index(host)
     n = host.n
@@ -202,16 +202,16 @@ def enumerate_copies(
     if n**k > guard:
         raise SearchBudgetExceeded(f"naive scan needs {n ** k} tuples, guard is {guard}")
     colors = host.free + host.ell
-    sizes = Counter(color for color, _, _ in host.records)
+    sizes = Counter(color for color, _ in host.by_key.values())
     rarest = min(range(colors), key=sizes.__getitem__)
     if not sizes[rarest]:
         return []
     common = [set(range(k)) for _ in range(colors)]
-    for color, _, key in host.records:
+    for key, (color, _) in host.by_key.items():
         common[color] &= {v // n for v in key}
     unavoidable = set().union(*common)
     seeded = set()
-    for key in [key for color, _, key in host.records if color == rarest]:
+    for key in [key for key, (color, _) in host.by_key.items() if color == rarest]:
         missing = [range(p * n, (p + 1) * n) for p in sorted(unavoidable - {v // n for v in key})]
         spare = k - len(key) - len(missing)
         others = [v for v in range(n * k) if v not in key]
@@ -260,40 +260,28 @@ class VerificationReport:
 
 
 def check_simple(host: Host) -> CheckEntry:
-    """No vertex set may carry two edges, and by_key must index the edge list exactly."""
-    seen: dict[VKey, tuple[int, int]] = {}
-    for color, label, key in host.records:
-        if key in seen:
+    """No vertex set may carry two edges: no two keys of by_key hold the same vertices."""
+    # Distinct keys that all ascend strictly hold distinct vertex sets.
+    if all(all(map(lt, key, key[1:])) for key in host.by_key):
+        return CheckEntry("simple", True)
+    seen: dict[frozenset[int], tuple[int, int]] = {}
+    for key, stored in host.by_key.items():
+        verts = frozenset(key)
+        if verts in seen:
             return CheckEntry(
-                "simple",
-                False,
-                f"vertices {key} carry {seen[key]} and {(color, label)}",
+                "simple", False, f"vertices {tuple(sorted(verts))} carry {seen[verts]} and {stored}"
             )
-        seen[key] = (color, label)
-    if seen != host.by_key:
-        key = next(
-            key
-            for key in itertools.chain(seen, host.by_key)
-            if seen.get(key) != host.by_key.get(key)
-        )
-        return CheckEntry(
-            "simple",
-            False,
-            f"vertices {key} carry {seen.get(key)} in the edge list, "
-            f"{host.by_key.get(key)} in by_key",
-        )
+        seen[verts] = stored
     return CheckEntry("simple", True)
 
 
 def check_edge_counts(host: Host) -> CheckEntry:
-    """Each admissible label owns exactly n^(r-1) edges of its color in the edge list."""
+    """Each admissible label owns exactly n^(r-1) edges of its color in by_key."""
     expected = host.n ** (host.r - 1)
     total = expected * host.sets_n.total_size()
-    if len(host.records) != total:
-        return CheckEntry(
-            "edge-counts", False, f"{len(host.records)} edges stored, wants {total}"
-        )
-    counts = Counter((color, label) for color, label, _ in host.records)
+    if len(host.by_key) != total:
+        return CheckEntry("edge-counts", False, f"{len(host.by_key)} edges stored, wants {total}")
+    counts = Counter(host.by_key.values())
     want = {
         (color, label)
         for color in range(host.free + host.ell)
@@ -316,6 +304,11 @@ def check_edge_counts(host: Host) -> CheckEntry:
     return CheckEntry("edge-counts", True)
 
 
+def _edge_equation_tuples(host: Host) -> int:
+    """The candidate tuples check_edge_equation reads: n^r per color."""
+    return (host.free + host.ell) * host.n**host.r
+
+
 def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     """Edge presence must match set membership on every candidate tuple.
 
@@ -330,7 +323,7 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     ns = host.ns
     n = host.n
     width = host.r - 1
-    tuples = (host.free + ns.ell) * n**host.r
+    tuples = _edge_equation_tuples(host)
     if tuples > guard:
         raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
     mix = host.coeffs.mix
@@ -624,12 +617,12 @@ def check_representation(
         entry.witness = f"{copies} copies, wants {expected}"
     report.entries.append(entry)
     report.entries.extend(check.entries(solutions))
-    tuples = (host.free + host.ell) * host.n**host.r
+    tuples = _edge_equation_tuples(host)
     if tuples <= guard:
         report.entries.append(check_edge_equation(host, guard=guard))
     else:
         report.skipped.append(("edge-equation", tuples))
-    report.edges = len(host.records)
+    report.edges = len(host.by_key)
     report.solutions = solutions
     report.copies = copies
     return report

@@ -152,8 +152,10 @@ def test_criterion_02_simplicity(corpus):
         entry = check_simple(inst.host)
         if not entry.passed:
             failures.append((inst.index, entry.witness))
-        if len(inst.host.by_key) != len(inst.host.records):
-            failures.append((inst.index, "index/record size mismatch"))
+        # Distinct keys, n^(r-1) per admissible label.
+        shell = inst.host.n ** (inst.host.r - 1)
+        if len(inst.host.by_key) != shell * inst.host.sets_n.total_size():
+            failures.append((inst.index, "edge count identity"))
     _finish(2, failures, f"no parallel edges across {len(corpus)} instances")
 
 

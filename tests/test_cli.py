@@ -219,7 +219,7 @@ def test_represent_dump_round_trip(capsys, tmp_path):
     assert len(text.splitlines()) == 30
     host, _ = _build(*parse_system((SYSTEMS / "triangle.sys").read_text()))
     refs = parse_host_export(host, text)
-    assert sorted(refs) == sorted((color, key) for color, _, key in host.records)
+    assert sorted(refs) == sorted((color, key) for key, (color, _) in host.by_key.items())
 
 
 def test_translate_round_trip_on_ap4(capsys, tmp_path):
@@ -296,21 +296,20 @@ def test_translate_rejects_foreign_edge(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, vertex",
+    "line, err",
     [
-        pytest.param("1 1 U0:0 U1:1", "U0:0", id="U0"),
-        pytest.param("1 1 V1:0 V2:1", "V2:1", id="V-past-r-1"),
+        pytest.param("1 1 U0:0 U1:1", "vertex U0:0 out of range", id="U0"),
+        pytest.param("1 1 V1:0 V2:1", "vertex V2:1 out of range", id="V-past-r-1"),
+        pytest.param("1 1 :3 U1:1", "line 1: malformed edge line", id="empty-name"),
+        pytest.param("1 1 V²:3 U1:1", "line 1: malformed edge line", id="superscript-digit"),
     ],
 )
-def test_translate_rejects_a_part_the_host_lacks(capsys, tmp_path, line, vertex):
-    # triangle.sys has parts V1, U1 and U2 only.
+def test_translate_rejects_a_part_the_host_lacks(capsys, tmp_path, line, err):
+    # triangle.sys has parts V1, U1 and U2 only. A bad part name is an
+    # input error (exit 2), not a failed check (exit 1).
     edges = tmp_path / "deleted.edges"
-    edges.write_text(line + "\n")
-    assert run(capsys, "translate", TRIANGLE, str(edges)) == (
-        2,
-        "",
-        f"ParseError: vertex {vertex} out of range\n",
-    )
+    edges.write_text(line + "\n", encoding="utf-8")
+    assert run(capsys, "translate", TRIANGLE, str(edges)) == (2, "", f"ParseError: {err}\n")
 
 
 # ---------------------------------------------------------------------------

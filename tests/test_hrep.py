@@ -126,7 +126,7 @@ def test_host_triangle_matches_direct_rules():
     ns = triangle5_ns()
     sets = mk_sets(5, [[1, 2]] * 3)
     host = build_host(ns, build_coefficients(ns), sets)
-    assert len(host.records) == 30
+    assert len(host.by_key) == 30
     assert host.by_key == triangle5_expected_edges(sets.sets)
 
 
@@ -151,17 +151,17 @@ def test_host_counts_per_color_label():
         for color in range(4)
         for label in host.sets_n.sets[color if color < host.free else host.ns.diag_cols[color - host.free]]
     }
-    counts = Counter((color, label) for color, label, _ in host.records)
+    counts = Counter(host.by_key.values())
     assert set(counts) == labels
     assert all(v == shell for v in counts.values())
-    assert len(host.records) == shell * sets.total_size()
+    assert len(host.by_key) == shell * sets.total_size()
 
 
 def test_host_empty_sets():
     ns = triangle5_ns()
     host = build_host(ns, build_coefficients(ns), mk_sets(5, [[], [], []]))
-    assert len(host.records) == 0
     assert host.by_key == {}
+    assert host.records == ()
 
 
 def test_host_iteration_deterministic():
@@ -209,7 +209,8 @@ def reference_host_edges(ns, coeffs, sets_n):
 def test_host_edges_match_per_edge_formula():
     # Random full-rank systems with partial and empty sets; the stream,
     # one batch per label, must equal the per-edge formula edge for edge,
-    # order included, and so must both stores of the built host.
+    # order included, and so must the built host's by_key and the edge
+    # tuple derived from it.
     rng = random.Random(2024)
     checked = 0
     while checked < 60:
@@ -232,8 +233,8 @@ def test_host_edges_match_per_edge_formula():
         assert [(c, lab, key) for c, lab, keys in batches for key in keys] == want
         assert len({(c, lab) for c, lab, _ in batches}) == len(batches)
         host = build_host(ns, coeffs, sets)
-        assert host.records == want
         assert list(host.by_key.items()) == [(key, (c, lab)) for c, lab, key in want]
+        assert host.records == tuple(want)
         checked += 1
 
 
@@ -346,7 +347,7 @@ def test_export_round_trip():
     sets = mk_sets(5, [[0, 2], [1, 4], [3], [2, 3]])
     host = build_host(ns, build_coefficients(ns), sets)
     refs = parse_host_export(host, export_host(host))
-    assert sorted(refs) == sorted((color, key) for color, _, key in host.records)
+    assert sorted(refs) == sorted((color, key) for key, (color, _) in host.by_key.items())
 
 
 def test_parse_export_errors():
@@ -356,8 +357,11 @@ def test_parse_export_errors():
         parse_host_export(host, "1 2\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_host_export(host, "1 2 V1:0 U1:1\n1 x V1:0 U1:1\n")
-    with pytest.raises(ParseError, match="malformed"):
-        parse_host_export(host, "1 2 W1:0 U1:1\n")
+    # A part name must be V or U followed by decimal digits: an empty name
+    # or a superscript digit is a malformed line, not a crash.
+    for line in ("1 2 W1:0 U1:1", "1 1 :3 U1:1", "1 1 V²:3 U1:1"):
+        with pytest.raises(ParseError, match="line 1: malformed"):
+            parse_host_export(host, line + "\n")
     assert parse_host_export(host, "") == []
     assert parse_host_export(host, "\n  \n") == []
     # Every line is parsed before any is looked up.

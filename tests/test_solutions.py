@@ -506,7 +506,7 @@ def triangle_host(sets):
 def test_translate_threshold_crossed():
     sets = mk_sets(5, [[1, 2]] * 3)
     host = triangle_host(sets)
-    doomed = [(c, key) for c, label, key in host.records if c == 2 and label == 2]
+    doomed = [(2, key) for key, stored in host.by_key.items() if stored == (2, 2)]
     assert len(doomed) == 5
     out = translate_edge_deletion(host, doomed, sets)
     assert out.sets == ((1, 2), (1, 2), (1,))
@@ -516,7 +516,7 @@ def test_translate_threshold_crossed():
 def test_translate_single_edge_below_threshold():
     sets = mk_sets(5, [[1, 2]] * 3)
     host = triangle_host(sets)
-    color, label, key = host.records[0]
+    key, (color, _) = next(iter(host.by_key.items()))
     out = translate_edge_deletion(host, [(color, key)], sets)
     assert out.sets == sets.sets
 
@@ -524,7 +524,7 @@ def test_translate_single_edge_below_threshold():
 def test_translate_unknown_edge_rejected():
     sets = mk_sets(5, [[1, 2]] * 3)
     host = triangle_host(sets)
-    _, _, key = host.records[0]
+    key = next(iter(host.by_key))
     with pytest.raises(EdgeNotInHost):
         translate_edge_deletion(host, [(2, key)], sets)
     with pytest.raises(EdgeNotInHost):
@@ -535,8 +535,9 @@ def test_translate_per_set_bound():
     sets = mk_sets(5, [[1, 2]] * 3)
     host = triangle_host(sets)
     p, n, r = 3, host.n, host.r
-    for take in (1, 4, 7, len(host.records)):
-        chosen = [(c, key) for c, _, key in host.records[:take]]
+    edges = [(c, key) for key, (c, _) in host.by_key.items()]
+    for take in (1, 4, 7, len(edges)):
+        chosen = edges[:take]
         out = translate_edge_deletion(host, chosen, sets)
         removed = [
             len(set(a) - set(b)) for a, b in zip(sets.sets, out.sets)

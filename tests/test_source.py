@@ -1,4 +1,5 @@
-"""Source hygiene: no assert statements and a standard-library-only runtime."""
+"""Source hygiene: no assert statements, a standard-library-only runtime,
+and no reader of the derived Host.records tuple inside the package."""
 
 import ast
 import os
@@ -15,13 +16,17 @@ def _stdlib(module: str) -> bool:
     return module.split(".")[0] in sys.stdlib_module_names
 
 
+def _modules():
+    """(file name, syntax tree) of each module of the package."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
 def test_package_has_no_asserts_and_imports_only_stdlib():
     problems = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+    for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 # python -O strips these; invariants must be raised errors.
@@ -35,6 +40,18 @@ def test_package_has_no_asserts_and_imports_only_stdlib():
             elif isinstance(node, ast.ImportFrom) and node.level == 0 and not _stdlib(node.module):
                 problems.append(f"{name}:{node.lineno}: imports {node.module}")
     assert problems == []
+
+
+def test_package_reads_no_host_records():
+    # Host.records rebuilds a tuple from by_key on every read; the package
+    # reads by_key itself, and only the property's own definition remains.
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "records"
+    ]
+    assert reads == []
 
 
 def test_cli_import_leaves_out_multiprocessing():

@@ -130,16 +130,15 @@ def test_enumerate_naive_with_an_avoidable_part(triangle_small):
     host = copy.deepcopy(triangle_small)
     n, k = host.n, host.k
     row = host.free
-    a, b = next(key for color, _, key in host.records if color == row)
+    a, b = next(key for key, (color, _) in host.by_key.items() if color == row)
     for c in range(n, 3 * n):
         pairs = [tuple(sorted(pair)) for pair in ((a, c), (b, c))]
         if c not in (a, b) and not any(pair in host.by_key for pair in pairs):
             break
     for color, pair in enumerate(pairs):
-        host.records.append((color, 1, pair))
         host.by_key[pair] = (color, 1)
     assert all(
-        any(all(v // n != 0 for v in key) for col, _, key in host.records if col == color)
+        any(all(v // n != 0 for v in key) for key, (col, _) in host.by_key.items() if col == color)
         for color in range(host.free + host.ell)
     )
     every = [
@@ -158,10 +157,9 @@ def test_walk_and_oracle_agree_on_a_missing_edge():
     # oracle finds no x = 0 copy either.
     host = make_host(5, [[1, 1, -1]], [0], [[1], [1, 2], [2, 3]])
     assert len(enumerate_copies(host)) == 10
-    first = next(rec for rec in host.records if rec[0] == 0)
-    assert first == (0, 1, (0, 6))
-    host.records.remove(first)
-    del host.by_key[first[2]]
+    first = next(key for key, (color, _) in host.by_key.items() if color == 0)
+    assert (first, host.by_key[first]) == ((0, 6), (0, 1))
+    del host.by_key[first]
     copies = enumerate_copies(host)
     assert len(copies) == 8 and all(combo[0] != 0 for combo in copies)
     assert enumerate_copies(host, mode="naive") == copies
@@ -234,74 +232,88 @@ def test_subset_spans_copy_says_no_with_every_color_present():
 
 def test_check_simple(triangle_small):
     assert check_simple(triangle_small).passed
+    # The first edge again, relabeled, under its reversed key.
     bad = copy.deepcopy(triangle_small)
-    color, label, key = bad.records[0]
-    bad.records.append((color, (label + 1) % 5, key))
+    key, (color, label) = next(iter(bad.by_key.items()))
+    bad.by_key[key[::-1]] = (color, (label + 1) % 5)
     entry = check_simple(bad)
     assert not entry.passed
-    assert str(key) in entry.witness
+    assert entry.witness == f"vertices {key} carry {(color, label)} and {(color, (label + 1) % 5)}"
+
+
+def test_check_simple_compares_keys_as_sets():
+    # x1 + x2 - x3 = 0 over F5 with sets {1, 2}: the set {0, 6} already
+    # carries the color-1 edge labeled 1 under (0, 6); (6, 0) is a second
+    # key on the same two vertices.
+    host = make_host(5, [[1, 1, -1]], [0], [[1, 2]] * 3)
+    assert host.by_key[(0, 6)] == (0, 1)
+    host.by_key[(6, 0)] = (0, 1)
+    report = check_representation(host)
+    assert [(e.name, e.witness) for e in report.entries if not e.passed] == [
+        ("simple", "vertices (0, 6) carry (0, 1) and (0, 1)"),
+        ("edge-counts", "31 edges stored, wants 30"),
+    ]
 
 
 def test_check_simple_by_key_must_index_records():
-    # A free-color edge in no solution's copy family, relabeled in by_key
-    # only: simple is the one check that reads both stores whole, and
-    # edge-equation the one that reads every free-color edge of by_key.
+    # A free-color edge in no solution's copy family, relabeled: no two
+    # keys share their vertices, so simple passes; edge-counts sees the
+    # label is not admissible, and edge-equation, the one check that reads
+    # every free-color edge, the label the shift rule predicts.
     text = (Path(__file__).resolve().parent.parent / "systems" / "triangle.sys").read_text()
     system, _ = parse_system(text)
     ns = normalize(system)
     host = build_host(ns, build_coefficients(ns), mk_sets(5, [[1, 2, 4], [1, 2], [1, 2]]))
     assert check_simple(host).passed
-    assert (0, 2, (0, 7)) in host.records
+    assert host.by_key[(0, 7)] == (0, 2)
     relabeled = copy.deepcopy(host)
     relabeled.by_key[(0, 7)] = (0, 3)
     report = check_representation(relabeled)
-    assert [e.name for e in report.entries if not e.passed] == ["simple", "edge-equation"]
-    assert report.entries[0].witness == (
-        "vertices (0, 7) carry (0, 2) in the edge list, (0, 3) in by_key"
-    )
+    assert [e.name for e in report.entries if not e.passed] == ["edge-counts", "edge-equation"]
+    assert report.entries[1].witness == "color 1 label 3 is not admissible"
     assert report.entries[-1].witness == (
         "color 1 vertices (0, 7): membership says edge with label 2, store says (0, 3)"
     )
+    # A key dropped or added is no second edge on a vertex set; the edge
+    # count sees it.
     dropped = copy.deepcopy(host)
     del dropped.by_key[(0, 7)]
-    assert check_simple(dropped).witness == (
-        "vertices (0, 7) carry (0, 2) in the edge list, None in by_key"
-    )
     extra = copy.deepcopy(host)
     extra.by_key[(0, 1)] = (0, 1)
-    assert check_simple(extra).witness == (
-        "vertices (0, 1) carry None in the edge list, (0, 1) in by_key"
-    )
+    for bad, stored in ((dropped, 34), (extra, 36)):
+        assert check_simple(bad).passed
+        assert check_edge_counts(bad).witness == f"{stored} edges stored, wants 35"
 
 
 def test_check_edge_counts(triangle_small):
     assert check_edge_counts(triangle_small).passed
     # Move one color-1 edge from label 1 to the other admissible label 2.
     short = copy.deepcopy(triangle_small)
-    color, label, key = short.records[0]
+    key, (color, label) = next(iter(short.by_key.items()))
     assert (color, label) == (0, 1)
-    short.records[0] = (color, 2, key)
+    short.by_key[key] = (color, 2)
     entry = check_edge_counts(short)
     assert not entry.passed
     assert "color 1 label 1 has 4 edges, wants 5" == entry.witness
 
     stray = copy.deepcopy(triangle_small)
-    color, label, key = stray.records[-1]
-    stray.records[-1] = (color, 0, key)
+    key = next(reversed(stray.by_key))
+    color, _ = stray.by_key[key]
+    stray.by_key[key] = (color, 0)
     entry = check_edge_counts(stray)
     assert not entry.passed
     assert "color 3 label 0 is not admissible" == entry.witness
 
-    # A relabeled record fails the check: the tallies come from the edge list.
+    # A label outside the set fails the check: the tallies come from by_key.
     relabeled = copy.deepcopy(triangle_small)
-    color, _, key = relabeled.records[0]
-    relabeled.records[0] = (color, 3, key)
+    key, (color, _) = next(iter(relabeled.by_key.items()))
+    relabeled.by_key[key] = (color, 3)
     entry = check_edge_counts(relabeled)
     assert not entry.passed
     assert "color 1 label 3 is not admissible" == entry.witness
 
     missing = copy.deepcopy(triangle_small)
-    missing.records.pop()
+    missing.by_key.popitem()
     entry = check_edge_counts(missing)
     assert not entry.passed
     assert "29 edges stored, wants 30" == entry.witness
@@ -327,7 +339,6 @@ def test_check_edge_equation_ap4_witnesses(ap4_full):
     key = (6, 10, 17)
     assert relabeled.by_key[key] == (2, 2)
     relabeled.by_key[key] = (2, 3)
-    relabeled.records[relabeled.records.index((2, 2, key))] = (2, 3, key)
     assert check_edge_equation(relabeled) == CheckEntry(
         "edge-equation",
         False,
@@ -337,7 +348,6 @@ def test_check_edge_equation_ap4_witnesses(ap4_full):
     dropped = copy.deepcopy(ap4_full)
     key = (3, 14, 18)
     assert dropped.by_key.pop(key) == (3, 0)
-    dropped.records.remove((3, 0, key))
     assert check_edge_equation(dropped) == CheckEntry(
         "edge-equation",
         False,
@@ -354,7 +364,7 @@ def test_check_edge_equation_free_colors():
     assert (host.free, host.ell) == (2, 1)
     escapes = {}
     moves = relabels = 0
-    for i, (color, label, key) in enumerate(host.records):
+    for key, (color, label) in host.by_key.items():
         part = key[-1] // host.n * host.n
         edits = [(color, label, key[:-1] + (v,)) for v in range(part, part + host.n)]
         edits += [(color, other, key) for other in range(host.n)]
@@ -362,9 +372,7 @@ def test_check_edge_equation_free_colors():
             if edit == (color, label, key) or (edit[2] != key and edit[2] in host.by_key):
                 continue
             bad = copy.copy(host)
-            bad.records = host.records[:]
             bad.by_key = dict(host.by_key)
-            bad.records[i] = edit
             del bad.by_key[key]
             bad.by_key[edit[2]] = edit[:2]
             moves += edit[2] != key
@@ -397,19 +405,19 @@ def check_both(host, copies=None):
 
 def drop_edges(host, keep):
     """Copy of host without the edges that fail keep(color, label, key)."""
-    bad = copy.deepcopy(host)
-    bad.records = [rec for rec in bad.records if keep(*rec)]
-    bad.by_key = {key: (color, label) for color, label, key in bad.records}
+    bad = copy.copy(host)
+    bad.by_key = {key: stored for key, stored in host.by_key.items() if keep(*stored, key)}
     return bad
 
 
 def test_check_copies_per_solution(triangle_small, ap4_full):
     for host in (triangle_small, ap4_full):
         assert [e.passed for e in check_both(host)] == [True, True]
-    # The walk reads the edge list, the label check reads by_key.
+    # The copies listed off the intact host, one edge gone from the
+    # tampered one: the label check reads by_key and misses it.
     bad = copy.deepcopy(triangle_small)
     del bad.by_key[(0, 6)]
-    per_solution, structure = check_both(bad)
+    per_solution, structure = check_both(bad, enumerate_copies(triangle_small))
     assert not per_solution.passed and structure.passed
     assert per_solution.witness == "solution (1, 1, 2): color 1 edge missing for x=(0,)"
     # The last copy's color-2 edge: a solution other than the first one.
@@ -417,17 +425,16 @@ def test_check_copies_per_solution(triangle_small, ap4_full):
     assert last == (4, 9, 14, 19)
     bad = copy.deepcopy(ap4_full)
     del bad.by_key[(4, 9, 19)]
-    per_solution, structure = check_both(bad)
+    per_solution, structure = check_both(bad, enumerate_copies(ap4_full))
     assert not per_solution.passed and structure.passed
     assert per_solution.witness == "solution (2, 1, 0, 4): color 2 edge missing for x=(4, 4)"
 
 
 def test_check_copies_relabeled_edge(triangle_small):
     # The x=0 diagonal edge of (1, 1, 2) moves to the other admissible
-    # label in both stores; the copy is still found, its label is wrong.
+    # label; the copy is still found, its label is wrong.
     bad = copy.deepcopy(triangle_small)
-    idx = bad.records.index((2, 2, (6, 11)))
-    bad.records[idx] = (2, 1, (6, 11))
+    assert bad.by_key[(6, 11)] == (2, 2)
     bad.by_key[(6, 11)] = (2, 1)
     per_solution, structure = check_both(bad)
     assert not per_solution.passed and structure.passed
@@ -507,14 +514,13 @@ def test_check_copies_any_order(name, request):
 
 
 def test_check_copies_relabeled_free_edge(ap4_full):
-    # The last copy's color-1 edge moves from label 1 to 2 in both stores.
+    # The last copy's color-1 edge moves from label 1 to 2.
     # Every solution with first value 1 uses it at x=(4, 4), so the wrong
     # label must be reported for a solution other than the first, although
     # free-color edges are read once per x-tuple rather than per copy.
     key = (4, 9, 14)
     assert ap4_full.by_key[key] == (0, 1)
     bad = copy.deepcopy(ap4_full)
-    bad.records[bad.records.index((0, 1, key))] = (0, 2, key)
     bad.by_key[key] = (0, 2)
     copies = enumerate_copies(bad)
     assert copies == enumerate_copies(ap4_full)
@@ -579,7 +585,8 @@ def test_full_batches_credit_only_known_solutions():
 
 def tampered_hosts(seed, count):
     """Seeded one- and two-row hosts over F3, F5 and F7, each untouched or
-    with one edge dropped, relabeled, moved within its part or repeated."""
+    with one edge dropped, relabeled, moved within its part or planted again
+    under its reversed key."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -596,23 +603,22 @@ def tampered_hosts(seed, count):
         sets = [rng.sample(range(q), rng.randint(1, q)) for _ in range(p)]
         host = build_host(ns, build_coefficients(ns), mk_sets(q, sets))
         fault = rng.choice(["none", "drop", "relabel", "move", "duplicate"])
-        i = rng.randrange(len(host.records)) if host.records else None
+        keys = list(host.by_key)
+        i = rng.randrange(len(keys)) if keys else None
         if i is not None and fault != "none":
-            color, label, key = host.records[i]
+            key = keys[i]
+            color, label = host.by_key[key]
             if fault == "drop":
-                del host.records[i], host.by_key[key]
+                del host.by_key[key]
             elif fault == "relabel":
-                label = (label + 1) % q
-                host.records[i] = (color, label, key)
-                host.by_key[key] = (color, label)
+                host.by_key[key] = (color, (label + 1) % q)
             elif fault == "move":
                 moved = key[:-1] + (key[-1] // q * q + (key[-1] + 1) % q,)
                 if moved not in host.by_key:
                     del host.by_key[key]
-                    host.records[i] = (color, label, moved)
                     host.by_key[moved] = (color, label)
             else:
-                host.records.append(host.records[i])
+                host.by_key[key[::-1]] = (color, label)
         out.append((fault, host))
     return out
 
@@ -621,10 +627,7 @@ def tampered_hosts(seed, count):
 # host below that fails one of those checks, as the per-copy check gave them
 # before the walk fed it whole batches.
 COPY_WITNESSES = [
-    (3, "duplicate", "52 copies, wants 50", "solution (4, 2, 0, 0) spans 6 copies, wants 5", ""),
-    (8, "duplicate", "76 copies, wants 75", "solution (0, 2, 0, 4) spans 26 copies, wants 25", ""),
     (9, "drop", "5 copies, wants 6", "solution (0, 1, 2) spans 2 copies, wants 3", ""),
-    (12, "duplicate", "16 copies, wants 15", "solution (0, 3, 3) spans 6 copies, wants 5", ""),
     (13, "drop", "135 copies, wants 140", "solution (0, 6, 5) spans 6 copies, wants 7", ""),
     (15, "drop", "102 copies, wants 108", "solution (0, 0, 1, 1) spans 8 copies, wants 9", ""),
     (19, "relabel", "", "solution (6, 2, 0, 1): color 2 edge missing for x=(5, 6)", ""),
@@ -632,7 +635,6 @@ COPY_WITNESSES = [
     (26, "relabel", "", "solution (1, 3, 0, 3): color 3 edge missing for x=(4,)", ""),
     (27, "relabel", "", "solution (2, 2, 4, 5): color 4 edge missing for x=(4, 2)", ""),
     (29, "drop", "8 copies, wants 9", "solution (2, 1, 1, 2) spans 8 copies, wants 9", ""),
-    (32, "duplicate", "16 copies, wants 15", "solution (1, 1, 0) spans 6 copies, wants 5", ""),
     (34, "relabel", "", "solution (2, 4, 0): color 1 edge missing for x=(1,)", ""),
     (40, "relabel", "", "solution (4, 3, 4, 2): color 4 edge missing for x=(2, 2)", ""),
     (44, "move", "", "solution (0, 0, 0, 0) spans 2 copies, wants 3",
@@ -644,7 +646,6 @@ COPY_WITNESSES = [
     (53, "relabel", "", "solution (5, 1, 2, 5, 5): color 4 edge missing for x=(0, 6)", ""),
     (54, "drop", "24 copies, wants 27", "solution (0, 0, 0, 0, 2) spans 8 copies, wants 9", ""),
     (57, "relabel", "", "solution (2, 2, 1): color 1 edge missing for x=(4,)", ""),
-    (58, "duplicate", "204 copies, wants 196", "solution (2, 3, 0, 6) spans 8 copies, wants 7", ""),
     (59, "drop", "374 copies, wants 375",
      "solution (0, 2, 2, 2, 3) spans 124 copies, wants 125", ""),
 ]
@@ -656,6 +657,7 @@ def test_streamed_copy_check_matches_the_listed_one():
     # per-copy check gave. A shuffled list may name another first fault,
     # but it fails the same checks.
     failing = []
+    duplicates = 0
     for idx, (fault, host) in enumerate(tampered_hosts(21, 60)):
         report = check_representation(host)
         entries = {e.name: e for e in report.entries}
@@ -670,9 +672,16 @@ def test_streamed_copy_check_matches_the_listed_one():
         witnesses = tuple(entries[name].witness for name in names)
         if fault == "none":
             assert report.passed
+        if fault == "duplicate":
+            # The walk and edge-equation probe ascending keys only, so
+            # only simple and edge-counts see the reversed one.
+            failed = [e.name for e in report.entries if not e.passed]
+            assert failed == ["simple", "edge-counts"]
+            duplicates += 1
         if any(witnesses):
             failing.append((idx, fault, *witnesses))
     assert failing == COPY_WITNESSES
+    assert duplicates == 13
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +727,8 @@ def test_report_naive_mode(triangle_small):
 
 def test_report_fails_on_fault(triangle_small):
     bad = copy.deepcopy(triangle_small)
-    bad.records.append(bad.records[0])
+    key = next(iter(bad.by_key))
+    bad.by_key[key[::-1]] = bad.by_key[key]
     report = check_representation(bad)
     assert not report.passed
     failed = [e.name for e in report.entries if not e.passed]
