@@ -11,7 +11,6 @@ from .behrend import (
 from .field import PrimeField, is_prime, next_prime_above
 from .hrep import (
     CoefficientTables,
-    ColoredCopy,
     Host,
     build_coefficients,
     build_host,

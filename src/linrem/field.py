@@ -6,22 +6,34 @@ enumeration loops elsewhere in the package stay cheap.
 
 from __future__ import annotations
 
-from .errors import NonPrimeModulus
+from .errors import NonPrimeModulus, SearchBudgetExceeded
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in _WITNESSES (Sorenson and
+# Webster, 2015): below it, a strong probable prime to all of them is prime.
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for desk-scale moduli."""
+    """Deterministic Miller-Rabin over the first thirteen prime bases.
+
+    Exact for n < _PRIME_BOUND; at or above it raises SearchBudgetExceeded
+    rather than guess.
+    """
+    if n >= _PRIME_BOUND:
+        raise SearchBudgetExceeded(f"primality of {n} is not certified at or above {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    # n - 1 = d * 2^s with d odd; n is a strong probable prime to base a
+    # when a^d = 1 or a^(d * 2^i) = -1 for some i < s.
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        if pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 

@@ -13,11 +13,14 @@ by_key, each key's (color, label) in stream order; checks derive the rest.
 
 The edge stream does its per x-tuple work once per color, not once per
 edge, and yields one batch of vertex keys per admissible label, which
-build_host files into by_key at once. copies_for_solution builds one
-solution's U vertices once per x-tuple and reads every edge key off them,
-through Host.diag_layout for the row colors; the verifier's walk and copy
-check use that layout too, its naive oracle neither it nor the
-coefficient tables.
+build_host files into by_key at once.
+
+A copy is its sorted vertex tuple, one vertex per part: x parts first,
+then U parts. Host.copy_edges reads a copy's edge keys off that tuple,
+and Host.row_keys, which it uses, is the one place that knows how a row
+color's key is laid out; copies_for_solution, the verifier's walk and
+its copy check all read row edges through it. The naive oracle reads
+neither it nor the coefficient tables.
 
 export_host writes one `color label part:value ...` line per edge, and
 parse_host_export reads such lines back into the host's edge references.
@@ -104,24 +107,6 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
     )
 
 
-@dataclass(frozen=True)
-class ColoredCopy:
-    """One template copy of a solution: x-parameter, U-part values, edges.
-
-    Each edge is (color, vertex key); its label is the solution's value
-    in that color, which copies_for_solution checked against the store.
-    """
-
-    xs: tuple[int, ...]
-    us: tuple[int, ...]
-    edges: tuple[EdgeRef, ...]
-
-    def vertices(self, n: int, width: int) -> VKey:
-        return tuple(t * n + v for t, v in enumerate(self.xs)) + tuple(
-            (width + j) * n + v for j, v in enumerate(self.us)
-        )
-
-
 class Host:
     """Materialized edge store: by_key maps each vertex key to its (color, label).
 
@@ -141,6 +126,10 @@ class Host:
         self.free = ns.free_count
         self.ell = ns.ell
         self.by_key: dict[VKey, tuple[int, int]] = {}
+        self._rows = tuple(
+            (self.free + i, coeffs.outside[i], itemgetter(*ns.support[i], ns.pivots[i]))
+            for i in range(self.ell)
+        )
 
     @property
     def records(self) -> tuple[tuple[int, int, VKey], ...]:
@@ -151,18 +140,36 @@ class Host:
         width = self.r - 1
         return f"V{part + 1}" if part < width else f"U{part - width + 1}"
 
-    def diag_layout(self) -> tuple[tuple[int, tuple[int, ...], itemgetter], ...]:
-        """Per row i, how a copy's color-(free+i) edge key is read off it.
+    def row_keys(self, prefix: VKey) -> list[tuple[int, VKey, itemgetter]]:
+        """Per row i, how a copy with x-part key prefix reads its color-(free+i) edge.
 
-        Each entry is (color, x-positions outside row i's block, getter of
-        the support then pivot vertices from the copy's U-part vertices).
-        The key is those x-part vertices followed by the getter's tuple;
-        normalize leaves every row a support column, so it is a tuple.
+        Each entry is (color, the x-part key's vertices outside row i's
+        block, getter of the support then pivot vertices from the copy's
+        U-part vertices). The edge key is that x-part key followed by the
+        getter's tuple; normalize leaves every row a support column, so
+        it is a tuple.
         """
-        ns = self.ns
-        return tuple(
-            (self.free + i, self.coeffs.outside[i], itemgetter(*ns.support[i], ns.pivots[i]))
-            for i in range(self.ell)
+        return [(color, tuple(map(prefix.__getitem__, outs)), get) for color, outs, get in self._rows]
+
+    def copy_edges(self, copies) -> list[tuple[EdgeRef, ...]]:
+        """Each copy's (color, vertex key) edges: free colors ascending, then the rows.
+
+        A copy is a sorted vertex tuple with one vertex per part; any
+        other tuple raises ValueError.
+        """
+        n, parts = self.n, tuple(range(self.k))
+        out = []
+        for copy in copies:
+            if tuple(v // n for v in copy) != parts:
+                raise ValueError(f"copy {copy} does not meet every part once")
+            out.append(self._edges(copy))
+        return out
+
+    def _edges(self, copy: VKey) -> tuple[EdgeRef, ...]:
+        """copy_edges for one copy already known to meet every part once."""
+        prefix, us = copy[: self.r - 1], copy[self.r - 1 :]
+        return tuple((j, prefix + (u,)) for j, u in enumerate(us)) + tuple(
+            (color, xkey + get_u(us)) for color, xkey, get_u in self.row_keys(prefix)
         )
 
 
@@ -231,36 +238,25 @@ def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily)
     return host
 
 
-def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[ColoredCopy]:
-    """The n^(r-1) copies a full normalized-order solution spans.
+def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[VKey]:
+    """The n^(r-1) copies a full normalized-order solution spans, x ascending.
 
     Raises MissingEdge if any expected edge is absent or carries the wrong
     color or label, so a successful return certifies the copy family.
     """
     n = host.n
     width = host.r - 1
-    free = host.free
     mix = host.coeffs.mix
-    rows = host.diag_layout()
     out = []
     for xs in itertools.product(range(n), repeat=width):
-        us = tuple(
-            (solution[j] + sum(c * x for c, x in zip(mix[j], xs))) % n for j in range(free)
+        copy = tuple(t * n + x for t, x in enumerate(xs)) + tuple(
+            (width + j) * n + (u + sum(c * x for c, x in zip(mix[j], xs))) % n
+            for j, u in enumerate(solution[: host.free])
         )
-        xpart = tuple(t * n + x for t, x in enumerate(xs))
-        upart = tuple((width + j) * n + u for j, u in enumerate(us))
-        edges = []
-        for j in range(free):
-            key = xpart + (upart[j],)
-            if host.by_key.get(key) != (j, solution[j]):
-                raise MissingEdge(f"color {j + 1} edge missing for x={xs}")
-            edges.append((j, key))
-        for color, outs, get_u in rows:
-            key = tuple(xpart[t] for t in outs) + get_u(upart)
+        for color, key in host._edges(copy):
             if host.by_key.get(key) != (color, solution[color]):
                 raise MissingEdge(f"color {color + 1} edge missing for x={xs}")
-            edges.append((color, key))
-        out.append(ColoredCopy(xs=xs, us=us, edges=tuple(edges)))
+        out.append(copy)
     return out
 
 

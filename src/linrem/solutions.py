@@ -361,19 +361,18 @@ def plan_removal(
 def min_copy_hitting_set(
     host, copies: Sequence, guard: int = 10**4, node_budget: int = 100_000
 ) -> tuple:
-    """Exact minimum edge set meeting every copy's edge list.
+    """Exact minimum edge set of host meeting every copy.
 
-    Copies only need an `edges` attribute (tuple of edge references).
-    Returns the chosen edges as a sorted tuple. The branch-and-bound
-    raises SearchBudgetExceeded past node_budget nodes, so hard inputs
-    fail loudly instead of hanging.
+    Copies are sorted vertex tuples, as enumerate_copies and
+    copies_for_solution give them; host.copy_edges reads their edges,
+    and a tuple that does not meet every part once raises ValueError.
+    Returns the chosen (color, vertex key) edges as a sorted tuple. The
+    branch-and-bound raises SearchBudgetExceeded past node_budget nodes,
+    so hard inputs fail loudly instead of hanging.
     """
     if len(copies) > guard:
         raise SearchBudgetExceeded(f"{len(copies)} copies exceed hitting-set guard {guard}")
-    rows = [tuple(c.edges) for c in copies]
-    if not all(rows):
-        raise ValueError("a copy without edges cannot be hit")
-    return tuple(sorted(_min_hitting_set(rows, node_budget)))
+    return tuple(sorted(_min_hitting_set(host.copy_edges(copies), node_budget)))
 
 
 def translate_edge_deletion(host, edges: Iterable, sets: SetFamily) -> SetFamily:

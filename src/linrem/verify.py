@@ -1,17 +1,19 @@
 """Independent verification of a built host.
 
-Copy enumeration has one front door, enumerate_copies, with two routes:
-a per-part walk over an index it builds from the edge list, and a naive
-scan testing vertex k-sets with a counting placement test. The walk
-reads row-color keys through Host.diag_layout, as copies_for_solution
-does; the scan shares no logic with the construction and reads only the
-normalized system and by_key. The index keeps each candidate
-list sorted, so the walk yields copies in order and nothing sorts its
-output. The scan is seeded: a spanning set holds an edge of the rarest
-color and meets every part that some color's edges all touch, so only
-k-sets extending such an edge into those parts are tested. Agreement
-between the routes, the edge bookkeeping checks, and the copy-count
-identity together certify the representation.
+A copy is its sorted vertex tuple, one vertex per part, whichever
+routine produced it. Copy enumeration has one front door,
+enumerate_copies, with two routes: a per-part walk over an index it
+builds from the edge list, and a naive scan testing vertex k-sets with a
+counting placement test. The walk reads row-color keys through
+Host.row_keys, as copies_for_solution does; the scan shares no logic
+with the construction and reads only the normalized system and by_key.
+The index keeps each candidate list sorted, so the walk yields copies
+in order and nothing sorts its output. The scan is seeded: a spanning
+set holds an edge of the rarest color and meets every part that some
+color's edges all touch, so only k-sets extending such an edge into
+those parts are tested. Agreement between the routes, the edge
+bookkeeping checks, and the copy-count identity together certify the
+representation.
 
 Per-solution and copy-structure share one pass over the copies. A copy
 is fixed by (solution, x) and recovers its solution from its U-part
@@ -71,15 +73,6 @@ def _part_index(host: Host) -> PartIndex:
     return index
 
 
-def _row_keys(rows, prefix: VKey) -> list[tuple[int, VKey, itemgetter]]:
-    """Per row of Host.diag_layout, (color, x-part key at prefix, U getter).
-
-    A copy's row edge key is the x-part key followed by the getter's
-    tuple of its U-part vertices.
-    """
-    return [(color, tuple(map(prefix.__getitem__, outs)), get_u) for color, outs, get_u in rows]
-
-
 def _iter_per_part(host: Host):
     """One (prefix, U-tuples, per-row stored edges) batch per x-tuple.
 
@@ -99,14 +92,13 @@ def _iter_per_part(host: Host):
     n = host.n
     width = host.r - 1
     by_key = host.by_key
-    rows = host.diag_layout()
     for prefix in itertools.product(*(range(t * n, (t + 1) * n) for t in range(width))):
         cands = [values.get(prefix) for values in index]
         if not all(cands):
             continue
         batch = list(itertools.product(*cands))
         stored: list[list] = []
-        for color, xkey, get_u in _row_keys(rows, prefix):
+        for color, xkey, get_u in host.row_keys(prefix):
             keys = map(add, repeat(xkey), map(get_u, batch))
             got = list(map(by_key.get, keys, repeat(_NO_EDGE)))
             keep = list(map(eq, map(itemgetter(0), got), repeat(color)))
@@ -403,7 +395,6 @@ class _CopyCheck:
     def __init__(self, host: Host):
         ns = host.ns
         self.host = host
-        self.rows = host.diag_layout()
         self.admissible = host.sets_n.frozensets()
         diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
         self.eqs = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
@@ -453,7 +444,7 @@ class _CopyCheck:
             at_zero.update(zip(part, itertools.chain(part[n - s:], part[:n - s])))
             got = list(map(by_key.get, map(add, repeat(prefix), tails)))
             free_at_zero[part.start:part.stop] = got[s:] + got[:s]
-        diag = _row_keys(self.rows, prefix)
+        diag = host.row_keys(prefix)
         solved = self.solved
         first = self.first
         if (
@@ -559,17 +550,26 @@ def _listed_batches(host: Host, copies):
     """
     width = host.r - 1
     by_key = host.by_key
-    rows = host.diag_layout()
     for (prefix, size), group in itertools.groupby(copies, lambda vkey: (vkey[:width], len(vkey))):
         batch = [vkey[width:] for vkey in group]
         if size == host.k:
             stored = [
                 list(map(by_key.get, map(add, repeat(xkey), map(get_u, batch))))
-                for _, xkey, get_u in _row_keys(rows, prefix)
+                for _, xkey, get_u in host.row_keys(prefix)
             ]
         else:
-            stored = [[None] * len(batch) for _ in rows]
+            stored = [[None] * len(batch) for _ in range(host.ell)]
         yield prefix, batch, stored
+
+
+def _check_batches(host: Host, batches, solutions: int) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
+    """Feed the copy check every batch; the copies fed, and its two entries."""
+    check = _CopyCheck(host)
+    copies = 0
+    for prefix, batch, stored in batches:
+        copies += len(batch)
+        check.feed(prefix, batch, stored)
+    return copies, check.entries(solutions)
 
 
 def check_copies(host: Host, copies, solutions: int) -> tuple[CheckEntry, CheckEntry]:
@@ -580,10 +580,7 @@ def check_copies(host: Host, copies, solutions: int) -> tuple[CheckEntry, CheckE
     copies may come in any order; sorted copies pay the x-part work once
     per x-tuple.
     """
-    check = _CopyCheck(host)
-    for batch in _listed_batches(host, copies):
-        check.feed(*batch)
-    return check.entries(solutions)
+    return _check_batches(host, _listed_batches(host, copies), solutions)[1]
 
 
 def check_representation(
@@ -605,18 +602,14 @@ def check_representation(
         batches = _iter_per_part(host)
     else:
         batches = _listed_batches(host, enumerate_copies(host, mode=mode, guard=guard))
-    check = _CopyCheck(host)
-    copies = 0
-    for prefix, batch, stored in batches:
-        copies += len(batch)
-        check.feed(prefix, batch, stored)
     solutions = count_system(host.ns.base, host.sets_n)
+    copies, copy_entries = _check_batches(host, batches, solutions)
     expected = solutions * host.n ** (host.r - 1)
     entry = CheckEntry("copy-count", copies == expected)
     if not entry.passed:
         entry.witness = f"{copies} copies, wants {expected}"
     report.entries.append(entry)
-    report.entries.extend(check.entries(solutions))
+    report.entries.extend(copy_entries)
     tuples = _edge_equation_tuples(host)
     if tuples <= guard:
         report.entries.append(check_edge_equation(host, guard=guard))

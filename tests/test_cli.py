@@ -50,6 +50,14 @@ def test_count_degenerate_inputs(capsys):
     assert run(capsys, "count", FOLD) == (0, "T=25\n", "")
 
 
+def test_count_under_a_61_bit_prime_field(capsys, tmp_path):
+    # The parser certifies 2^61 - 1 prime at once; 1 + 1 - 1 is not 0.
+    path = write_system(
+        tmp_path, "field 2305843009213693951\nsystem 1 3\n1 1 -1\nrhs 0\nset 1\nset 1\nset 1\n"
+    )
+    assert run(capsys, "count", path) == (0, "T=0\n", "")
+
+
 def test_count_naive_agrees(capsys):
     baseline = run(capsys, "count", AP4)
     assert baseline == (0, "T=25\n", "")
@@ -237,12 +245,13 @@ def test_translate_round_trip_on_ap4(capsys, tmp_path):
     host, _ = _build(system, sets)
     line_of = dict(zip(parse_host_export(host, text), text.splitlines()))
     copies = [c for sol in iter_solutions(host.ns, host.sets) for c in copies_for_solution(host, sol)]
+    rows = host.copy_edges(copies)
     deleted = {}
-    for i, copy in enumerate(copies):
-        if not any(ref in deleted for ref in copy.edges):
-            ref = copy.edges[i % len(copy.edges)]
+    for i, edges in enumerate(rows):
+        if not any(ref in deleted for ref in edges):
+            ref = edges[i % len(edges)]
             deleted[ref] = line_of[ref]
-    assert all(any(ref in deleted for ref in copy.edges) for copy in copies)
+    assert all(any(ref in deleted for ref in edges) for edges in rows)
     edges = tmp_path / "deleted.edges"
     edges.write_text("\n".join(deleted.values()) + "\n")
     code, out, err = run(capsys, "translate", AP4, str(edges))

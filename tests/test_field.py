@@ -1,13 +1,44 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from linrem.errors import NonPrimeModulus
+from linrem.errors import NonPrimeModulus, SearchBudgetExceeded
 from linrem.field import PrimeField, is_prime, next_prime_above
 
 
 def test_is_prime_small_table():
     expected = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == expected
+
+
+def test_is_prime_matches_trial_division_below_100000():
+    composite = bytearray(100_000)
+    composite[0] = composite[1] = 1
+    for d in range(2, 317):
+        if not composite[d]:
+            composite[d * d::d] = b"\x01" * len(range(d * d, 100_000, d))
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if not composite[n]
+    ]
+
+
+def test_is_prime_on_large_numbers():
+    # 3,215,031,751 = 151 * 751 * 28351 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7.
+    assert not is_prime(3_215_031_751)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    # The least strong pseudoprime to the twelve bases 2...37; base 41
+    # exposes it.
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(NonPrimeModulus):
+        PrimeField(318_665_857_834_031_151_167_461)
+
+
+def test_modulus_beyond_the_certified_bound_refused():
+    # Thirteen Miller-Rabin bases decide primality below this bound only.
+    with pytest.raises(SearchBudgetExceeded):
+        PrimeField(3_317_044_064_679_887_385_961_981)
+    assert PrimeField(2**61 - 1).q == 2**61 - 1
 
 
 def test_next_prime_above():

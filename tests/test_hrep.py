@@ -271,13 +271,11 @@ def test_copies_triangle_solution():
     sets = mk_sets(5, [[1, 2]] * 3)
     host = build_host(ns, build_coefficients(ns), sets)
     copies = copies_for_solution(host, (1, 1, 2))
-    assert len(copies) == 5
-    for x, copy in zip(range(5), copies):
-        assert copy.xs == (x,)
-        assert copy.us == ((1 + x) % 5, (1 - x) % 5)
-        assert copy.vertices(5, 1) == (x, 5 + (1 + x) % 5, 10 + (1 - x) % 5)
-    for a, b in itertools.combinations(copies, 2):
-        assert not set(a.edges) & set(b.edges)
+    assert copies == [(x, 5 + (1 + x) % 5, 10 + (1 - x) % 5) for x in range(5)]
+    # Free colors ascending, then the row color, whose key holds no x vertex.
+    assert host.copy_edges(copies[:1]) == [((0, (0, 6)), (1, (0, 11)), (2, (6, 11)))]
+    for a, b in itertools.combinations(host.copy_edges(copies), 2):
+        assert not set(a) & set(b)
 
 
 def test_copies_reject_non_solution():
@@ -301,16 +299,19 @@ def test_copy_diag_vertices_are_affine_in_x():
     tables = host.coeffs
     solution = (1, 3, 0, 2)
     assert ns.base.is_solution(solution)
+    width = ns.uniformity - 1
     for copy in copies_for_solution(host, solution):
+        values = [v % fld.q for v in copy]
+        xs, us = values[:width], values[width:]
         for i in range(ns.ell):
-            image = mat_vec(fld, tables.sep[i], copy.xs)
-            for t in range(ns.uniformity - 1):
+            image = mat_vec(fld, tables.sep[i], xs)
+            for t in range(width):
                 if t in ns.blocks[i]:
                     g = ns.blocks[i].index(t)
                     j = ns.support[i][g]
-                    assert copy.us[j] == (image[t] + solution[j]) % fld.q
+                    assert us[j] == (image[t] + solution[j]) % fld.q
                 else:
-                    assert copy.xs[t] == image[t]
+                    assert xs[t] == image[t]
 
 
 def test_distinct_x_never_share_edges():
@@ -319,10 +320,10 @@ def test_distinct_x_never_share_edges():
     copies = copies_for_solution(host, (0, 0, 0, 0))
     assert len(copies) == 25
     seen = {}
-    for copy in copies:
-        for edge in copy.edges:
+    for copy, edges in zip(copies, host.copy_edges(copies)):
+        for edge in edges:
             assert edge not in seen
-            seen[edge] = copy.xs
+            seen[edge] = copy
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -567,15 +566,15 @@ def test_translate_frees_multi_row_families_from_greedy_covers():
         if not 1 <= len(solutions) <= 20:
             continue
         host = build_host(ns, build_coefficients(ns), sets)
-        copies = [c for sol in solutions for c in copies_for_solution(host, sol)]
+        copies = host.copy_edges(c for sol in solutions for c in copies_for_solution(host, sol))
         # A random greedy cover: each copy not yet hit gives up a random edge.
         rng.shuffle(copies)
         hitting: list = []
         for c in copies:
-            if not set(c.edges) & set(hitting):
-                hitting.append(rng.choice(c.edges))
+            if not set(c) & set(hitting):
+                hitting.append(rng.choice(c))
         redundant += any(
-            all(set(c.edges) & (set(hitting) - {e}) for c in copies) for e in hitting
+            all(set(c) & (set(hitting) - {e}) for c in copies) for e in hitting
         )
         surviving = translate_edge_deletion(host, hitting, sets)
         assert brute_count(system, surviving) == 0, (q, system.rows, sets.sets)
@@ -586,7 +585,7 @@ def test_translate_frees_multi_row_families_from_greedy_covers():
 
 
 def test_min_hitting_empty():
-    assert min_copy_hitting_set(None, []) == ()
+    assert min_copy_hitting_set(triangle_host(mk_sets(5, [[1, 2]] * 3)), []) == ()
 
 
 def test_min_hitting_disjoint_copies():
@@ -595,28 +594,21 @@ def test_min_hitting_disjoint_copies():
     copies = copies_for_solution(host, (1, 1, 2))
     hits = min_copy_hitting_set(host, copies)
     assert len(hits) == 5
-    for copy in copies:
-        assert any(e in copy.edges for e in hits)
-
-
-@dataclass(frozen=True)
-class _StubCopy:
-    edges: tuple
+    for edges in host.copy_edges(copies):
+        assert any(e in edges for e in hits)
 
 
 def test_min_hitting_shared_edge():
     shared = (0, (1, 2))
-    a = _StubCopy(edges=(shared, (1, (3, 4))))
-    b = _StubCopy(edges=(shared, (2, (5, 6))))
-    assert min_copy_hitting_set(None, [a, b]) == (shared,)
+    rows = [(shared, (1, (3, 4))), (shared, (2, (5, 6)))]
+    assert _min_hitting_set(rows, node_budget=10**5) == [shared]
 
 
 def test_min_hitting_beats_its_greedy_cover():
-    # g hits four copies, so greedy takes it and then needs a and b too;
-    # the two copies that only a or only b hits pack to 2, which a, b meets.
-    copies = [_StubCopy(edges=row) for row in
-              [("a", "g"), ("a", "g"), ("a",), ("b", "g"), ("b", "g"), ("b",)]]
-    assert min_copy_hitting_set(None, copies) == ("a", "b")
+    # g hits four rows, so greedy takes it and then needs a and b too;
+    # the two rows that only a or only b hits pack to 2, which a, b meets.
+    rows = [("a", "g"), ("a", "g"), ("a",), ("b", "g"), ("b", "g"), ("b",)]
+    assert sorted(_min_hitting_set(rows, node_budget=10**5)) == ["a", "b"]
 
 
 def test_min_hitting_set_matches_a_subset_scan():
@@ -644,30 +636,40 @@ def test_min_hitting_set_matches_a_subset_scan():
             assert all(set(row) & set(cover) for row in rows)
 
 
-def test_min_hitting_rejects_edgeless_copy():
-    copies = [_StubCopy(edges=((0, (1,)),)), _StubCopy(edges=())]
-    with pytest.raises(ValueError, match="without edges"):
-        min_copy_hitting_set(None, copies)
+def test_min_hitting_rejects_a_copy_off_the_parts():
+    # (0, 5, 6) puts two vertices in U1 and none in U2.
+    host = triangle_host(mk_sets(5, [[1, 2]] * 3))
+    copies = [*copies_for_solution(host, (1, 1, 2)), (0, 5, 6)]
+    with pytest.raises(ValueError, match=r"copy \(0, 5, 6\) does not meet every part once"):
+        min_copy_hitting_set(host, copies)
 
 
 def test_min_hitting_guard():
-    copies = [_StubCopy(edges=((0, (i,)),)) for i in range(5)]
-    with pytest.raises(SearchBudgetExceeded):
-        min_copy_hitting_set(None, copies, guard=4)
+    host = triangle_host(mk_sets(5, [[1, 2]] * 3))
+    copies = copies_for_solution(host, (1, 1, 2))
+    with pytest.raises(SearchBudgetExceeded, match="5 copies exceed hitting-set guard 4"):
+        min_copy_hitting_set(host, copies, guard=4)
 
 
 def test_min_hitting_node_budget():
-    # Pairwise-overlapping two-edge copies force real branching.
-    copies = [
-        _StubCopy(edges=((0, (i,)), (0, (j,))))
-        for i in range(8)
-        for j in range(i + 1, 8)
-    ]
-    budgeted = min_copy_hitting_set(None, copies)
+    # Pairwise-overlapping two-element rows force real branching.
+    rows = [((0, (i,)), (0, (j,))) for i in range(8) for j in range(i + 1, 8)]
     # Hitting every pair from an 8-element universe needs 7 singletons.
-    assert len(budgeted) == 7
+    assert len(_min_hitting_set(rows, node_budget=100_000)) == 7
     with pytest.raises(SearchBudgetExceeded, match="passed 3 nodes; best cover so far has 7 elements"):
-        min_copy_hitting_set(None, copies, node_budget=3)
+        _min_hitting_set(rows, node_budget=3)
+
+
+def test_min_copy_hitting_set_forwards_its_node_budget():
+    # The three solutions of x+y=z over {0,1} span 15 copies that share
+    # edges, so the exact search branches: it needs 71 nodes for 8 edges.
+    host = triangle_host(mk_sets(5, [[0, 1]] * 3))
+    copies = [c for sol in ((0, 0, 0), (0, 1, 1), (1, 0, 1)) for c in copies_for_solution(host, sol)]
+    hits = min_copy_hitting_set(host, copies, node_budget=71)
+    assert len(hits) == 8 and list(hits) == sorted(hits)
+    assert all(set(edges) & set(hits) for edges in host.copy_edges(copies))
+    with pytest.raises(SearchBudgetExceeded, match="passed 3 nodes; best cover so far has 10 elements"):
+        min_copy_hitting_set(host, copies, node_budget=3)
 
 
 # ---------------------------------------------------------------------------

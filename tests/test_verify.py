@@ -8,9 +8,9 @@ import pytest
 
 from conftest import full_sets, mk_sets, mk_system
 from linrem.errors import InputError, SearchBudgetExceeded
-from linrem.hrep import build_coefficients, build_host
+from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import normalize, parse_system
-from linrem.solutions import count_system
+from linrem.solutions import count_system, iter_solutions, min_copy_hitting_set
 from linrem.verify import (
     CheckEntry,
     _iter_per_part,
@@ -556,13 +556,46 @@ def test_walk_batches_flatten_to_the_copies():
         flat = []
         for prefix, batch, stored in _iter_per_part(host):
             assert batch and len(stored) == host.ell
-            for i, (color, outs, get_u) in enumerate(host.diag_layout()):
-                keys = [tuple(prefix[t] for t in outs) + get_u(us) for us in batch]
+            for i, (color, xkey, get_u) in enumerate(host.row_keys(prefix)):
+                keys = [xkey + get_u(us) for us in batch]
                 assert stored[i] == [host.by_key[key] for key in keys]
                 assert {c for c, _ in stored[i]} == {color}
             flat += [prefix + us for us in batch]
         assert flat == enumerate_copies(host) == enumerate_copies(host, mode="naive")
         assert len(flat) == count_system(host.ns.base, host.sets_n) * host.n ** (host.r - 1)
+
+
+def test_constructive_copies_match_the_walk():
+    # copies_for_solution builds each solution's family from the system;
+    # the walk finds copies in the host. On random hosts of one or two
+    # rows both give the same sorted vertex tuples, the copy check passes
+    # on the constructive list, and minimum hitting sets of either list
+    # have one size (compared where the exact search is cheap).
+    rng = random.Random(23)
+    hosts = compared = 0
+    while hosts < 100:
+        q = rng.choice((3, 5, 7))
+        ell = rng.choice((1, 2))
+        p = rng.randint(ell + 1, ell + 3)
+        try:
+            ns = normalize(mk_system(q, [[rng.randrange(q) for _ in range(p)] for _ in range(ell)],
+                                     [rng.randrange(q) for _ in range(ell)]))
+        except InputError:
+            continue
+        sets = mk_sets(q, [rng.sample(range(q), rng.randint(1, q)) for _ in range(p)])
+        solutions = count_system(ns.base, ns.permute_family(sets))
+        if solutions * q ** (ns.uniformity - 1) > 600:
+            continue
+        host = build_host(ns, build_coefficients(ns), sets)
+        walked = enumerate_copies(host)
+        built = [c for sol in iter_solutions(ns, sets) for c in copies_for_solution(host, sol)]
+        assert sorted(built) == walked, (q, ns.base.rows, sets.sets)
+        assert all(entry.passed for entry in check_copies(host, built, solutions))
+        if len(walked) <= 60:
+            assert len(min_copy_hitting_set(host, walked)) == len(min_copy_hitting_set(host, built))
+            compared += 1
+        hosts += 1
+    assert compared >= 50
 
 
 def test_full_batches_credit_only_known_solutions():
