@@ -3,11 +3,14 @@
 A solution assigns each unknown a value from its admissible set.
 Counting is a transfer walk over the columns, from both ends to a
 meeting column, whose state is a partial left-hand side in F_q^ell: its
-work grows with q^ell, not with the product of the sets. The naive mode
-enumerates full tuples as an independent oracle. `solve` enumerates the
-solutions of any full-rank system from its block-identity form: the
-free unknowns range over their sets and fix the block unknowns.
-Removal searches are exact branch-and-bound over which elements to delete.
+work grows with q^ell, not with the product of the sets. When the
+(2q)^ell residue slots are no more than the walk's steps, the same
+count is one slot of a product of packed big integers, one per column.
+The naive mode enumerates full tuples as an independent oracle. `solve`
+enumerates the solutions of any full-rank system from its
+block-identity form: the free unknowns range over their sets and fix
+the block unknowns. Removal searches are exact branch-and-bound over
+which elements to delete.
 """
 
 from __future__ import annotations
@@ -61,6 +64,52 @@ def _walk(system: LinearSystem, sets: SetFamily, cols: Iterable[int]) -> dict[tu
     return reach
 
 
+def _paired_walk(system: LinearSystem, sets: SetFamily, m: int) -> int:
+    """Solution count from walks over the first m columns and, backward, the rest."""
+    q = system.field.q
+    head = _walk(system, sets, range(m))
+    tail = _walk(system, sets, reversed(range(m, system.p)))
+    rhs = system.rhs
+    return sum(w * head.get(tuple((b - t) % q for t, b in zip(s, rhs)), 0) for s, w in tail.items())
+
+
+def _packed_count(system: LinearSystem, sets: SetFamily) -> int:
+    """Solution count as one slot of a product of packed column ints.
+
+    A slot is a whole number of bytes, at least one bit wider than the
+    product of the set sizes, so no slot carries. Slot idx(v) holds the
+    number of prefixes with left-hand side v, where idx lays out v with
+    stride 2q per row. A product adds two row values below q, so no row
+    spills into the next; the fold then moves each row's slots at or
+    above q down by q, and the stride of 2q keeps every slot a shift
+    borrows into at or above q, where the mask drops it.
+    """
+    q = system.field.q
+    base = 2 * q
+    nbytes = (math.prod(sets.sizes()).bit_length() + 8) // 8
+    width = 8 * nbytes
+    slots = base**system.ell
+
+    def idx(vec: Iterable[int]) -> int:
+        return sum(v * base**i for i, v in enumerate(vec))
+
+    folds = []
+    for i in range(system.ell):
+        run = nbytes * q * base**i
+        low = int.from_bytes((b"\xff" * run + bytes(run)) * base ** (system.ell - 1 - i), "little")
+        folds.append((width * q * base**i, low))
+    acc = 1
+    for j in range(system.p):
+        packed = bytearray(nbytes * slots)
+        images = Counter(idx(row[j] * x % q for row in system.rows) for x in sets.sets[j])
+        for k, mult in images.items():
+            packed[nbytes * k : nbytes * (k + 1)] = mult.to_bytes(nbytes, "little")
+        acc *= int.from_bytes(packed, "little")
+        for shift, low in folds:
+            acc = (acc + (acc >> shift)) & low
+    return acc >> (width * idx(system.rhs)) & ((1 << width) - 1)
+
+
 def count_system(
     system: LinearSystem, sets: SetFamily, mode: str = "structured", guard: int = 10**6
 ) -> int:
@@ -71,10 +120,14 @@ def count_system(
     reaching it, in sum_j |S_j|·min(q^ell, prod_{k<j} |S_k|) steps. The
     first m columns are walked forward and the rest backward, at the m
     with the fewest steps in all (m = p is the one-way walk); each tail
-    sum t pairs with the head sum rhs - t. The step count is checked
-    against guard before the first step. naive: full product enumeration
-    checking the system directly, an independent oracle guarded by its
-    tuple count.
+    sum t pairs with the head sum rhs - t. When (2q)^ell is at most that
+    step count, a packed product runs instead (`_packed_count`): one int
+    per column, a slot of whole bytes per residue vector, at least one
+    bit wider than prod_j |S_j| so no slot carries, each row folded back
+    below q after every product. The step count is checked against guard
+    before the first step, whichever kernel runs. naive: full product
+    enumeration checking the system directly, an independent oracle
+    guarded by its tuple count.
     """
     if mode == "naive":
         work = math.prod(max(1, len(s)) for s in sets.sets)
@@ -92,10 +145,9 @@ def count_system(
     )
     if work > guard:
         raise SearchBudgetExceeded(f"transfer count needs {work} steps, guard is {guard}")
-    head = _walk(system, sets, range(m))
-    tail = _walk(system, sets, reversed(range(m, system.p)))
-    rhs = system.rhs
-    return sum(w * head.get(tuple((b - t) % q for t, b in zip(s, rhs)), 0) for s, w in tail.items())
+    if (2 * q) ** system.ell <= work:
+        return _packed_count(system, sets)
+    return _paired_walk(system, sets, m)
 
 
 def solve(system: LinearSystem, sets: SetFamily) -> Iterator[tuple[int, ...]]:

@@ -50,12 +50,20 @@ def test_count_degenerate_inputs(capsys):
     assert run(capsys, "count", FOLD) == (0, "T=25\n", "")
 
 
-def test_count_under_a_61_bit_prime_field(capsys, tmp_path):
-    # The parser certifies 2^61 - 1 prime at once; 1 + 1 - 1 is not 0.
-    path = write_system(
-        tmp_path, "field 2305843009213693951\nsystem 1 3\n1 1 -1\nrhs 0\nset 1\nset 1\nset 1\n"
-    )
-    assert run(capsys, "count", path) == (0, "T=0\n", "")
+@pytest.mark.parametrize(
+    "body, count",
+    [
+        # 1 + 1 - 1 is not 0.
+        ("system 1 3\n1 1 -1\nrhs 0\nset 1\nset 1\nset 1\n", 0),
+        # (2q)^2 slots could never be allocated: the dict walk must run.
+        ("system 2 3\n1 1 0\n0 1 1\nrhs 3 5\nset 1\nset 2\nset 3\n", 1),
+    ],
+    ids=["one-row", "two-rows"],
+)
+def test_count_under_a_61_bit_prime_field(capsys, tmp_path, body, count):
+    # The parser certifies 2^61 - 1 prime at once.
+    path = write_system(tmp_path, "field 2305843009213693951\n" + body)
+    assert run(capsys, "count", path) == (0, f"T={count}\n", "")
 
 
 def test_count_naive_agrees(capsys):

@@ -13,6 +13,8 @@ from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import SetFamily, normalize, parse_system
 from linrem.solutions import (
     _min_hitting_set,
+    _packed_count,
+    _paired_walk,
     _removal_floor,
     count_system,
     epsdelta_scan,
@@ -133,7 +135,7 @@ def counting_systems(draw):
     two-variable residuals all occur; set sizes keep the product small
     enough for the brute-force count.
     """
-    q = draw(st.sampled_from([3, 5, 7, 11]))
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
     ell = draw(st.integers(min_value=1, max_value=3))
     p = draw(st.integers(min_value=ell + 1, max_value=min(ell + 3, 5)))
     entry = st.integers(min_value=0, max_value=q - 1)
@@ -156,6 +158,12 @@ def counting_systems(draw):
 @example((3, [[1, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]], [0, 1, 2], [[0, 1, 2]] * 4))
 # an empty set
 @example((11, [[1, 2, 3]], [0], [[1, 2, 3], [], [4, 5]]))
+# the smallest field
+@example((2, [[1, 1, 1], [0, 1, 1]], [1, 0], [[0, 1], [0, 1], [0, 1]]))
+# three dense rows
+@example((5, [[1, 2, 3, 4, 1], [0, 1, 4, 2, 3], [1, 0, 2, 2, 4]], [1, 2, 3], [[0, 1, 3, 4]] * 5))
+# an empty set under two rows
+@example((7, [[1, 2, 3], [3, 0, 1]], [4, 2], [[0, 2, 5], [1, 6], []]))
 def test_count_system_modes_match_brute(case):
     q, rows, rhs, fam = case
     try:
@@ -166,6 +174,20 @@ def test_count_system_modes_match_brute(case):
     expected = brute_count(system, sets)
     assert count_system(system, sets) == expected
     assert count_system(system, sets, mode="naive") == expected
+    # Both kernels on every draw, whichever one count_system picks; the
+    # dict walk at every split between head and tail.
+    assert _packed_count(system, sets) == expected
+    for m in range(system.p + 1):
+        assert _paired_walk(system, sets, m) == expected
+
+
+@pytest.mark.parametrize("dead", [2, 4])
+def test_packed_count_slot_holds_a_power_of_two(dead):
+    # Every tuple lands in one slot: T = 16^dead = 2^8 or 2^16 is one
+    # past the largest value an 8- or 16-bit slot holds.
+    system = mk_system(17, [[1] + [0] * dead], [5])
+    sets = mk_sets(17, [[5]] + [range(1, 17)] * dead)
+    assert _packed_count(system, sets) == count_system(system, sets) == 16**dead
 
 
 def test_count_seven_unknowns_over_f31():
