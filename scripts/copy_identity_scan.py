@@ -4,8 +4,12 @@
 Draws full-rank systems over small prime fields with random admissible
 sets, builds the colored host for each, and confirms that the number of
 colored template copies equals (solution count) * n^(r-1) while the edge
-store stays simple. A nonzero mismatch count means a construction bug;
-the exit code reflects it so the scan can run in CI.
+store stays simple. It also checks the verifier against itself:
+check_representation's copy count and its per-solution and
+copy-structure entries must equal those check_copies gives over the
+listed copies of enumerate_copies. A nonzero mismatch, collision or
+disagreement count means a bug; the exit code reflects it so the scan
+can run in CI.
 
 Usage:
     python scripts/copy_identity_scan.py --seed 7 --count 100
@@ -24,7 +28,7 @@ from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import LinearSystem, SetFamily, normalize
 from linrem.solutions import count_system
-from linrem.verify import check_simple, enumerate_copies
+from linrem.verify import check_copies, check_representation, check_simple, enumerate_copies
 
 
 def draw_instance(rng: random.Random, copy_cap: int):
@@ -69,6 +73,7 @@ def main(argv=None) -> int:
     shapes: Counter = Counter()
     mismatches = 0
     collisions = 0
+    disagreements = 0
     total_copies = 0
     start = time.perf_counter()
     done = 0
@@ -80,7 +85,8 @@ def main(argv=None) -> int:
         done += 1
         shapes[(ns.field.q, ns.p, ns.ell)] += 1
         host = build_host(ns, build_coefficients(ns), sets)
-        copies = len(enumerate_copies(host))
+        listed = enumerate_copies(host)
+        copies = len(listed)
         total_copies += copies
         if copies != solutions * shell:
             mismatches += 1
@@ -88,6 +94,12 @@ def main(argv=None) -> int:
                 f"MISMATCH q={ns.field.q} rows={ns.base.rows} sets={sets.sets}: "
                 f"{copies} copies vs {solutions} * {shell}"
             )
+        report = check_representation(host)
+        entries = {e.name: e for e in report.entries}
+        walked = (report.copies, entries["per-solution"], entries["copy-structure"])
+        if walked != (copies, *check_copies(host, listed, solutions)):
+            disagreements += 1
+            print(f"DISAGREE q={ns.field.q} rows={ns.base.rows} sets={sets.sets}: {walked}")
         if not check_simple(host).passed:
             collisions += 1
     elapsed = time.perf_counter() - start
@@ -98,7 +110,8 @@ def main(argv=None) -> int:
     print(f"copies    : {total_copies}")
     print(f"mismatches: {mismatches}")
     print(f"collisions: {collisions}")
-    return 1 if mismatches or collisions else 0
+    print(f"disagreements: {disagreements}")
+    return 1 if mismatches or collisions or disagreements else 0
 
 
 if __name__ == "__main__":

@@ -25,12 +25,19 @@ def _load(path: str) -> tuple[LinearSystem, SetFamily]:
         return parse_system(fh.read())
 
 
-def _build(system: LinearSystem, sets: SetFamily):
-    """The host of the reduced system, and the reduction that maps back to the input."""
+def _build(system: LinearSystem, sets: SetFamily, guard: int | None = None):
+    """The host of the reduced system, and the reduction that maps back to the input.
+
+    With a guard, a host of more than guard edges, n^(r-1) per admissible
+    label of the reduced family, is refused before it is built.
+    """
     red = reduce_degenerate(system, sets)
     if red.system is None:
         raise EmptyW(f"the system reduces to kind {red.kind}; there is no equation left to encode")
     ns = normalize(red.system)
+    edges = ns.field.q ** (ns.uniformity - 1) * red.sets.total_size()
+    if guard is not None and edges > guard:
+        raise SearchBudgetExceeded(f"host needs {edges} edges, guard is {guard}")
     return build_host(ns, build_coefficients(ns), red.sets), red
 
 
@@ -60,7 +67,7 @@ def cmd_count(args) -> int:
 
 def cmd_represent(args) -> int:
     system, sets = _load(args.input)
-    host, _ = _build(system, sets)
+    host, _ = _build(system, sets, guard=args.guard)
     print(
         f"r={host.r} k={host.k} colors={host.free + host.ell} "
         f"edges={len(host.by_key)} labels={host.sets.total_size()}"
@@ -173,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = with_input("represent", "build the host hypergraph and print a summary")
     sp.add_argument("--dump", metavar="PATH", help="write the edge list in export format")
+    sp.add_argument("--guard", type=int, default=10**6, help="host edge budget")
     sp.set_defaults(fn=cmd_represent)
 
     sp = with_input("verify", "run every representation check")

@@ -24,14 +24,22 @@ and one solution's diagonal keys are another's shifted inside each U
 part, so one family's distinct keys settle every family.
 
 The walk yields one batch per x-tuple: its U-tuples and the row-color
-edge each of them closes, probed once. check_representation feeds those
-batches straight to the copy check and counts copies from their sizes,
-so no copy list is held; check_copies cuts any copy list into batches
-by x-part prefix and feeds the same check. Per batch the check reads
-each free-color edge once per U vertex. A batch holding one copy of
-every solution decoded so far, all labels right, passes with one set
-comparison; any other batch is checked copy by copy, decoding a
-solution on its first copy. The walk and the naive scan both return
+edge each of them closes, probed once. check_copies cuts any copy list
+into batches by x-part prefix and feeds them to the copy check. Per
+batch the check reads each free-color edge once per U vertex. A batch
+holding one copy of every solution decoded so far, all labels right, is
+a full batch and passes with one set comparison; any other batch is
+checked copy by copy, decoding a solution on its first copy.
+
+check_representation walks and feeds x = 0 and counts copies from batch
+sizes, so no copy list is held. Each x-tuple's copies are x = 0's with
+every U part rotated, so when x = 0's batch decodes one solution per
+copy and sets no witness, its probes become a reference: a later
+x-tuple whose free-color probes, candidate lists and row probes are
+x = 0's rotated is credited as a full batch without building a copy.
+Any other x-tuple is walked and fed. Once a solution is decoded after
+x = 0, a batch that matches x = 0 lacks its copy and is not full, so
+the reference is dropped. The walk and the naive scan both return
 nothing at once when some color has no edge.
 
 edge-equation certifies every edge, not only those on copies: each row
@@ -44,8 +52,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import add, eq, itemgetter, lt
+from itertools import chain, compress, repeat
+from operator import add, eq, itemgetter, lt, mul
 
 from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey
@@ -73,40 +81,57 @@ def _part_index(host: Host) -> PartIndex:
     return index
 
 
+def _x_prefixes(host: Host):
+    """The x-part keys, one per x-tuple, in lexicographic order; x = 0 first."""
+    n = host.n
+    return itertools.product(*(range(t * n, (t + 1) * n) for t in range(host.r - 1)))
+
+
+def _every_color(host: Host) -> bool:
+    """Does every color have an edge; a host where one has none has no copy."""
+    return set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell))
+
+
+def _walk(host: Host, index: PartIndex, prefix: VKey) -> tuple[list, list[list]]:
+    """One x-tuple's U-tuples and, per row, the stored edge of each.
+
+    The candidate U-tuples are the product of the per-part candidate
+    lists. Each row then probes every surviving candidate's edge once, in
+    one by_key.get pipeline, and keeps the candidates whose edge has that
+    row's color; stored[i] holds row i's (color, label) for each kept
+    tuple. Each candidate list is ascending, so the U-tuples are too.
+    """
+    cands = [values.get(prefix) for values in index]
+    if not all(cands):
+        return [], []
+    by_key = host.by_key
+    batch = list(itertools.product(*cands))
+    stored: list[list] = []
+    for color, xkey, get_u in host.row_keys(prefix):
+        keys = map(add, repeat(xkey), map(get_u, batch))
+        got = list(map(by_key.get, keys, repeat(_NO_EDGE)))
+        keep = list(map(eq, map(itemgetter(0), got), repeat(color)))
+        if not all(keep):
+            batch = list(compress(batch, keep))
+            got = list(compress(got, keep))
+            stored = [list(compress(col, keep)) for col in stored]
+        stored.append(got)
+    return batch, stored
+
+
 def _iter_per_part(host: Host):
     """One (prefix, U-tuples, per-row stored edges) batch per x-tuple.
 
-    Per x-tuple each row's x-part key is read once and the candidate
-    U-tuples are the product of the per-part candidate lists. Each row
-    then probes every surviving candidate's edge once, in one by_key.get
-    pipeline, and keeps the candidates whose edge has that row's color;
-    stored[i] holds row i's (color, label) for each kept tuple. x-part
-    keys come in lexicographic order, parts occupy ascending vertex
-    ranges and each candidate list is ascending, so prefix + U-tuple comes
-    out sorted. Nothing is yielded when some color has no edge, and no
-    batch is yielded empty.
+    x-part keys come in lexicographic order, parts occupy ascending vertex
+    ranges and _walk keeps each x-tuple's U-tuples ascending, so prefix +
+    U-tuple comes out sorted. Nothing is yielded when some color has no
+    edge, and no batch is yielded empty.
     """
-    if not set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell)):
+    if not _every_color(host):
         return
     index = _part_index(host)
-    n = host.n
-    width = host.r - 1
-    by_key = host.by_key
-    for prefix in itertools.product(*(range(t * n, (t + 1) * n) for t in range(width))):
-        cands = [values.get(prefix) for values in index]
-        if not all(cands):
-            continue
-        batch = list(itertools.product(*cands))
-        stored: list[list] = []
-        for color, xkey, get_u in host.row_keys(prefix):
-            keys = map(add, repeat(xkey), map(get_u, batch))
-            got = list(map(by_key.get, keys, repeat(_NO_EDGE)))
-            keep = list(map(eq, map(itemgetter(0), got), repeat(color)))
-            if not all(keep):
-                batch = list(compress(batch, keep))
-                got = list(compress(got, keep))
-                stored = [list(compress(col, keep)) for col in stored]
-            stored.append(got)
+    for prefix in _x_prefixes(host):
+        batch, stored = _walk(host, index, prefix)
         if batch:
             yield prefix, batch, stored
 
@@ -253,9 +278,14 @@ class VerificationReport:
 
 def check_simple(host: Host) -> CheckEntry:
     """No vertex set may carry two edges: no two keys of by_key hold the same vertices."""
-    # Distinct keys that all ascend strictly hold distinct vertex sets.
-    if all(all(map(lt, key, key[1:])) for key in host.by_key):
-        return CheckEntry("simple", True)
+    # Distinct keys that all ascend strictly hold distinct vertex sets. When
+    # every key has one length, adjacent key positions are compared a column
+    # at a time; any other store goes to the vertex-set comparison.
+    lengths = set(map(len, host.by_key))
+    if len(lengths) == 1:
+        columns = [list(map(itemgetter(t), host.by_key)) for t in range(lengths.pop())]
+        if all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+            return CheckEntry("simple", True)
     seen: dict[frozenset[int], tuple[int, int]] = {}
     for key, stored in host.by_key.items():
         verts = frozenset(key)
@@ -390,6 +420,10 @@ class _CopyCheck:
     set comparison and credited to those solutions alone through the
     count of such full batches; any other batch runs the per-copy check,
     which decodes a solution on its first copy and fixes every witness.
+    credit counts a full batch without one: check_representation calls it
+    for an x-tuple that x = 0's reference vouches for, and only while no
+    solution has been decoded after x = 0, so the batch it stands for
+    would have passed the set comparison.
     """
 
     def __init__(self, host: Host):
@@ -444,24 +478,17 @@ class _CopyCheck:
             at_zero.update(zip(part, itertools.chain(part[n - s:], part[:n - s])))
             got = list(map(by_key.get, map(add, repeat(prefix), tails)))
             free_at_zero[part.start:part.stop] = got[s:] + got[:s]
-        diag = host.row_keys(prefix)
         solved = self.solved
-        first = self.first
         if (
             len(batch) == len(solved)
             and list(map(free_at_zero.__getitem__, self.zero_label))
             == list(self.zero_label.values())
             and set(zip(*(map(at_zero.get, col) for col in zip(*batch)), *stored)) == self.expect
         ):
-            # A batch is never empty, so the first solution has its copy here.
-            self.full += 1
-            us = tuple(
-                part[(z - part.start + s) % n]
-                for (_, part, _), z, s in zip(self.u_ranges, first[4], shifts)
-            )
-            for color, xkey, get_u in diag:
-                self._own(first, color, xkey + get_u(us), xs)
+            self.credit(prefix, shifts)
             return
+        diag = host.row_keys(prefix)
+        first = self.first
         for us, *row_got in zip(batch, *stored):
             zero = tuple(map(at_zero.get, us))
             known = solved.get(zero)
@@ -482,6 +509,23 @@ class _CopyCheck:
                 elif c >= host.free and known is first:
                     _, xkey, get_u = diag[c - host.free]
                     self._own(first, c, xkey + get_u(us), xs)
+
+    def credit(self, prefix: VKey, shifts: list[int]) -> None:
+        """Count a full batch at x, whose U parts are x = 0's rotated by shifts.
+
+        A full batch holds the first solution's copy, whose row edges are
+        claimed for x.
+        """
+        n = self.host.n
+        first = self.first
+        self.full += 1
+        us = tuple(
+            part[(z - part.start + s) % n]
+            for (_, part, _), z, s in zip(self.u_ranges, first[4], shifts)
+        )
+        xs = tuple(v % n for v in prefix)
+        for color, xkey, get_u in self.host.row_keys(prefix):
+            self._own(first, color, xkey + get_u(us), xs)
 
     def _decode(self, vkey: VKey, zero: tuple) -> list | None:
         """Start the record of the solution a copy's x = 0 vertices encode.
@@ -538,6 +582,102 @@ class _CopyCheck:
             CheckEntry("per-solution", not labels, labels),
             CheckEntry("copy-structure", not self.structure, self.structure),
         )
+
+
+class _ZeroReference:
+    """x = 0's probes, which a later x-tuple's probes are compared with, rotated.
+
+    The copy of a solution at x has U_j vertex u_j + s_j with s_j =
+    mix_j . x mod n, so every x-tuple's copies are x = 0's with each U part
+    rotated by its own s_j. shifts(prefix) gives x's s_j when x's probes
+    are x = 0's rotated: the n free-color probes per U part, the candidate
+    list per U part, and each row's probes over the product of x = 0's
+    candidate lists rotated, taken in x = 0's order. The walk at x would
+    then keep x = 0's U-tuples rotated, each with the same stored edges. A
+    candidate outside its U part is left where it is: no U-tuple that x = 0
+    kept without a witness holds one.
+    """
+
+    def __init__(self, check: _CopyCheck, index: PartIndex, prefix: VKey, size: int):
+        host = check.host
+        by_key = host.by_key
+        n = host.n
+        self.host = host
+        self.size = size
+        # Per U part: its mix row, its free-color key tails and their probes.
+        self.free = [
+            (a, tails, list(map(by_key.get, map(add, repeat(prefix), tails))))
+            for a, _, tails in check.u_ranges
+        ]
+        # Per U part: its candidate lists and x = 0's, and per shift s each
+        # U vertex's image; .get(v, v) leaves any other vertex where it is.
+        self.cands = [
+            (values, values[prefix], [dict(zip(part, chain(part[s:], part[:s]))) for s in range(n)])
+            for (_, part, _), values in zip(check.u_ranges, index)
+        ]
+        cands = [zero for _, zero, _ in self.cands]
+        self.rows = [
+            list(map(by_key.get, itertools.product(*zip(xkey), *get_u(cands))))
+            for _, xkey, get_u in host.row_keys(prefix)
+        ]
+
+    def shifts(self, prefix: VKey) -> list[int] | None:
+        """x's per-part shifts if its probes are x = 0's rotated, else None."""
+        n = self.host.n
+        by_key = self.host.by_key
+        shifts = []
+        for a, tails, free in self.free:
+            s = sum(map(mul, a, prefix)) % n
+            got = list(map(by_key.get, map(add, repeat(prefix), tails)))
+            if got[s:] + got[:s] != free:
+                return None
+            shifts.append(s)
+        cands = []
+        for s, (values, zero, rotations) in zip(shifts, self.cands):
+            moved = list(map(rotations[s].get, zero, zero))
+            if sorted(moved) != values.get(prefix):
+                return None
+            cands.append(moved)
+        for want, (_, xkey, get_u) in zip(self.rows, self.host.row_keys(prefix)):
+            if list(map(by_key.get, itertools.product(*zip(xkey), *get_u(cands)))) != want:
+                return None
+        return shifts
+
+
+def _walk_check(host: Host, solutions: int) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
+    """The walk's copies fed to the copy check; the copies, and its two entries.
+
+    x = 0's batch is walked and fed. When it decodes one solution per copy
+    and sets no witness, its probes become the reference: a later x-tuple
+    whose probes are x = 0's rotated is credited as a full batch of that
+    many copies without being walked, and any other is walked and fed.
+    The reference is dropped once a later x-tuple decodes a solution.
+    """
+    check = _CopyCheck(host)
+    copies = 0
+    if not _every_color(host):
+        return copies, check.entries(solutions)
+    index = _part_index(host)
+    zero = tuple(range(0, (host.r - 1) * host.n, host.n))
+    ref = None
+    for prefix in _x_prefixes(host):
+        shifts = ref.shifts(prefix) if ref else None
+        if shifts is not None:
+            check.credit(prefix, shifts)
+            copies += ref.size
+            continue
+        batch, stored = _walk(host, index, prefix)
+        if not batch:
+            continue
+        decoded = len(check.solved)
+        check.feed(prefix, batch, stored)
+        copies += len(batch)
+        if prefix != zero:
+            if len(check.solved) != decoded:
+                ref = None
+        elif len(check.solved) == len(batch) and not (check.structure or check.labels):
+            ref = _ZeroReference(check, index, prefix, len(batch))
+    return copies, check.entries(solutions)
 
 
 def _listed_batches(host: Host, copies):
@@ -598,12 +738,12 @@ def check_representation(
     report.entries.append(check_simple(host))
     report.entries.append(check_edge_counts(host))
     # The walk's batches go straight to the copy check; no copy list.
-    if mode == "per-part":
-        batches = _iter_per_part(host)
-    else:
-        batches = _listed_batches(host, enumerate_copies(host, mode=mode, guard=guard))
+    listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
-    copies, copy_entries = _check_batches(host, batches, solutions)
+    if listed is None:
+        copies, copy_entries = _walk_check(host, solutions)
+    else:
+        copies, copy_entries = _check_batches(host, _listed_batches(host, listed), solutions)
     expected = solutions * host.n ** (host.r - 1)
     entry = CheckEntry("copy-count", copies == expected)
     if not entry.passed:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_count, mk_sets, removal_oracle, subprocess_env
+from linrem import cli
 from linrem.cli import _build, build_parser, main
 from linrem.linsys import parse_system
 from linrem.hrep import copies_for_solution, parse_host_export
@@ -166,6 +167,19 @@ def test_represent_summary(capsys):
         0,
         "r=2 k=3 colors=3 edges=30 labels=6\n",
         "",
+    )
+
+
+def test_represent_guard_refuses_before_the_build(capsys, monkeypatch):
+    # triangle.sys has n^(r-1) * sum |S| = 5 * 6 = 30 edges.
+    assert run(capsys, "represent", TRIANGLE, "--guard", "30")[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("build_host was called")
+
+    monkeypatch.setattr(cli, "build_host", refuse)
+    assert run(capsys, "represent", TRIANGLE, "--guard", "29") == (
+        2, "", "SearchBudgetExceeded: host needs 30 edges, guard is 29\n"
     )
 
 

@@ -13,6 +13,7 @@ from linrem.linsys import normalize, parse_system
 from linrem.solutions import count_system, iter_solutions, min_copy_hitting_set
 from linrem.verify import (
     CheckEntry,
+    _CopyCheck,
     _iter_per_part,
     check_copies,
     check_edge_counts,
@@ -253,6 +254,18 @@ def test_check_simple_compares_keys_as_sets():
         ("simple", "vertices (0, 6) carry (0, 1) and (0, 1)"),
         ("edge-counts", "31 edges stored, wants 30"),
     ]
+
+
+def test_check_simple_with_keys_of_mixed_length(triangle_small):
+    # Keys of two lengths go to the vertex-set comparison, which passes a
+    # longer ascending key and names one that repeats a stored edge's
+    # vertices.
+    longer = copy.deepcopy(triangle_small)
+    longer.by_key[(0, 6, 11)] = (0, 1)
+    assert check_simple(longer).passed
+    repeated = copy.deepcopy(triangle_small)
+    repeated.by_key[(0, 6, 6)] = (0, 2)
+    assert check_simple(repeated).witness == "vertices (0, 6) carry (0, 1) and (0, 2)"
 
 
 def test_check_simple_by_key_must_index_records():
@@ -614,6 +627,85 @@ def test_full_batches_credit_only_known_solutions():
     report = check_representation(bad)
     assert [e.witness for e in report.entries if e.name == "per-solution"] == [witness]
     assert check_both(bad)[0].witness == witness
+
+
+def walked_and_listed(host):
+    """The per-solution and copy-structure witnesses of check_representation,
+    after checking that they and its copy count are check_copies' over the
+    listed copies."""
+    report = check_representation(host)
+    entries = {e.name: e for e in report.entries}
+    copies = enumerate_copies(host)
+    assert report.copies == len(copies)
+    assert [entries["per-solution"], entries["copy-structure"]] == list(check_both(host, copies))
+    return entries["per-solution"].witness, entries["copy-structure"].witness
+
+
+def test_reference_is_dropped_when_a_solution_is_first_decoded_later():
+    # Solutions (1, 1, 2) and (1, 2, 3); the color-2 edges labeled 2 stay
+    # at x = 2 alone, so (1, 2, 3) has one copy. x = 3 and 4 match x = 0
+    # again; a reference still held there would give (1, 2, 3) 3 copies.
+    host = make_host(5, [[1, 1, -1]], [0], [[1], [1, 2], [2, 3]])
+    bad = drop_edges(host, lambda color, label, key: (color, label) != (1, 2) or key[0] == 2)
+    assert walked_and_listed(bad) == ("solution (1, 2, 3) spans 1 copies, wants 5", "")
+
+
+@pytest.mark.parametrize(
+    "key, stored, witness",
+    [
+        # x = 0's batch is the reference: with a wrong label there is none.
+        ((0, 5, 11), (0, 2), "solution (1, 0, 4, 3): color 1 edge missing for x=(0, 0)"),
+        # Five solutions have no x = 0 copy; the walk decodes them at x = (0, 1).
+        ((0, 5, 11), None, "solution (1, 0, 4, 3) spans 24 copies, wants 25"),
+        # The last x-tuple.
+        ((4, 9, 19), None, "solution (0, 1, 2, 3) spans 24 copies, wants 25"),
+        ((4, 9, 14), (0, 2), "solution (1, 2, 3, 4): color 1 edge missing for x=(4, 4)"),
+    ],
+)
+def test_reference_faults_at_the_first_and_last_x(ap4_full, key, stored, witness):
+    bad = copy.deepcopy(ap4_full)
+    if stored is None:
+        del bad.by_key[key]
+    else:
+        bad.by_key[key] = stored
+    assert walked_and_listed(bad) == (witness, "")
+
+
+def test_reference_compares_the_candidate_lists():
+    # x4 has a zero column, so no row reads U3 (vertices 15-19). A longer
+    # color-3 key at x = 2 ending in U1 vertex 7 makes 7 a U3 candidate
+    # there. No free-color or row probe reads that key; only the candidate
+    # list shows it, and the walk then finds copies with 7 in U3's place.
+    host = make_host(5, [[1, 1, -1, 0]], [0], [[1, 2], [1, 2], [1, 2, 3], [0, 4]])
+    assert host.coeffs.mix[2] == (0,) and host.by_key[(2, 15)] == (2, 0)
+    host.by_key[(2, 15, 7)] = (2, 0)
+    assert walked_and_listed(host) == ("", "copy (2, 8, 10, 7) does not meet every part once")
+
+
+def test_reference_needs_one_solution_per_copy(triangle_small):
+    # A longer key repeating each color-1 edge's U1 vertex makes that vertex
+    # a U1 candidate twice at every x, so (1, 1, 2) has two copies per
+    # x-tuple. x = 0 decodes one solution from two copies and records no
+    # reference; one would credit each later x-tuple with one copy.
+    bad = copy.deepcopy(triangle_small)
+    for key, stored in triangle_small.by_key.items():
+        if stored[0] == 0:
+            bad.by_key[key + key[-1:]] = stored
+    assert walked_and_listed(bad) == ("solution (1, 1, 2) spans 10 copies, wants 5", "")
+
+
+def test_reference_walks_only_x_zero(ap4_full, monkeypatch):
+    fed = []
+    feed = _CopyCheck.feed
+
+    def counted(self, prefix, batch, stored):
+        fed.append(prefix)
+        feed(self, prefix, batch, stored)
+
+    monkeypatch.setattr(_CopyCheck, "feed", counted)
+    report = check_representation(ap4_full)
+    assert report.passed and report.copies == 625
+    assert fed == [(0, 5)]
 
 
 def tampered_hosts(seed, count):
