@@ -32,15 +32,14 @@ a full batch and passes with one set comparison; any other batch is
 checked copy by copy, decoding a solution on its first copy.
 
 check_representation walks and feeds x = 0 and counts copies from batch
-sizes, so no copy list is held. Each x-tuple's copies are x = 0's with
-every U part rotated, so when x = 0's batch decodes one solution per
-copy and sets no witness, its probes become a reference: a later
-x-tuple whose free-color probes, candidate lists and row probes are
-x = 0's rotated is credited as a full batch without building a copy.
-Any other x-tuple is walked and fed. Once a solution is decoded after
-x = 0, a batch that matches x = 0 lacks its copy and is not full, so
-the reference is dropped. The walk and the naive scan both return
-nothing at once when some color has no edge.
+sizes, so no copy list is held. Solution s's copy at x has U_j vertex
+s_j + mix_j . x, so each x-tuple's copies are x = 0's translated. When
+x = 0's batch decodes one solution per copy and sets no witness, and
+by_key maps into itself under each unit x-translation, every later
+x-tuple's batch would be x = 0's translated, a full batch, and it is
+credited unwalked. Otherwise every x-tuple is walked and fed. The walk
+and the naive scan both return nothing at once when some color has no
+edge.
 
 edge-equation certifies every edge, not only those on copies: each row
 color's equation and each free color's shift rule, over every candidate
@@ -52,7 +51,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, eq, itemgetter, lt, mul
 
 from .errors import SearchBudgetExceeded
@@ -420,10 +419,10 @@ class _CopyCheck:
     set comparison and credited to those solutions alone through the
     count of such full batches; any other batch runs the per-copy check,
     which decodes a solution on its first copy and fixes every witness.
-    credit counts a full batch without one: check_representation calls it
-    for an x-tuple that x = 0's reference vouches for, and only while no
-    solution has been decoded after x = 0, so the batch it stands for
-    would have passed the set comparison.
+    credit counts a full batch without one: _walk_check calls it for every
+    x-tuple after x = 0 once x = 0's batch has decoded one solution per
+    copy with no witness and the host is translation invariant, so each
+    batch it stands for would have passed the set comparison.
     """
 
     def __init__(self, host: Host):
@@ -513,8 +512,9 @@ class _CopyCheck:
     def credit(self, prefix: VKey, shifts: list[int]) -> None:
         """Count a full batch at x, whose U parts are x = 0's rotated by shifts.
 
-        A full batch holds the first solution's copy, whose row edges are
-        claimed for x.
+        feed calls it when the set comparison passes, and _walk_check for
+        each x-tuple after x = 0 on an invariant host. A full batch holds
+        the first solution's copy, whose row edges are claimed for x.
         """
         n = self.host.n
         first = self.first
@@ -584,99 +584,59 @@ class _CopyCheck:
         )
 
 
-class _ZeroReference:
-    """x = 0's probes, which a later x-tuple's probes are compared with, rotated.
+def _invariant(host: Host) -> bool:
+    """Does each unit x-translation map by_key into itself, colors and labels kept.
 
-    The copy of a solution at x has U_j vertex u_j + s_j with s_j =
-    mix_j . x mod n, so every x-tuple's copies are x = 0's with each U part
-    rotated by its own s_j. shifts(prefix) gives x's s_j when x's probes
-    are x = 0's rotated: the n free-color probes per U part, the candidate
-    list per U part, and each row's probes over the product of x = 0's
-    candidate lists rotated, taken in x = 0's order. The walk at x would
-    then keep x = 0's U-tuples rotated, each with the same stored edges. A
-    candidate outside its U part is left where it is: no U-tuple that x = 0
-    kept without a witness holds one.
+    T_t moves x part t by +1 and rotates each U_j part by mix[j][t]; any
+    other vertex id stays put. Each T_t is injective, so a finite store it
+    maps into itself it maps onto itself, and the T_t generate every
+    x-tuple's translation. The walk at x is then x = 0's walk translated,
+    with the same stored edges. (r-1) * |edges| probes, a key column at a
+    time; a key shorter than the longest is padded with None, which no
+    stored key holds, so a store of mixed key lengths is never invariant.
     """
-
-    def __init__(self, check: _CopyCheck, index: PartIndex, prefix: VKey, size: int):
-        host = check.host
-        by_key = host.by_key
-        n = host.n
-        self.host = host
-        self.size = size
-        # Per U part: its mix row, its free-color key tails and their probes.
-        self.free = [
-            (a, tails, list(map(by_key.get, map(add, repeat(prefix), tails))))
-            for a, _, tails in check.u_ranges
-        ]
-        # Per U part: its candidate lists and x = 0's, and per shift s each
-        # U vertex's image; .get(v, v) leaves any other vertex where it is.
-        self.cands = [
-            (values, values[prefix], [dict(zip(part, chain(part[s:], part[:s]))) for s in range(n)])
-            for (_, part, _), values in zip(check.u_ranges, index)
-        ]
-        cands = [zero for _, zero, _ in self.cands]
-        self.rows = [
-            list(map(by_key.get, itertools.product(*zip(xkey), *get_u(cands))))
-            for _, xkey, get_u in host.row_keys(prefix)
-        ]
-
-    def shifts(self, prefix: VKey) -> list[int] | None:
-        """x's per-part shifts if its probes are x = 0's rotated, else None."""
-        n = self.host.n
-        by_key = self.host.by_key
-        shifts = []
-        for a, tails, free in self.free:
-            s = sum(map(mul, a, prefix)) % n
-            got = list(map(by_key.get, map(add, repeat(prefix), tails)))
-            if got[s:] + got[:s] != free:
-                return None
-            shifts.append(s)
-        cands = []
-        for s, (values, zero, rotations) in zip(shifts, self.cands):
-            moved = list(map(rotations[s].get, zero, zero))
-            if sorted(moved) != values.get(prefix):
-                return None
-            cands.append(moved)
-        for want, (_, xkey, get_u) in zip(self.rows, self.host.row_keys(prefix)):
-            if list(map(by_key.get, itertools.product(*zip(xkey), *get_u(cands)))) != want:
-                return None
-        return shifts
+    n = host.n
+    width = host.r - 1
+    by_key = host.by_key
+    columns = list(itertools.zip_longest(*by_key))
+    stored = list(by_key.values())
+    for t in range(width):
+        steps = [int(p == t) for p in range(width)] + [a[t] for a in host.coeffs.mix]
+        image = {p * n + v: p * n + (v + s) % n for p, s in enumerate(steps) for v in range(n)}
+        moved = zip(*[map(image.get, col, col) for col in columns])
+        if list(map(by_key.get, moved)) != stored:
+            return False
+    return True
 
 
 def _walk_check(host: Host, solutions: int) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
     """The walk's copies fed to the copy check; the copies, and its two entries.
 
-    x = 0's batch is walked and fed. When it decodes one solution per copy
-    and sets no witness, its probes become the reference: a later x-tuple
-    whose probes are x = 0's rotated is credited as a full batch of that
-    many copies without being walked, and any other is walked and fed.
-    The reference is dropped once a later x-tuple decodes a solution.
+    x = 0's batch is walked and fed. When it decodes one solution per copy,
+    sets no witness and the host passes _invariant, every later x-tuple's
+    batch is x = 0's translated, a full batch, and is credited unwalked.
+    Otherwise every x-tuple is walked and fed, as check_copies would.
     """
     check = _CopyCheck(host)
-    copies = 0
     if not _every_color(host):
-        return copies, check.entries(solutions)
+        return 0, check.entries(solutions)
     index = _part_index(host)
-    zero = tuple(range(0, (host.r - 1) * host.n, host.n))
-    ref = None
-    for prefix in _x_prefixes(host):
-        shifts = ref.shifts(prefix) if ref else None
-        if shifts is not None:
-            check.credit(prefix, shifts)
-            copies += ref.size
-            continue
+    prefixes = _x_prefixes(host)
+    zero = next(prefixes)
+    batch, stored = _walk(host, index, zero)
+    copies = len(batch)
+    if batch:
+        check.feed(zero, batch, stored)
+    if copies == len(check.solved) > 0 and not (check.structure or check.labels) and _invariant(host):
+        n = host.n
+        for prefix in prefixes:
+            check.credit(prefix, [sum(map(mul, a, prefix)) % n for a in host.coeffs.mix])
+        return copies * n ** (host.r - 1), check.entries(solutions)
+    for prefix in prefixes:
         batch, stored = _walk(host, index, prefix)
-        if not batch:
-            continue
-        decoded = len(check.solved)
-        check.feed(prefix, batch, stored)
-        copies += len(batch)
-        if prefix != zero:
-            if len(check.solved) != decoded:
-                ref = None
-        elif len(check.solved) == len(batch) and not (check.structure or check.labels):
-            ref = _ZeroReference(check, index, prefix, len(batch))
+        if batch:
+            check.feed(prefix, batch, stored)
+            copies += len(batch)
     return copies, check.entries(solutions)
 
 

@@ -65,21 +65,25 @@ def cofactor_det(q: int, mat) -> int:
 
 
 def removal_oracle(system: LinearSystem, sets: SetFamily, mode: str) -> int:
-    """Optimal freeing cost by scanning every subset of deletable elements."""
+    """Optimal freeing cost by scanning every subset of deletable elements.
+
+    Each element is one bit, and each brute-force solution is the mask of
+    the elements it uses. A removal mask frees the family exactly when it
+    meets every solution's mask.
+    """
     elements = [(i, v) for i, s in enumerate(sets.sets) for v in s]
     assert len(elements) <= 14, "oracle meant for tiny instances"
+    bit = {e: 1 << t for t, e in enumerate(elements)}
+    solutions = [sum(map(bit.get, enumerate(sol))) for sol in brute_solutions(system, sets)]
+    per_set = [sum(bit[i, v] for v in s) for i, s in enumerate(sets.sets)]
     best = None
     for mask in range(1 << len(elements)):
-        removed = [set() for _ in range(sets.p)]
-        for t, (i, v) in enumerate(elements):
-            if mask >> t & 1:
-                removed[i].add(v)
-        if brute_count(system, sets.with_removed(removed)) != 0:
+        if not all(mask & sol for sol in solutions):
             continue
         if mode == "per-set-max":
-            cost = max((len(r) for r in removed), default=0)
+            cost = max(((mask & s).bit_count() for s in per_set), default=0)
         else:
-            cost = sum(len(r) for r in removed)
+            cost = mask.bit_count()
         if best is None or cost < best:
             best = cost
     assert best is not None

@@ -14,6 +14,7 @@ from linrem.solutions import count_system, iter_solutions, min_copy_hitting_set
 from linrem.verify import (
     CheckEntry,
     _CopyCheck,
+    _invariant,
     _iter_per_part,
     check_copies,
     check_edge_counts,
@@ -644,7 +645,7 @@ def walked_and_listed(host):
 def test_reference_is_dropped_when_a_solution_is_first_decoded_later():
     # Solutions (1, 1, 2) and (1, 2, 3); the color-2 edges labeled 2 stay
     # at x = 2 alone, so (1, 2, 3) has one copy. x = 3 and 4 match x = 0
-    # again; a reference still held there would give (1, 2, 3) 3 copies.
+    # again; crediting them as x = 0 would give (1, 2, 3) 3 copies.
     host = make_host(5, [[1, 1, -1]], [0], [[1], [1, 2], [2, 3]])
     bad = drop_edges(host, lambda color, label, key: (color, label) != (1, 2) or key[0] == 2)
     assert walked_and_listed(bad) == ("solution (1, 2, 3) spans 1 copies, wants 5", "")
@@ -653,7 +654,7 @@ def test_reference_is_dropped_when_a_solution_is_first_decoded_later():
 @pytest.mark.parametrize(
     "key, stored, witness",
     [
-        # x = 0's batch is the reference: with a wrong label there is none.
+        # x = 0's batch sets a witness, so no x-tuple is credited.
         ((0, 5, 11), (0, 2), "solution (1, 0, 4, 3): color 1 edge missing for x=(0, 0)"),
         # Five solutions have no x = 0 copy; the walk decodes them at x = (0, 1).
         ((0, 5, 11), None, "solution (1, 0, 4, 3) spans 24 copies, wants 25"),
@@ -675,7 +676,7 @@ def test_reference_compares_the_candidate_lists():
     # x4 has a zero column, so no row reads U3 (vertices 15-19). A longer
     # color-3 key at x = 2 ending in U1 vertex 7 makes 7 a U3 candidate
     # there. No free-color or row probe reads that key; only the candidate
-    # list shows it, and the walk then finds copies with 7 in U3's place.
+    # list shows it, and the walk at x = 2 finds copies with 7 in U3's place.
     host = make_host(5, [[1, 1, -1, 0]], [0], [[1, 2], [1, 2], [1, 2, 3], [0, 4]])
     assert host.coeffs.mix[2] == (0,) and host.by_key[(2, 15)] == (2, 0)
     host.by_key[(2, 15, 7)] = (2, 0)
@@ -685,8 +686,8 @@ def test_reference_compares_the_candidate_lists():
 def test_reference_needs_one_solution_per_copy(triangle_small):
     # A longer key repeating each color-1 edge's U1 vertex makes that vertex
     # a U1 candidate twice at every x, so (1, 1, 2) has two copies per
-    # x-tuple. x = 0 decodes one solution from two copies and records no
-    # reference; one would credit each later x-tuple with one copy.
+    # x-tuple. x = 0 decodes one solution from two copies, so no x-tuple is
+    # credited; crediting would give each later x-tuple one copy.
     bad = copy.deepcopy(triangle_small)
     for key, stored in triangle_small.by_key.items():
         if stored[0] == 0:
@@ -694,7 +695,8 @@ def test_reference_needs_one_solution_per_copy(triangle_small):
     assert walked_and_listed(bad) == ("solution (1, 1, 2) spans 10 copies, wants 5", "")
 
 
-def test_reference_walks_only_x_zero(ap4_full, monkeypatch):
+def fed_prefixes(monkeypatch):
+    """The prefixes _CopyCheck.feed is called with from now on."""
     fed = []
     feed = _CopyCheck.feed
 
@@ -703,6 +705,11 @@ def test_reference_walks_only_x_zero(ap4_full, monkeypatch):
         feed(self, prefix, batch, stored)
 
     monkeypatch.setattr(_CopyCheck, "feed", counted)
+    return fed
+
+
+def test_reference_walks_only_x_zero(ap4_full, monkeypatch):
+    fed = fed_prefixes(monkeypatch)
     report = check_representation(ap4_full)
     assert report.passed and report.copies == 625
     assert fed == [(0, 5)]
@@ -807,6 +814,130 @@ def test_streamed_copy_check_matches_the_listed_one():
             failing.append((idx, fault, *witnesses))
     assert failing == COPY_WITNESSES
     assert duplicates == 13
+
+
+# ---------------------------------------------------------------------------
+# Translation invariance.
+
+
+def translated(host, key, xs):
+    """key moved to x-tuple xs: x part t by xs[t], U_j by mix_j . xs, as a copy is."""
+    n = host.n
+    steps = [*xs, *(sum(c * x for c, x in zip(a, xs)) for a in host.coeffs.mix)]
+    return tuple(v // n * n + (v % n + steps[v // n]) % n for v in key)
+
+
+def drawn_hosts(seed, count):
+    """Seeded honest one- and two-row hosts over F3, F5 and F7 with random
+    right-hand sides and random nonempty sets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice([3, 5, 7])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, [rng.randrange(q) for _ in range(ell)]))
+        except InputError:
+            continue
+        if q**ns.vertex_count > 20_000:
+            continue
+        sets = [rng.sample(range(q), rng.randint(1, q)) for _ in range(p)]
+        out.append(build_host(ns, build_coefficients(ns), mk_sets(q, sets)))
+    return out
+
+
+def orbit_faulted_hosts(seed, count):
+    """drawn_hosts, each with the whole translation orbit of one edge dropped,
+    relabeled or recolored."""
+    rng = random.Random(seed)
+    out = []
+    for host in drawn_hosts(seed, count):
+        fault = rng.choice(["drop", "relabel", "recolor"])
+        key = rng.choice(list(host.by_key))
+        color, label = host.by_key[key]
+        for xs in itertools.product(range(host.n), repeat=host.r - 1):
+            moved = translated(host, key, xs)
+            assert host.by_key[moved] == (color, label)
+            if fault == "drop":
+                del host.by_key[moved]
+            elif fault == "relabel":
+                host.by_key[moved] = (color, (label + 1) % host.n)
+            else:
+                host.by_key[moved] = ((color + 1) % (host.free + host.ell), label)
+        out.append((fault, host))
+    return out
+
+
+def test_invariant_holds_on_honest_hosts(triangle_small, ap4_full):
+    assert _invariant(triangle_small) and _invariant(ap4_full)
+    hosts = drawn_hosts(3, 40)
+    assert all(map(_invariant, hosts))
+    assert any(any(host.ns.base.rhs) for host in hosts)
+    assert any(host.sets_n.total_size() < host.n * (host.free + host.ell) for host in hosts)
+
+
+@pytest.mark.parametrize("name", ["triangle_small", "ap4_full"])
+def test_invariant_fails_after_any_one_edge_fault(name, request):
+    host = request.getfixturevalue(name)
+    bad = copy.deepcopy(host)
+    colors = host.free + host.ell
+    for key, (color, label) in host.by_key.items():
+        del bad.by_key[key]
+        assert not _invariant(bad), key
+        for stored in ((color, (label + 1) % host.n), ((color + 1) % colors, label)):
+            bad.by_key[key] = stored
+            assert not _invariant(bad), (key, stored)
+        bad.by_key[key] = (color, label)
+    assert _invariant(bad)
+
+
+def test_invariant_checks_every_unit_translation(ap4_full):
+    # Dropping one edge's orbit under the translations of one x part alone
+    # keeps the host invariant under that part's unit translation only.
+    key = (0, 5, 10)
+    for t in range(2):
+        bad = copy.deepcopy(ap4_full)
+        for x in range(5):
+            del bad.by_key[translated(bad, key, [x * (s == t) for s in range(2)])]
+        assert not _invariant(bad), t
+        assert walked_and_listed(bad)[0] == "solution (0, 0, 0, 0) spans 20 copies, wants 25"
+
+
+def test_a_host_that_is_not_invariant_is_walked_at_every_x(ap4_full, monkeypatch):
+    # x = 0's batch decodes one solution per copy, but the dropped edge at
+    # x = (4, 4) breaks the invariance, so all 25 x-tuples are walked.
+    bad = copy.deepcopy(ap4_full)
+    del bad.by_key[(4, 9, 19)]
+    assert not _invariant(bad)
+    fed = fed_prefixes(monkeypatch)
+    report = check_representation(bad)
+    assert fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
+    assert report.copies == 620
+    assert [e.witness for e in report.entries if e.name == "per-solution"] == [
+        "solution (0, 1, 2, 3) spans 24 copies, wants 25"
+    ]
+
+
+def test_orbit_faults_agree_with_the_listed_check(monkeypatch):
+    # A fault on a whole translation orbit leaves the host invariant, so
+    # these are the faulty hosts that can reach the credited route. Its
+    # copy count and entries must still be check_copies' over the listed
+    # copies, and every host must fail.
+    fed = fed_prefixes(monkeypatch)
+    credited = 0
+    for fault, host in orbit_faulted_hosts(11, 60):
+        assert _invariant(host)
+        fed.clear()
+        report = check_representation(host)
+        credited += fed == [tuple(range(0, (host.r - 1) * host.n, host.n))]
+        assert not report.passed, fault
+        entries = {e.name: e for e in report.entries}
+        copies = enumerate_copies(host)
+        assert report.copies == len(copies)
+        assert [entries["per-solution"], entries["copy-structure"]] == list(check_both(host, copies))
+    assert credited >= 35
 
 
 # ---------------------------------------------------------------------------
