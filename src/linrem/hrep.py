@@ -19,8 +19,9 @@ A copy is its sorted vertex tuple, one vertex per part: x parts first,
 then U parts. Host.copy_edges reads a copy's edge keys off that tuple,
 and Host.row_keys, which it uses, is the one place that knows how a row
 color's key is laid out; copies_for_solution, the verifier's walk and
-its copy check all read row edges through it. The naive oracle reads
-neither it nor the coefficient tables.
+its copy check all read row edges through it. Host.shifts, beside it,
+owns the x-translation mix_j . x; only the host's construction reads mix
+itself. The naive oracle reads neither method nor the coefficient tables.
 
 export_host writes one `color label part:value ...` line per edge, and
 parse_host_export reads such lines back into the host's edge references.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import EdgeNotInHost, InvariantViolation, MissingEdge, ParseError, SimplicityViolation
 from .linsys import NormalizedSystem, SetFamily, mat_rank
@@ -151,6 +152,14 @@ class Host:
         """
         return [(color, tuple(map(prefix.__getitem__, outs)), get) for color, outs, get in self._rows]
 
+    def shifts(self, prefix: VKey) -> list[int]:
+        """Per free color j, mix_j . x mod n for the x-tuple x with x-part key prefix.
+
+        A copy's U_j value at x is its x = 0 value plus shifts[j], mod n.
+        Part t's ids are t*n + value, so dot products over ids agree mod n.
+        """
+        return [sum(map(mul, a, prefix)) % self.n for a in self.coeffs.mix]
+
     def copy_edges(self, copies) -> list[tuple[EdgeRef, ...]]:
         """Each copy's (color, vertex key) edges: free colors ascending, then the rows.
 
@@ -246,12 +255,12 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[VKey]:
     """
     n = host.n
     width = host.r - 1
-    mix = host.coeffs.mix
     out = []
     for xs in itertools.product(range(n), repeat=width):
-        copy = tuple(t * n + x for t, x in enumerate(xs)) + tuple(
-            (width + j) * n + (u + sum(c * x for c, x in zip(mix[j], xs))) % n
-            for j, u in enumerate(solution[: host.free])
+        prefix = tuple(t * n + x for t, x in enumerate(xs))
+        copy = prefix + tuple(
+            (width + j) * n + (u + s) % n
+            for j, (u, s) in enumerate(zip(solution[: host.free], host.shifts(prefix)))
         )
         for color, key in host._edges(copy):
             if host.by_key.get(key) != (color, solution[color]):

@@ -23,23 +23,23 @@ family. Edge-disjointness is structural: a color-j edge holds all of x,
 and one solution's diagonal keys are another's shifted inside each U
 part, so one family's distinct keys settle every family.
 
-The walk yields one batch per x-tuple: its U-tuples and the row-color
-edge each of them closes, probed once. check_copies cuts any copy list
-into batches by x-part prefix and feeds them to the copy check. Per
-batch the check reads each free-color edge once per U vertex. A batch
-holding one copy of every solution decoded so far, all labels right, is
-a full batch and passes with one set comparison; any other batch is
-checked copy by copy, decoding a solution on its first copy.
+One walk loop, _iter_per_part, yields one batch per x-tuple: its
+U-tuples and the row-color edge each closes, probed once.
+enumerate_copies flattens the batches and check_representation feeds
+them to the copy check; check_copies cuts a copy list into batches by
+x-part prefix. Per batch the check reads each free-color edge once per
+U vertex. A batch holding one copy of every solution decoded so far, all
+labels right, is a full batch and passes with one set comparison; any
+other batch is checked copy by copy, decoding a solution on its first.
 
-check_representation walks and feeds x = 0 and counts copies from batch
-sizes, so no copy list is held. Solution s's copy at x has U_j vertex
-s_j + mix_j . x, so each x-tuple's copies are x = 0's translated. When
-x = 0's batch decodes one solution per copy and sets no witness, and
-by_key maps into itself under each unit x-translation, every later
-x-tuple's batch would be x = 0's translated, a full batch, and it is
-credited unwalked. Otherwise every x-tuple is walked and fed. The walk
-and the naive scan both return nothing at once when some color has no
-edge.
+check_representation holds no copy list. Solution s's copy at x has U_j
+vertex s_j + mix_j . x, the shift Host.shifts gives, so each x-tuple's
+copies are x = 0's translated. When x = 0's batch decodes one solution
+per copy and sets no witness, and by_key maps into itself under each
+unit x-translation, every later x-tuple's batch would be a full batch,
+and it is credited unwalked. Otherwise every x-tuple is walked and fed.
+The walk and the naive scan both return nothing at once when some color
+has no edge.
 
 edge-equation certifies every edge, not only those on copies: each row
 color's equation and each free color's shift rule, over every candidate
@@ -52,7 +52,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, eq, itemgetter, lt, mul
+from operator import add, eq, itemgetter, lt
 
 from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey
@@ -86,51 +86,38 @@ def _x_prefixes(host: Host):
     return itertools.product(*(range(t * n, (t + 1) * n) for t in range(host.r - 1)))
 
 
-def _every_color(host: Host) -> bool:
-    """Does every color have an edge; a host where one has none has no copy."""
-    return set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell))
-
-
-def _walk(host: Host, index: PartIndex, prefix: VKey) -> tuple[list, list[list]]:
-    """One x-tuple's U-tuples and, per row, the stored edge of each.
-
-    The candidate U-tuples are the product of the per-part candidate
-    lists. Each row then probes every surviving candidate's edge once, in
-    one by_key.get pipeline, and keeps the candidates whose edge has that
-    row's color; stored[i] holds row i's (color, label) for each kept
-    tuple. Each candidate list is ascending, so the U-tuples are too.
-    """
-    cands = [values.get(prefix) for values in index]
-    if not all(cands):
-        return [], []
-    by_key = host.by_key
-    batch = list(itertools.product(*cands))
-    stored: list[list] = []
-    for color, xkey, get_u in host.row_keys(prefix):
-        keys = map(add, repeat(xkey), map(get_u, batch))
-        got = list(map(by_key.get, keys, repeat(_NO_EDGE)))
-        keep = list(map(eq, map(itemgetter(0), got), repeat(color)))
-        if not all(keep):
-            batch = list(compress(batch, keep))
-            got = list(compress(got, keep))
-            stored = [list(compress(col, keep)) for col in stored]
-        stored.append(got)
-    return batch, stored
-
-
 def _iter_per_part(host: Host):
-    """One (prefix, U-tuples, per-row stored edges) batch per x-tuple.
+    """The walk: one (prefix, U-tuples, per-row stored edges) batch per x-tuple.
 
-    x-part keys come in lexicographic order, parts occupy ascending vertex
-    ranges and _walk keeps each x-tuple's U-tuples ascending, so prefix +
-    U-tuple comes out sorted. Nothing is yielded when some color has no
-    edge, and no batch is yielded empty.
+    An x-tuple's candidate U-tuples are the product of its per-part
+    candidate lists. Each row then probes every surviving candidate's edge
+    once, in one by_key.get pipeline, and keeps the candidates whose edge
+    has that row's color; stored[i] holds row i's (color, label) for each
+    kept tuple. x-part keys come in lexicographic order, parts occupy
+    ascending vertex ranges and each candidate list is ascending, so
+    prefix + U-tuple comes out sorted. Nothing is yielded when some color
+    has no edge, since such a host has no copy, and no batch is yielded
+    empty.
     """
-    if not _every_color(host):
+    by_key = host.by_key
+    if not set(map(itemgetter(0), by_key.values())).issuperset(range(host.free + host.ell)):
         return
     index = _part_index(host)
     for prefix in _x_prefixes(host):
-        batch, stored = _walk(host, index, prefix)
+        cands = [values.get(prefix) for values in index]
+        if not all(cands):
+            continue
+        batch = list(itertools.product(*cands))
+        stored: list[list] = []
+        for color, xkey, get_u in host.row_keys(prefix):
+            keys = map(add, repeat(xkey), map(get_u, batch))
+            got = list(map(by_key.get, keys, repeat(_NO_EDGE)))
+            keep = list(map(eq, map(itemgetter(0), got), repeat(color)))
+            if not all(keep):
+                batch = list(compress(batch, keep))
+                got = list(compress(got, keep))
+                stored = [list(compress(col, keep)) for col in stored]
+            stored.append(got)
         if batch:
             yield prefix, batch, stored
 
@@ -275,16 +262,22 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _key_columns(host: Host) -> list[list[int]] | None:
+    """by_key's keys one position at a time, or None when key lengths differ."""
+    lengths = set(map(len, host.by_key))
+    if len(lengths) > 1:
+        return None
+    return [list(map(itemgetter(t), host.by_key)) for t in range(max(lengths, default=0))]
+
+
 def check_simple(host: Host) -> CheckEntry:
     """No vertex set may carry two edges: no two keys of by_key hold the same vertices."""
     # Distinct keys that all ascend strictly hold distinct vertex sets. When
     # every key has one length, adjacent key positions are compared a column
     # at a time; any other store goes to the vertex-set comparison.
-    lengths = set(map(len, host.by_key))
-    if len(lengths) == 1:
-        columns = [list(map(itemgetter(t), host.by_key)) for t in range(lengths.pop())]
-        if all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
-            return CheckEntry("simple", True)
+    columns = _key_columns(host)
+    if columns is not None and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+        return CheckEntry("simple", True)
     seen: dict[frozenset[int], tuple[int, int]] = {}
     for key, stored in host.by_key.items():
         verts = frozenset(key)
@@ -347,7 +340,6 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     tuples = _edge_equation_tuples(host)
     if tuples > guard:
         raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
-    mix = host.coeffs.mix
     for i in range(ns.ell):
         row = ns.base.rows[i]
         d = ns.diag_cols[i]
@@ -361,13 +353,13 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
             xkey = tuple(t * n + x for t, x in zip(outs, xs))
             # Zero-extending x to the block positions recovers the
             # generating labels; the block contributions cancel.
-            offs = [sum(mix[j][t] * x for t, x in zip(outs, xs)) for j in support]
-            off_m = sum(mix[m_i][t] * x for t, x in zip(outs, xs))
+            at = dict(zip(outs, xkey))
+            shifts = host.shifts([at.get(t, t * n) for t in range(width)])
             for ys in itertools.product(range(n), repeat=len(support)):
                 ykey = xkey + tuple((width + j) * n + y for j, y in zip(support, ys))
-                acc = ns.base.rhs[i] + off_m
-                for j, y, o in zip(support, ys, offs):
-                    acc -= row[j] * ((y - o) % n)
+                acc = ns.base.rhs[i] + shifts[m_i]
+                for j, y in zip(support, ys):
+                    acc -= row[j] * ((y - shifts[j]) % n)
                 for ym in range(n):
                     label = (acc - ym) * inv_d % n
                     member = label in admissible
@@ -382,13 +374,14 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
                             f"{'edge' if member else 'no edge'} with label {label}, "
                             f"store says {stored}",
                         )
-    for j, a in enumerate(mix):
+    prefixes = [(prefix, host.shifts(prefix)) for prefix in _x_prefixes(host)]
+    for j in range(host.free):
         admissible = frozenset(host.sets_n.sets[j])
         lo = (width + j) * n
         tails = [(u,) for u in range(lo, lo + n)]
         labels = [(j, t) if t in admissible else None for t in range(n)]
-        for prefix in itertools.product(*(range(t * n, (t + 1) * n) for t in range(width))):
-            s = sum(c * (v % n) for c, v in zip(a, prefix)) % n
+        for prefix, shifts in prefixes:
+            s = shifts[j]
             # U_j vertex lo + t carries label (t - s) mod n, if admissible.
             predicted = labels[n - s:] + labels[:n - s]
             got = list(map(host.by_key.get, map(add, repeat(prefix), tails)))
@@ -445,12 +438,12 @@ class _CopyCheck:
         self.full = 0
         self.first = None
         self.owner: dict[tuple[int, VKey], tuple[int, ...]] = {}
-        # Per free color: its mix row, its U part and that part's vertex
-        # ids as free-color key tails.
+        # Per free color: its U part and that part's vertex ids as
+        # free-color key tails.
         n = host.n
         self.u_ranges = [
-            (a, range(lo, lo + n), [(u,) for u in range(lo, lo + n)])
-            for a, lo in zip(host.coeffs.mix, range((host.r - 1) * n, host.k * n, n))
+            (range(lo, lo + n), [(u,) for u in range(lo, lo + n)])
+            for lo in range((host.r - 1) * n, host.k * n, n)
         ]
         # The stored (color, label) of each U vertex's free-color edge at
         # the current x-tuple, indexed by the x = 0 vertex it maps to.
@@ -467,13 +460,11 @@ class _CopyCheck:
             return
         xs = tuple(v % n for v in prefix)
         # Each U vertex maps to the one its solution's copy has at x = 0:
-        # the same part, shifted back by that part's mix offset.
+        # the same part, shifted back by that part's shift.
         at_zero = {}
-        shifts = []
+        shifts = host.shifts(prefix)
         free_at_zero = self.free_at_zero
-        for a, part, tails in self.u_ranges:
-            s = sum(c * x for c, x in zip(a, xs)) % n
-            shifts.append(s)
+        for (part, tails), s in zip(self.u_ranges, shifts):
             at_zero.update(zip(part, itertools.chain(part[n - s:], part[:n - s])))
             got = list(map(by_key.get, map(add, repeat(prefix), tails)))
             free_at_zero[part.start:part.stop] = got[s:] + got[:s]
@@ -521,7 +512,7 @@ class _CopyCheck:
         self.full += 1
         us = tuple(
             part[(z - part.start + s) % n]
-            for (_, part, _), z, s in zip(self.u_ranges, first[4], shifts)
+            for (part, _), z, s in zip(self.u_ranges, first[4], shifts)
         )
         xs = tuple(v % n for v in prefix)
         for color, xkey, get_u in self.host.row_keys(prefix):
@@ -531,7 +522,9 @@ class _CopyCheck:
         """Start the record of the solution a copy's x = 0 vertices encode.
 
         A copy that meets some part twice or recovers no admissible
-        solution sets the copy-structure witness and gives None.
+        solution sets the copy-structure witness and gives None. Row i's
+        nonzero entries are its support, its pivot (1) and its block column
+        free + i, solved for here, so the tuple solves every row.
         """
         host = self.host
         n = host.n
@@ -546,9 +539,6 @@ class _CopyCheck:
             self.structure = self.structure or (
                 f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
             )
-            return None
-        if not host.ns.base.is_solution(sol):
-            self.structure = self.structure or f"copy {vkey} recovers non-solution {sol}"
             return None
         # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
         want = list(enumerate(sol))
@@ -587,21 +577,23 @@ class _CopyCheck:
 def _invariant(host: Host) -> bool:
     """Does each unit x-translation map by_key into itself, colors and labels kept.
 
-    T_t moves x part t by +1 and rotates each U_j part by mix[j][t]; any
-    other vertex id stays put. Each T_t is injective, so a finite store it
-    maps into itself it maps onto itself, and the T_t generate every
-    x-tuple's translation. The walk at x is then x = 0's walk translated,
-    with the same stored edges. (r-1) * |edges| probes, a key column at a
-    time; a key shorter than the longest is padded with None, which no
-    stored key holds, so a store of mixed key lengths is never invariant.
+    T_t moves x part t by +1 and rotates each U_j part by that unit
+    x-tuple's shift; any other vertex id stays put. Each T_t is injective,
+    so a finite store it maps into itself it maps onto itself, and the T_t
+    generate every x-tuple's translation. The walk at x is then x = 0's
+    walk translated, with the same stored edges. (r-1) * |edges| probes, a
+    key column at a time. A store of mixed key lengths is not invariant.
     """
+    columns = _key_columns(host)
+    if columns is None:
+        return False
     n = host.n
     width = host.r - 1
     by_key = host.by_key
-    columns = list(itertools.zip_longest(*by_key))
     stored = list(by_key.values())
     for t in range(width):
-        steps = [int(p == t) for p in range(width)] + [a[t] for a in host.coeffs.mix]
+        steps = [int(p == t) for p in range(width)]
+        steps += host.shifts([p * n + x for p, x in enumerate(steps)])
         image = {p * n + v: p * n + (v + s) % n for p, s in enumerate(steps) for v in range(n)}
         moved = zip(*[map(image.get, col, col) for col in columns])
         if list(map(by_key.get, moved)) != stored:
@@ -612,31 +604,24 @@ def _invariant(host: Host) -> bool:
 def _walk_check(host: Host, solutions: int) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
     """The walk's copies fed to the copy check; the copies, and its two entries.
 
-    x = 0's batch is walked and fed. When it decodes one solution per copy,
-    sets no witness and the host passes _invariant, every later x-tuple's
-    batch is x = 0's translated, a full batch, and is credited unwalked.
-    Otherwise every x-tuple is walked and fed, as check_copies would.
+    Each batch of the walk is fed. When x = 0's batch decodes one solution
+    per copy, sets no witness and the host passes _invariant, every later
+    x-tuple's batch is x = 0's translated, a full batch, and is credited
+    unwalked. Otherwise every x-tuple is walked and fed, as check_copies
+    would.
     """
     check = _CopyCheck(host)
-    if not _every_color(host):
-        return 0, check.entries(solutions)
-    index = _part_index(host)
+    copies = 0
     prefixes = _x_prefixes(host)
     zero = next(prefixes)
-    batch, stored = _walk(host, index, zero)
-    copies = len(batch)
-    if batch:
-        check.feed(zero, batch, stored)
-    if copies == len(check.solved) > 0 and not (check.structure or check.labels) and _invariant(host):
-        n = host.n
-        for prefix in prefixes:
-            check.credit(prefix, [sum(map(mul, a, prefix)) % n for a in host.coeffs.mix])
-        return copies * n ** (host.r - 1), check.entries(solutions)
-    for prefix in prefixes:
-        batch, stored = _walk(host, index, prefix)
-        if batch:
-            check.feed(prefix, batch, stored)
-            copies += len(batch)
+    for prefix, batch, stored in _iter_per_part(host):
+        check.feed(prefix, batch, stored)
+        copies += len(batch)
+        clean = copies == len(check.solved) and not (check.structure or check.labels)
+        if prefix == zero and clean and _invariant(host):
+            for later in prefixes:
+                check.credit(later, host.shifts(later))
+            return copies * host.n ** (host.r - 1), check.entries(solutions)
     return copies, check.entries(solutions)
 
 
@@ -662,16 +647,6 @@ def _listed_batches(host: Host, copies):
         yield prefix, batch, stored
 
 
-def _check_batches(host: Host, batches, solutions: int) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
-    """Feed the copy check every batch; the copies fed, and its two entries."""
-    check = _CopyCheck(host)
-    copies = 0
-    for prefix, batch, stored in batches:
-        copies += len(batch)
-        check.feed(prefix, batch, stored)
-    return copies, check.entries(solutions)
-
-
 def check_copies(host: Host, copies, solutions: int) -> tuple[CheckEntry, CheckEntry]:
     """Per-solution and copy-structure entries from one pass over the copies.
 
@@ -680,7 +655,10 @@ def check_copies(host: Host, copies, solutions: int) -> tuple[CheckEntry, CheckE
     copies may come in any order; sorted copies pay the x-part work once
     per x-tuple.
     """
-    return _check_batches(host, _listed_batches(host, copies), solutions)[1]
+    check = _CopyCheck(host)
+    for prefix, batch, stored in _listed_batches(host, copies):
+        check.feed(prefix, batch, stored)
+    return check.entries(solutions)
 
 
 def check_representation(
@@ -703,7 +681,7 @@ def check_representation(
     if listed is None:
         copies, copy_entries = _walk_check(host, solutions)
     else:
-        copies, copy_entries = _check_batches(host, _listed_batches(host, listed), solutions)
+        copies, copy_entries = len(listed), check_copies(host, listed, solutions)
     expected = solutions * host.n ** (host.r - 1)
     entry = CheckEntry("copy-count", copies == expected)
     if not entry.passed:

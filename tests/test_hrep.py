@@ -256,6 +256,43 @@ def test_host_x_index_label_order():
             assert values[(x1, 5 + x2)] == want
 
 
+def test_shifts_match_the_edge_stream():
+    # Every free-color edge joins an x-tuple to the U_j vertex of value
+    # label + mix_j . x; Host.shifts gives that offset from the x-part key
+    # alone, and none at x = 0. Seeded one- and two-row systems with
+    # nonzero right-hand sides and partial sets.
+    rng = random.Random(27)
+    hosts = rhs_nonzero = partial = 0
+    ells = set()
+    while hosts < 40:
+        q = rng.choice([3, 5, 7])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        rhs = [rng.randrange(q) for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, rhs))
+        except InputError:
+            continue
+        if q ** (ns.uniformity - 1) > 400:
+            continue
+        sets = mk_sets(q, [rng.sample(range(q), rng.randint(1, q)) for _ in range(p)])
+        coeffs = build_coefficients(ns)
+        host = build_host(ns, coeffs, sets)
+        width = host.r - 1
+        assert host.shifts(tuple(t * q for t in range(width))) == [0] * host.free
+        for color, label, keys in iter_host_edges(ns, coeffs, host.sets_n):
+            if color >= host.free:
+                continue
+            for key in keys:
+                assert (key[-1] - label - host.shifts(key[:width])[color]) % q == 0, key
+        rhs_nonzero += any(ns.base.rhs)
+        partial += host.sets_n.total_size() < q * (host.free + host.ell)
+        ells.add(ell)
+        hosts += 1
+    assert rhs_nonzero and partial and ells == {1, 2}
+
+
 def test_part_names():
     ns = ap4_ns()
     host = build_host(ns, build_coefficients(ns), full_sets(5, 4))

@@ -1,5 +1,6 @@
 """Source hygiene: no assert statements, a standard-library-only runtime,
-and no reader of the derived Host.records tuple inside the package."""
+no reader of the derived Host.records tuple inside the package, and no
+reader of the mix table outside hrep."""
 
 import ast
 import os
@@ -50,6 +51,19 @@ def test_package_reads_no_host_records():
         for name, tree in _modules()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "records"
+    ]
+    assert reads == []
+
+
+def test_only_hrep_reads_the_mix_table():
+    # Host.shifts owns the x-translation mix_j . x; outside hrep, which
+    # builds the tables and the host, no module reads mix.
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name != "hrep.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "mix"
     ]
     assert reads == []
 

@@ -870,6 +870,31 @@ def orbit_faulted_hosts(seed, count):
     return out
 
 
+def test_decoded_solutions_solve_every_row():
+    # _decode recovers each row's block column from the x = 0 U vertices
+    # and keeps admissible tuples only. The tuples it keeps solve every row
+    # of the normalized system, by plain % arithmetic, and are exactly the
+    # admissible solutions.
+    total = 0
+    for host in drawn_hosts(27, 30):
+        n = host.n
+        base = host.ns.base
+        zero = tuple(t * n for t in range(host.r - 1))
+        check = _CopyCheck(host)
+        parts = [range(p * n, (p + 1) * n) for p in range(host.r - 1, host.r - 1 + host.free)]
+        decoded = []
+        for us in itertools.product(*parts):
+            known = check._decode(zero + us, us)
+            if known is not None:
+                decoded.append(known[0])
+        for sol in decoded:
+            for row, rhs in zip(base.rows, base.rhs):
+                assert sum(a * v for a, v in zip(row, sol)) % n == rhs % n, (base.rows, sol)
+        assert len(decoded) == count_system(base, host.sets_n)
+        total += len(decoded)
+    assert total
+
+
 def test_invariant_holds_on_honest_hosts(triangle_small, ap4_full):
     assert _invariant(triangle_small) and _invariant(ap4_full)
     hosts = drawn_hosts(3, 40)
