@@ -68,13 +68,14 @@ def cmd_count(args) -> int:
 def cmd_represent(args) -> int:
     system, sets = _load(args.input)
     host, _ = _build(system, sets, guard=args.guard)
+    # The dump is written first, so a refused path leaves stdout empty.
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            fh.write(export_host(host))
     print(
         f"r={host.r} k={host.k} colors={host.free + host.ell} "
         f"edges={len(host.by_key)} labels={host.sets.total_size()}"
     )
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(export_host(host))
     return 0
 
 

@@ -11,9 +11,10 @@ Vertex ids are part*n + value, so tuples built in part order are already
 sorted and double as canonical edge keys. A built host keeps one store,
 by_key, each key's (color, label) in stream order; checks derive the rest.
 
-The edge stream does its per x-tuple work once per color, not once per
-edge, and yields one batch of vertex keys per admissible label, which
-build_host files into by_key at once.
+The edge stream works a column at a time: per color it lays out the key
+columns without the closing vertex and each key's offset once, then
+yields one batch per admissible label by zipping them with the closing
+part's ids, rotated by the label; build_host files each batch at once.
 
 A copy is its sorted vertex tuple, one vertex per part: x parts first,
 then U parts. Host.copy_edges reads a copy's edge keys off that tuple,
@@ -189,44 +190,34 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
     labels ascend within a color, vertex tuples ascend within a batch, and
     no key repeats within a batch.
 
-    What depends only on the x-tuple is computed once per color, before
-    the label loop: the vertex-key prefix and its mix offset for a free
-    color; the key without its pivot vertex and the closing-minus-support
-    sum for a row color. Per label, a table maps that offset or sum to
-    the closing vertex, so an edge costs one lookup and one concatenation.
+    Per color, the head columns (the keys without their closing vertex,
+    in product order) and each head's offset, coefs . head mod n as
+    running sums, are computed once. A label's batch zips the head
+    columns with the closing part's ids, rotated by the label's shift and
+    read at each offset.
     """
     n = ns.field.q
     width = ns.uniformity - 1
-    free = ns.free_count
     rows = ns.base.rows
-    rhs = ns.base.rhs
-    parts = [range(t * n, (t + 1) * n) for t in range(width + free)]
-    # A vertex id is part*n + value, so dot products over ids agree with
-    # dot products over values mod n.
-    prefixes = list(itertools.product(*parts[:width]))
-    for j in range(free):
-        a = coeffs.mix[j]
-        heads = [(key, sum(c * v for c, v in zip(a, key)) % n) for key in prefixes]
-        upart = parts[width + j]
-        for label in sets_n.sets[j]:
-            tails = [(upart[(label + y) % n],) for y in range(n)]
-            yield j, label, [key + tails[y] for key, y in heads]
-    for i in range(ns.ell):
-        color = free + i
-        d = ns.diag_cols[i]
-        support = ns.support[i]
+    parts = [list(range(t * n, (t + 1) * n)) for t in range(width + ns.free_count)]
+    # Per color: head parts, offset coefficients, closing part, label set,
+    # and the shift base + step*label. A vertex id is part*n + value, so
+    # dot products over ids agree with dot products over values mod n.
+    plans = [(parts[:width], coeffs.mix[j], width + j, j, 0, 1) for j in range(ns.free_count)]
+    for i, (d, support) in enumerate(zip(ns.diag_cols, ns.support)):
+        heads = [parts[t] for t in coeffs.outside[i]] + [parts[width + j] for j in support]
         coefs = coeffs.closing[i] + tuple(-rows[i][j] for j in support)
-        heads = [
-            (key, sum(c * v for c, v in zip(coefs, key)) % n)
-            for key in itertools.product(
-                *(parts[t] for t in coeffs.outside[i]), *(parts[width + j] for j in support)
-            )
-        ]
-        ppart = parts[width + ns.pivots[i]]
-        for label in sets_n.sets[d]:
-            base = rhs[i] - rows[i][d] * label
-            tails = [(ppart[(base + y) % n],) for y in range(n)]
-            yield color, label, [key + tails[y] for key, y in heads]
+        plans.append((heads, coefs, width + ns.pivots[i], d, ns.base.rhs[i], -rows[i][d]))
+    for color, (heads, coefs, closing, col, base, step) in enumerate(plans):
+        columns = list(zip(*itertools.product(*heads)))
+        offsets = [0]
+        for c, part in zip(coefs, heads):
+            offsets = [(o + c * v) % n for o in offsets for v in part]
+        cpart = parts[closing]
+        for label in sets_n.sets[col]:
+            shift = (base + step * label) % n
+            rot = cpart[shift:] + cpart[:shift]
+            yield color, label, list(zip(*columns, map(rot.__getitem__, offsets)))
 
 
 def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
@@ -278,16 +269,16 @@ def export_host(host: Host) -> str:
 
     Each run of edges sharing color, label and key length is formatted a
     column at a time: its vertex names are looked up per key position,
-    and one format string fills every line of the run.
+    and each line joins the run's `color label` head to one row of them.
     """
     n = host.n
     names = [f"{host.part_name(v // n)}:{v % n}" for v in range(n * host.k)]
     lines: list[str] = []
     for (color, label), run in itertools.groupby(host.by_key.items(), itemgetter(1)):
-        for size, keys in itertools.groupby(map(itemgetter(0), run), len):
-            line = f"{color + 1} {label}" + " %s" * size
+        head = f"{color + 1} {label}"
+        for _, keys in itertools.groupby(map(itemgetter(0), run), len):
             columns = [map(names.__getitem__, col) for col in zip(*keys)]
-            lines.extend(map(line.__mod__, zip(*columns)))
+            lines.extend(map(" ".join, zip(itertools.repeat(head), *columns)))
     return "\n".join(sorted(lines)) + "\n"
 
 

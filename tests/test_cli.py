@@ -252,6 +252,16 @@ def test_represent_dump_round_trip(capsys, tmp_path):
     assert sorted(refs) == sorted((color, key) for key, (color, _) in host.by_key.items())
 
 
+def test_represent_unwritable_dump_prints_nothing(capsys, tmp_path):
+    # The dump is written before the summary, so a refused path leaves
+    # stdout empty instead of printing a summary and then failing.
+    dump = tmp_path / "missing" / "host.edges"
+    code, out, err = run(capsys, "represent", TRIANGLE, "--dump", str(dump))
+    assert (code, out) == (2, "")
+    assert err.startswith("FileNotFoundError: ")
+    assert not dump.exists()
+
+
 def test_translate_round_trip_on_ap4(capsys, tmp_path):
     # ap4.sys is the bundled system whose encoding keeps two rows. The
     # deleted edges are dump lines: walking every solution's copies, each

@@ -238,6 +238,42 @@ def test_host_edges_match_per_edge_formula():
         checked += 1
 
 
+def test_host_edges_match_per_edge_formula_on_larger_fields():
+    # The fields where each color's running offset sums are longest: the
+    # stream must still equal the per-edge formula, order included, on
+    # one- and two-row systems with nonzero right-hand sides and partial
+    # and empty sets.
+    rng = random.Random(28)
+    seen = Counter()
+    checked = 0
+    while checked < 30:
+        q = rng.choice([17, 19, 23])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        rhs = [rng.randrange(1, q) for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, rhs))
+        except InputError:
+            continue
+        if q ** (ns.uniformity - 1) > q * q:
+            continue
+        sets = mk_sets(q, [rng.sample(range(q), rng.choice([0, 1, 3, q // 2, q])) for _ in range(p)])
+        coeffs = build_coefficients(ns)
+        sets_n = ns.permute_family(sets)
+        want = list(reference_host_edges(ns, coeffs, sets_n))
+        batches = list(iter_host_edges(ns, coeffs, sets_n))
+        assert [(c, lab, key) for c, lab, keys in batches for key in keys] == want
+        seen.update(
+            [f"q{q}", f"ell{ell}"]
+            + ["rhs"] * any(ns.base.rhs)
+            + ["empty"] * (() in sets_n.sets)
+            + ["row-batch"] * any(c >= ns.free_count for c, _, _ in batches)
+        )
+        checked += 1
+    assert all(seen[tag] for tag in ("q17", "q19", "q23", "ell1", "ell2", "rhs", "empty", "row-batch"))
+
+
 def test_host_x_index_label_order():
     # The per-part walk of the verifier indexes the edge list itself, by
     # x-part vertex ids, and keeps each list of U vertex ids ascending, so
@@ -378,6 +414,44 @@ def test_export_triangle_golden():
         )
         expected_lines.append(f"{color + 1} {label} {parts}")
     assert export_host(host) == "\n".join(sorted(expected_lines)) + "\n"
+
+
+def reference_export(host):
+    """export_host written one edge at a time from by_key with f-strings."""
+    n = host.n
+    lines = [
+        f"{color + 1} {label} " + " ".join(f"{host.part_name(v // n)}:{v % n}" for v in key)
+        for key, (color, label) in host.by_key.items()
+    ]
+    return "\n".join(sorted(lines)) + "\n"
+
+
+def test_export_sorts_as_text_on_f13():
+    # Over F13 string order differs from numeric order (V1:10 before V1:2),
+    # so the export is sorted on its text, not on the vertex keys.
+    ns = normalize(mk_system(13, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0]))
+    sets = mk_sets(13, [[0, 2, 10, 12], [1, 11], [3, 4, 5, 9, 12], [2, 7, 10]])
+    host = build_host(ns, build_coefficients(ns), sets)
+    text = export_host(host)
+    assert text == reference_export(host)
+    lines = text.splitlines()
+    assert len(lines) == len(host.by_key) == 169 * 14
+    assert lines.index("1 0 V1:10 V2:0 U1:10") < lines.index("1 0 V1:2 V2:0 U1:2")
+
+
+def test_export_store_with_keys_of_two_lengths():
+    # One extra key, one vertex longer, in the middle of a run: the run
+    # splits by key length, and every edge still gets its own line.
+    ns = ap4_ns()
+    host = build_host(ns, build_coefficients(ns), mk_sets(5, [[0, 2], [1, 4], [3], [2, 3]]))
+    items = list(host.by_key.items())
+    key, value = items[3]
+    items.insert(4, (key + (19,), value))
+    host.by_key = dict(items)
+    text = export_host(host)
+    assert text == reference_export(host)
+    assert len(text.splitlines()) == len(host.by_key) == len(items)
+    assert f"{value[0] + 1} {value[1]} V1:0 V2:3 U1:3 U2:4" in text.splitlines()
 
 
 def test_export_round_trip():
