@@ -7,10 +7,13 @@ colored template copies equals (solution count) * n^(r-1) while the edge
 store stays simple. It also checks the verifier against itself:
 check_representation's copy count and its per-solution and
 copy-structure entries must equal those check_copies gives over the
-listed copies of enumerate_copies, on each host and on one copy of it
-with the whole translation orbit of one edge dropped, relabeled or
-recolored. Such a copy stays translation invariant, so it is the faulty
-host most likely to reach the verifier's credited route. A nonzero
+listed copies of enumerate_copies, and check_edge_equation's entry must
+equal that of a brute-force scan of every candidate tuple (on hosts of
+at most --brute-cap such tuples), on each host and on one copy of it
+with the whole translation orbit of one edge
+dropped, relabeled or recolored. Such a copy stays translation
+invariant, so it is the faulty host most likely to reach the verifier's
+credited walk and its one-tuple-per-orbit edge-equation scan. A nonzero
 mismatch, collision or disagreement count means a bug; the exit code
 reflects it so the scan can run in CI.
 
@@ -33,7 +36,13 @@ from linrem.field import PrimeField
 from linrem.hrep import build_coefficients, build_host
 from linrem.linsys import LinearSystem, SetFamily, normalize
 from linrem.solutions import count_system
-from linrem.verify import check_copies, check_representation, check_simple, enumerate_copies
+from linrem.verify import (
+    check_copies,
+    check_edge_equation,
+    check_representation,
+    check_simple,
+    enumerate_copies,
+)
 
 
 def draw_instance(rng: random.Random, copy_cap: int):
@@ -104,12 +113,78 @@ def routes_disagree(host, listed, solutions) -> bool:
     return True
 
 
+def brute_edge_equation(host) -> tuple[bool, str]:
+    """check_edge_equation's (passed, witness) from every candidate tuple,
+    in its scan order, by plain % arithmetic over host.coeffs.mix."""
+    ns, n, width = host.ns, host.n, host.r - 1
+
+    def shift(j, xs):
+        return sum(a * x for a, x in zip(host.coeffs.mix[j], xs))
+
+    def fault(head, key, member, label, stored):
+        return False, (
+            f"{head} vertices {key}: membership says {'edge' if member else 'no edge'} "
+            f"with label {label}, store says {stored}"
+        )
+
+    for i, (row, rhs) in enumerate(zip(ns.base.rows, ns.base.rhs)):
+        cols = (*ns.support[i], ns.pivots[i])
+        outs = [t for t in range(width) if t not in ns.blocks[i]]
+        inv = pow(row[ns.diag_cols[i]], -1, n)
+        for xs in itertools.product(range(n), repeat=len(outs)):
+            at = dict(zip(outs, xs))
+            shifts = [shift(j, [at.get(t, 0) for t in range(width)]) for j in cols]
+            # The support values, then the pivot value, innermost.
+            for ys in itertools.product(range(n), repeat=len(cols)):
+                acc = rhs - sum(row[j] * ((y - s) % n) for j, y, s in zip(cols, ys, shifts))
+                label = acc * inv % n
+                key = tuple(t * n + x for t, x in zip(outs, xs))
+                key += tuple((width + j) * n + y for j, y in zip(cols, ys))
+                member = label in host.sets_n.sets[ns.diag_cols[i]]
+                stored = host.by_key.get(key)
+                present = stored is not None and stored[0] == host.free + i
+                if member != present or (present and stored[1] != label):
+                    return fault(f"row {i + 1}", key, member, label, stored)
+    for j in range(host.free):
+        for xs in itertools.product(range(n), repeat=width):
+            s = shift(j, xs)
+            for y in range(n):
+                label = (y - s) % n
+                key = tuple(t * n + x for t, x in enumerate(xs)) + ((width + j) * n + y,)
+                member = label in host.sets_n.sets[j]
+                stored = host.by_key.get(key)
+                present = stored is not None and stored[0] == j
+                if member != present or (present and stored[1] != label):
+                    return fault(f"color {j + 1}", key, member, label, stored)
+    return True, ""
+
+
+def edge_equation_disagrees(host, cap: int) -> bool | None:
+    """Does check_edge_equation's entry differ from the brute-force scan's;
+    None above cap candidate tuples, where the scan is not run."""
+    tuples = (host.free + host.ell) * host.n**host.r
+    if tuples > cap:
+        return None
+    entry = check_edge_equation(host, guard=tuples)
+    if (entry.passed, entry.witness) == brute_edge_equation(host):
+        return False
+    print(f"DISAGREE edge-equation q={host.n} rows={host.ns.base.rows} sets={host.sets.sets}: "
+          f"{entry}")
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=100, help="instances to scan")
     parser.add_argument(
         "--copy-cap", type=int, default=50_000, help="skip instances above this copy count"
+    )
+    parser.add_argument(
+        "--brute-cap",
+        type=int,
+        default=20_000,
+        help="compare edge-equation with the brute-force scan up to this many candidate tuples",
     )
     args = parser.parse_args(argv)
 
@@ -118,6 +193,8 @@ def main(argv=None) -> int:
     mismatches = 0
     collisions = 0
     disagreements = 0
+    # Edge-equation comparisons: True disagrees, False agrees, None not run.
+    brute: Counter = Counter()
     faulted = 0
     total_copies = 0
     start = time.perf_counter()
@@ -140,12 +217,14 @@ def main(argv=None) -> int:
                 f"{copies} copies vs {solutions} * {shell}"
             )
         disagreements += routes_disagree(host, listed, solutions)
+        brute[edge_equation_disagrees(host, args.brute_cap)] += 1
         # A separate stream per host keeps the drawn instances those of
         # the plain scan.
         bad = orbit_faulted(host, random.Random(f"{args.seed}:{done}"))
         if bad is not None:
             faulted += 1
             disagreements += routes_disagree(bad, enumerate_copies(bad), solutions)
+            brute[edge_equation_disagrees(bad, args.brute_cap)] += 1
         if not check_simple(host).passed:
             collisions += 1
     elapsed = time.perf_counter() - start
@@ -156,7 +235,9 @@ def main(argv=None) -> int:
     print(f"copies    : {total_copies}")
     print(f"mismatches: {mismatches}")
     print(f"collisions: {collisions}")
-    print(f"disagreements: {disagreements} (on {done} hosts and {faulted} orbit-faulted copies)")
+    disagreements += brute[True]
+    print(f"disagreements: {disagreements} (on {done} hosts and {faulted} orbit-faulted copies; "
+          f"edge-equation against the brute-force scan on {brute[True] + brute[False]} of them)")
     return 1 if mismatches or collisions or disagreements else 0
 
 

@@ -29,8 +29,9 @@ enumerate_copies flattens the batches and check_representation feeds
 them to the copy check; check_copies cuts a copy list into batches by
 x-part prefix. Per batch the check reads each free-color edge once per
 U vertex. A batch holding one copy of every solution decoded so far, all
-labels right, is a full batch and passes with one set comparison; any
-other batch is checked copy by copy, decoding a solution on its first.
+labels right, is a full batch and passes with one set comparison. Any
+other batch first decodes its copies of no known solution, a column at a
+time, and is then checked copy by copy.
 
 check_representation holds no copy list. Solution s's copy at x has U_j
 vertex s_j + mix_j . x, the shift Host.shifts gives, so each x-tuple's
@@ -43,7 +44,11 @@ has no edge.
 
 edge-equation certifies every edge, not only those on copies: each row
 color's equation and each free color's shift rule, over every candidate
-vertex tuple.
+vertex tuple. It is priced at n^r tuples per color. On an invariant host
+the failing tuples form whole translation orbits, so it reads one tuple
+per orbit, n per color, and names the same first witness.
+check_representation decides invariance once, for the walk and
+edge-equation both.
 """
 
 from __future__ import annotations
@@ -52,10 +57,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, eq, itemgetter, lt
+from operator import add, and_, eq, itemgetter, lt, mod, mul, not_, sub
 
 from .errors import SearchBudgetExceeded
-from .hrep import Host, VKey
+from .hrep import Host, VKey, build_coefficients
 from .linsys import NormalizedSystem
 from .solutions import count_system, iter_solutions
 
@@ -319,11 +324,17 @@ def check_edge_counts(host: Host) -> CheckEntry:
 
 
 def _edge_equation_tuples(host: Host) -> int:
-    """The candidate tuples check_edge_equation reads: n^r per color."""
+    """The candidate tuples check_edge_equation is priced at: n^r per color.
+
+    The guard and the report's skip rule read this figure. An invariant
+    host is read at n tuples per color, one per translation orbit.
+    """
     return (host.free + host.ell) * host.n**host.r
 
 
-def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
+def check_edge_equation(
+    host: Host, guard: int = 10**6, invariant: bool | None = None
+) -> CheckEntry:
     """Edge presence must match set membership on every candidate tuple.
 
     For each row, every choice of off-block x values and support-part and
@@ -332,7 +343,22 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     each free color j, the x-tuple x and U_j vertex u carry a color-j edge
     exactly when (u - mix_j . x) mod n is admissible, labeled with it;
     each (x, j) compares one list of probes with the list it predicts.
-    Work is (free + ell) * n^r tuples, guarded.
+    Work is priced at (free + ell) * n^r tuples, guarded.
+
+    invariant is _invariant(host), computed here when not given. On an
+    invariant host whose coefficient tables are build_coefficients'
+    own, one tuple per translation orbit is read, n per color:
+    a row color's tuples with every off-block x value and support value
+    0, a free color's at x = 0. The translations act simply transitively
+    on (off-block x values, support values), as sep[i] is nonsingular, so
+    each orbit meets those n tuples once, and they come first in scan
+    order. The stored value is fixed on each orbit, as the host is
+    invariant. So is the predicted label: with shifts linear in x, it is
+    an affine function of the tuple whose x coefficients on row i's block
+    vanish by the cancellation build_coefficients checks, and a
+    translation moves the tuple by exactly such a combination. Failing
+    tuples thus form whole orbits, and the first in scan order is read:
+    the entry, witness included, is the full scan's.
     """
     ns = host.ns
     n = host.n
@@ -340,6 +366,13 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     tuples = _edge_equation_tuples(host)
     if tuples > guard:
         raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
+    if invariant is None:
+        invariant = _invariant(host)
+    # The slice rests on the tables build_coefficients makes and checks;
+    # a host carrying any others is scanned in full.
+    sliced = invariant and host.coeffs == build_coefficients(ns)
+    # Off-block x values and support values scanned: 0 alone when sliced.
+    span = range(1 if sliced else n)
     for i in range(ns.ell):
         row = ns.base.rows[i]
         d = ns.diag_cols[i]
@@ -349,13 +382,13 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
         admissible = frozenset(host.sets_n.sets[d])
         inv_d = ns.field.inv(row[d])
         pbase = (width + m_i) * n
-        for xs in itertools.product(range(n), repeat=len(outs)):
+        for xs in itertools.product(span, repeat=len(outs)):
             xkey = tuple(t * n + x for t, x in zip(outs, xs))
             # Zero-extending x to the block positions recovers the
             # generating labels; the block contributions cancel.
             at = dict(zip(outs, xkey))
             shifts = host.shifts([at.get(t, t * n) for t in range(width)])
-            for ys in itertools.product(range(n), repeat=len(support)):
+            for ys in itertools.product(span, repeat=len(support)):
                 ykey = xkey + tuple((width + j) * n + y for j, y in zip(support, ys))
                 acc = ns.base.rhs[i] + shifts[m_i]
                 for j, y in zip(support, ys):
@@ -374,7 +407,8 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
                             f"{'edge' if member else 'no edge'} with label {label}, "
                             f"store says {stored}",
                         )
-    prefixes = [(prefix, host.shifts(prefix)) for prefix in _x_prefixes(host)]
+    scanned = itertools.islice(_x_prefixes(host), 1 if sliced else None)
+    prefixes = [(prefix, host.shifts(prefix)) for prefix in scanned]
     for j in range(host.free):
         admissible = frozenset(host.sets_n.sets[j])
         lo = (width + j) * n
@@ -410,8 +444,10 @@ class _CopyCheck:
     per (x-tuple, U vertex). A batch holding exactly one copy of each
     solution decoded so far, with every label right, is accepted by one
     set comparison and credited to those solutions alone through the
-    count of such full batches; any other batch runs the per-copy check,
-    which decodes a solution on its first copy and fixes every witness.
+    count of such full batches. Any other batch first decodes, in one
+    _decode call, its copies of no solution decoded so far, and then runs
+    the per-copy check, which tallies each copy and fixes the label
+    witnesses.
     credit counts a full batch without one: _walk_check calls it for every
     x-tuple after x = 0 once x = 0's batch has decoded one solution per
     copy with no witness and the host is translation invariant, so each
@@ -425,7 +461,6 @@ class _CopyCheck:
         diag_inv = [ns.field.inv(row[c]) for row, c in zip(ns.base.rows, ns.diag_cols)]
         self.eqs = list(zip(ns.base.rows, ns.base.rhs, ns.pivots, ns.support, diag_inv))
         self.x_parts = tuple(range(host.r - 1))
-        self.u_parts = tuple(range(host.r - 1, host.k))
         self.structure = self.labels = ""
         # x = 0 U vertices of an admissible solution -> [solution,
         # (color, label) per color, copies credited one by one, full
@@ -453,7 +488,7 @@ class _CopyCheck:
         host = self.host
         n = host.n
         by_key = host.by_key
-        if tuple(v // n for v in prefix) != self.x_parts:
+        if len(batch[0]) != host.free or tuple(v // n for v in prefix) != self.x_parts:
             self.structure = self.structure or (
                 f"copy {prefix + batch[0]} does not meet every part once"
             )
@@ -468,25 +503,24 @@ class _CopyCheck:
             at_zero.update(zip(part, itertools.chain(part[n - s:], part[:n - s])))
             got = list(map(by_key.get, map(add, repeat(prefix), tails)))
             free_at_zero[part.start:part.stop] = got[s:] + got[:s]
+        # Each copy's x = 0 vertices; a vertex in no U part stays put.
+        zeros = list(map(tuple, map(map, repeat(at_zero.get), batch, batch)))
         solved = self.solved
         if (
             len(batch) == len(solved)
             and list(map(free_at_zero.__getitem__, self.zero_label))
             == list(self.zero_label.values())
-            and set(zip(*(map(at_zero.get, col) for col in zip(*batch)), *stored)) == self.expect
+            and set(zip(zeros, *stored)) == self.expect
         ):
             self.credit(prefix, shifts)
             return
+        self._decode(prefix, batch, zeros)
         diag = host.row_keys(prefix)
         first = self.first
-        for us, *row_got in zip(batch, *stored):
-            zero = tuple(map(at_zero.get, us))
+        for us, zero, *row_got in zip(batch, zeros, *stored):
             known = solved.get(zero)
             if known is None:
-                known = self._decode(prefix + us, zero)
-                if known is None:
-                    continue
-                first = self.first
+                continue
             known[2] += 1
             got = list(map(free_at_zero.__getitem__, zero)) + row_got
             if got == known[1] and known is not first:
@@ -518,35 +552,55 @@ class _CopyCheck:
         for color, xkey, get_u in self.host.row_keys(prefix):
             self._own(first, color, xkey + get_u(us), xs)
 
-    def _decode(self, vkey: VKey, zero: tuple) -> list | None:
-        """Start the record of the solution a copy's x = 0 vertices encode.
+    def _decode(self, prefix: VKey, batch: list[VKey], zeros: list[tuple]) -> None:
+        """Record the admissible solutions of the batch's copies not decoded before.
 
-        A copy that meets some part twice or recovers no admissible
-        solution sets the copy-structure witness and gives None. Row i's
-        nonzero entries are its support, its pivot (1) and its block column
-        free + i, solved for here, so the tuple solves every row.
+        Runs a column at a time over those copies: the part check, the
+        values, each row's block column and admissibility. Row i's nonzero
+        entries are its support, its pivot (1) and its block column
+        free + i, solved for here, so each tuple solves every row. A copy
+        that meets some part twice or recovers no admissible solution is
+        left out, and the first in batch order sets the copy-structure
+        witness. The new solutions are keyed by their x = 0 vertices in
+        batch order, so the first is the first copy that decodes.
         """
-        host = self.host
-        n = host.n
-        if tuple(v // n for v in vkey[host.r - 1:]) != self.u_parts:
-            self.structure = self.structure or f"copy {vkey} does not meet every part once"
-            return None
-        sol = [v % n for v in zero]
+        n = self.host.n
+        fresh = [zero not in self.solved for zero in zeros]
+        copies = list(compress(batch, fresh))
+        if not copies:
+            return
+        zeros = list(compress(zeros, fresh))
+        placed = [True] * len(copies)
+        for (part, _), col in zip(self.u_ranges, zip(*copies)):
+            placed = list(map(and_, placed, map(part.__contains__, col)))
+        values = [list(map(mod, col, repeat(n))) for col in zip(*zeros)]
         for row, rhs, m_i, support, inv in self.eqs:
-            sol.append((rhs - sol[m_i] - sum(row[j] * sol[j] for j in support)) * inv % n)
-        bad = next((col for col, val in enumerate(sol) if val not in self.admissible[col]), None)
-        if bad is not None:
-            self.structure = self.structure or (
-                f"copy {vkey} needs value {sol[bad]} in set {bad + 1}, not admissible"
-            )
-            return None
-        # Color c's edge carries label sol[c], as diag_cols[i] is free + i.
-        want = list(enumerate(sol))
-        known = self.solved[zero] = [tuple(sol), want, 0, self.full, zero]
-        self.expect.add((*zero, *want[host.free:]))
-        self.zero_label.update(zip(zero, want))
-        self.first = self.first or known
-        return known
+            acc = [rhs - v for v in values[m_i]]
+            for j in support:
+                acc = list(map(sub, acc, map(mul, repeat(row[j]), values[j])))
+            values.append([a * inv % n for a in acc])
+        member = [list(map(adm.__contains__, col)) for adm, col in zip(self.admissible, values)]
+        keep = list(map(all, zip(placed, *member)))
+        if not all(keep) and not self.structure:
+            at = keep.index(False)
+            if placed[at]:
+                bad = next(c for c, col in enumerate(member) if not col[at])
+                why = f"needs value {values[bad][at]} in set {bad + 1}, not admissible"
+            else:
+                why = "does not meet every part once"
+            self.structure = f"copy {prefix + copies[at]} {why}"
+        kept = list(compress(zeros, keep))
+        # Color c's edge carries label values[c], as diag_cols[i] is free + i.
+        wants = [list(compress(zip(repeat(c), col), keep)) for c, col in enumerate(values)]
+        records = zip(compress(zip(*values), keep), map(list, zip(*wants)), repeat(0),
+                      repeat(self.full), kept)
+        # A solution twice in the batch keeps its first place and one record.
+        self.solved.update(zip(kept, map(list, records)))
+        self.expect.update(zip(kept, *wants[self.host.free:]))
+        for zcol, wcol in zip(zip(*kept), wants):
+            self.zero_label.update(zip(zcol, wcol))
+        if kept and not self.first:
+            self.first = self.solved[kept[0]]
 
     def _own(self, first: list, color: int, key: VKey, xs: tuple[int, ...]) -> None:
         """Claim a row edge of the first solution's copy at x; it may have no other x."""
@@ -601,11 +655,13 @@ def _invariant(host: Host) -> bool:
     return True
 
 
-def _walk_check(host: Host, solutions: int) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
+def _walk_check(
+    host: Host, solutions: int, invariant: bool
+) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
     """The walk's copies fed to the copy check; the copies, and its two entries.
 
     Each batch of the walk is fed. When x = 0's batch decodes one solution
-    per copy, sets no witness and the host passes _invariant, every later
+    per copy, sets no witness and the host is invariant, every later
     x-tuple's batch is x = 0's translated, a full batch, and is credited
     unwalked. Otherwise every x-tuple is walked and fed, as check_copies
     would.
@@ -618,7 +674,7 @@ def _walk_check(host: Host, solutions: int) -> tuple[int, tuple[CheckEntry, Chec
         check.feed(prefix, batch, stored)
         copies += len(batch)
         clean = copies == len(check.solved) and not (check.structure or check.labels)
-        if prefix == zero and clean and _invariant(host):
+        if prefix == zero and clean and invariant:
             for later in prefixes:
                 check.credit(later, host.shifts(later))
             return copies * host.n ** (host.r - 1), check.entries(solutions)
@@ -670,7 +726,8 @@ def check_representation(
 
     guard bounds the naive copy scan; the edge-equation check is left out
     of the entries, and recorded in skipped with its tuple count, when
-    that count exceeds it.
+    that count exceeds it. _invariant runs once, and the walk and
+    edge-equation share its answer.
     """
     report = VerificationReport()
     report.entries.append(check_simple(host))
@@ -678,8 +735,9 @@ def check_representation(
     # The walk's batches go straight to the copy check; no copy list.
     listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
+    invariant = _invariant(host)
     if listed is None:
-        copies, copy_entries = _walk_check(host, solutions)
+        copies, copy_entries = _walk_check(host, solutions, invariant)
     else:
         copies, copy_entries = len(listed), check_copies(host, listed, solutions)
     expected = solutions * host.n ** (host.r - 1)
@@ -690,7 +748,7 @@ def check_representation(
     report.entries.extend(copy_entries)
     tuples = _edge_equation_tuples(host)
     if tuples <= guard:
-        report.entries.append(check_edge_equation(host, guard=guard))
+        report.entries.append(check_edge_equation(host, guard=guard, invariant=invariant))
     else:
         report.skipped.append(("edge-equation", tuples))
     report.edges = len(host.by_key)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own counting and search
 paths: solution counting is a raw product loop with % arithmetic, removal
 minimality is certified by scanning every element subset, determinants
-are cofactor expansions, and progression counting is a cubic triple loop. Expected values frozen in the test files
-come from these.
+are cofactor expansions, progression counting is a cubic triple loop,
+and the edge-equation reference reads every candidate tuple. Expected
+values frozen in the test files come from these.
 """
 
 from __future__ import annotations
@@ -103,6 +104,69 @@ def ap3_brute(values) -> tuple[int, int]:
                     if x1 != x3:
                         nontrivial += 1
     return total, nontrivial
+
+
+def brute_edge_equation(host) -> tuple[bool, str]:
+    """check_edge_equation's (passed, witness) by reading every candidate tuple.
+
+    Reads only host.ns, host.sets_n and host.by_key, in the check's scan
+    order: each row color's off-block x values, support values and pivot
+    value, then each free color's x-tuples and U vertex. The translation
+    mix_j is re-derived from the normalized system as the encoding
+    defines it (row i's block position t, paired with its g-th support
+    column j, has mix 1 in column j and -row[j] in the pivot column), and
+    each predicted label is solved by plain % arithmetic.
+    """
+    ns = host.ns
+    n = ns.field.q
+    width = ns.uniformity - 1
+    free = ns.free_count
+    mix = [[0] * width for _ in range(free)]
+    for row, block, support, pivot in zip(ns.base.rows, ns.blocks, ns.support, ns.pivots):
+        for t, j in zip(block, support):
+            mix[j][t] = 1
+            mix[pivot][t] = -row[j] % n
+    for i, (row, rhs) in enumerate(zip(ns.base.rows, ns.base.rhs)):
+        d, pivot, support = ns.diag_cols[i], ns.pivots[i], ns.support[i]
+        outs = [t for t in range(width) if t not in ns.blocks[i]]
+        for xs in itertools.product(range(n), repeat=len(outs)):
+            x = [0] * width
+            for t, v in zip(outs, xs):
+                x[t] = v
+            for ys in itertools.product(range(n), repeat=len(support)):
+                for ym in range(n):
+                    # The x = 0 values of the generating solution's columns.
+                    u = {j: (y - sum(a * b for a, b in zip(mix[j], x))) % n
+                         for j, y in zip((*support, pivot), (*ys, ym))}
+                    label = (rhs - sum(row[j] * u[j] for j in support) - u[pivot]) \
+                        * pow(row[d], -1, n) % n
+                    member = label in host.sets_n.sets[d]
+                    key = (tuple(t * n + v for t, v in zip(outs, xs))
+                           + tuple((width + j) * n + y for j, y in zip(support, ys))
+                           + ((width + pivot) * n + ym,))
+                    stored = host.by_key.get(key)
+                    present = stored is not None and stored[0] == free + i
+                    if member != present or (present and stored[1] != label):
+                        return False, (
+                            f"row {i + 1} vertices {key}: membership says "
+                            f"{'edge' if member else 'no edge'} with label {label}, "
+                            f"store says {stored}"
+                        )
+    for j in range(free):
+        for xs in itertools.product(range(n), repeat=width):
+            for v in range(n):
+                label = (v - sum(a * b for a, b in zip(mix[j], xs))) % n
+                member = label in host.sets_n.sets[j]
+                key = tuple(t * n + x for t, x in enumerate(xs)) + ((width + j) * n + v,)
+                stored = host.by_key.get(key)
+                present = stored is not None and stored[0] == j
+                if member != present or (present and stored[1] != label):
+                    return False, (
+                        f"color {j + 1} vertices {key}: membership says "
+                        f"{'edge' if member else 'no edge'} with label {label}, "
+                        f"store says {stored}"
+                    )
+    return True, ""
 
 
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import full_sets, mk_sets, mk_system
+import linrem.verify as verify
+from conftest import brute_edge_equation, full_sets, mk_sets, mk_system
 from linrem.errors import InputError, SearchBudgetExceeded
 from linrem.hrep import build_coefficients, build_host, copies_for_solution
 from linrem.linsys import normalize, parse_system
@@ -477,6 +478,21 @@ def test_check_copies_shared_diagonal(triangle_small):
     )
 
 
+def test_the_first_decoded_solution_claims_the_row_edges():
+    # Zero mix columns and two solutions, (1, 1, 2) and (1, 2, 3), each on
+    # one diagonal edge at every x. The first copy to decode names the
+    # witness, whether x = 0's batch lists its copies in order or reversed.
+    ns = normalize(mk_system(5, [[1, 1, -1]], [0]))
+    coeffs = dataclasses.replace(build_coefficients(ns), mix=((0,), (0,)))
+    flat = build_host(ns, coeffs, mk_sets(5, [[1], [1, 2], [2, 3]]))
+    copies = enumerate_copies(flat)
+    assert copies[:2] == [(0, 6, 11), (0, 6, 12)]
+    said = "solution {}: edge (2, {}) shared by x=(0,) and x=(1,)"
+    assert check_both(flat)[0].witness == said.format((1, 1, 2), (6, 11))
+    swapped = copies[1::-1] + copies[2:]
+    assert check_both(flat, swapped)[0].witness == said.format((1, 2, 3), (6, 12))
+
+
 def test_check_copies_structure(triangle_small):
     entry = check_both(triangle_small, [(0, 1, 6)])[1]
     assert not entry.passed
@@ -556,6 +572,51 @@ def test_check_copies_stray_copy_twice(triangle_small):
         )
         assert per_solution.passed
         assert structure.witness == "copy (0, 5, 10) needs value 0 in set 1, not admissible"
+
+
+@pytest.mark.parametrize(
+    "order, per_solution, structure",
+    [
+        # An inadmissible copy (all U values 0) and a copy with its U
+        # vertices swapped between parts, in one x-batch either way round:
+        # the first in batch order names the witness.
+        (["bad", "swapped", "all"], "", "copy (0, 5, 10) needs value 0 in set 1, not admissible"),
+        (["swapped", "bad", "all"], "", "copy (0, 11, 6) does not meet every part once"),
+        (["first", "bad", "swapped", "all"], "solution (1, 1, 2) spans 6 copies, wants 5",
+         "copy (0, 5, 10) needs value 0 in set 1, not admissible"),
+        # A batch repeating a solution, with and without faulty copies.
+        (["first", "all"], "solution (1, 1, 2) spans 6 copies, wants 5", ""),
+        (["swapped", "first", "bad", "all"], "solution (1, 1, 2) spans 6 copies, wants 5",
+         "copy (0, 11, 6) does not meet every part once"),
+        # Copies one vertex short or long form batches of their own.
+        (["first", "short", "all"], "solution (1, 1, 2) spans 6 copies, wants 5",
+         "copy (0, 6) does not meet every part once"),
+        (["all", "long"], "", "copy (0, 6, 11, 12) does not meet every part once"),
+    ],
+)
+def test_batch_decode_names_the_first_witness_in_batch_order(
+    triangle_small, order, per_solution, structure
+):
+    # The witnesses check_copies gave when each copy was decoded on its own.
+    copies = enumerate_copies(triangle_small)
+    assert copies[0] == (0, 6, 11)
+    parts = {"bad": [(0, 5, 10)], "swapped": [(0, 11, 6)], "first": copies[:1], "all": copies,
+             "short": [(0, 6)], "long": [(0, 6, 11, 12)]}
+    listed = [c for name in order for c in parts[name]]
+    got = check_both(triangle_small, listed)
+    assert (got[0].witness, got[1].witness) == (per_solution, structure)
+
+
+def test_batch_decode_counts_a_later_solution_repeated_in_its_batch():
+    # Two solutions; x = 0's batch lists the second one's copy twice, so it
+    # is decoded once and tallied twice, and the first solution stays right.
+    host = make_host(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [0, 0],
+                     [[0, 1, 2], [1, 2, 3], [0, 2, 4], [1, 3]])
+    copies = enumerate_copies(host)
+    assert copies[:2] == [(0, 5, 10, 16), (0, 5, 10, 17)] and copies[2][:2] != (0, 5)
+    per_solution, structure = check_both(host, copies[:2] + copies[1:])
+    assert structure.passed
+    assert per_solution.witness == "solution (0, 2, 4, 1) spans 26 copies, wants 25"
 
 
 def test_walk_batches_flatten_to_the_copies():
@@ -870,11 +931,12 @@ def orbit_faulted_hosts(seed, count):
     return out
 
 
-def test_decoded_solutions_solve_every_row():
-    # _decode recovers each row's block column from the x = 0 U vertices
-    # and keeps admissible tuples only. The tuples it keeps solve every row
-    # of the normalized system, by plain % arithmetic, and are exactly the
-    # admissible solutions.
+def test_batch_decoded_solutions_solve_every_row():
+    # _decode recovers each row's block column from the x = 0 U vertices,
+    # a column at a time over one batch, and records admissible tuples only.
+    # Fed every U-tuple at x = 0 as one batch, the tuples it keeps solve
+    # every row of the normalized system, by plain % arithmetic, and are
+    # exactly the admissible solutions.
     total = 0
     for host in drawn_hosts(27, 30):
         n = host.n
@@ -882,15 +944,15 @@ def test_decoded_solutions_solve_every_row():
         zero = tuple(t * n for t in range(host.r - 1))
         check = _CopyCheck(host)
         parts = [range(p * n, (p + 1) * n) for p in range(host.r - 1, host.r - 1 + host.free)]
-        decoded = []
-        for us in itertools.product(*parts):
-            known = check._decode(zero + us, us)
-            if known is not None:
-                decoded.append(known[0])
-        for sol in decoded:
+        batch = list(itertools.product(*parts))
+        check._decode(zero, batch, batch)
+        decoded = {us: known[0] for us, known in check.solved.items()}
+        for us, sol in decoded.items():
+            assert [v % n for v in us] == list(sol[:host.free])
             for row, rhs in zip(base.rows, base.rhs):
                 assert sum(a * v for a, v in zip(row, sol)) % n == rhs % n, (base.rows, sol)
         assert len(decoded) == count_system(base, host.sets_n)
+        assert bool(check.structure) == (len(decoded) < len(batch))
         total += len(decoded)
     assert total
 
@@ -963,6 +1025,117 @@ def test_orbit_faults_agree_with_the_listed_check(monkeypatch):
         assert report.copies == len(copies)
         assert [entries["per-solution"], entries["copy-structure"]] == list(check_both(host, copies))
     assert credited >= 35
+
+
+def test_edge_equation_matches_the_brute_force_scan():
+    # Honest hosts take the sliced scan and pass. A one-edge fault breaks
+    # the invariance, so the full scan runs; an orbit fault keeps it, so
+    # the sliced scan runs and must still name the full scan's witness.
+    rng = random.Random(6)
+    one_edge = drawn_hosts(6, 30)
+    for host in one_edge:
+        key = rng.choice(list(host.by_key))
+        color, label = host.by_key[key]
+        fault = rng.choice(["drop", "relabel", "recolor"])
+        if fault == "drop":
+            del host.by_key[key]
+        elif fault == "relabel":
+            host.by_key[key] = (color, (label + 1) % host.n)
+        else:
+            host.by_key[key] = ((color + 1) % (host.free + host.ell), label)
+    orbit = [host for _, host in orbit_faulted_hosts(7, 30)]
+    assert not any(map(_invariant, one_edge)) and all(map(_invariant, orbit))
+    for kind, hosts in (("honest", drawn_hosts(5, 30)), ("one-edge", one_edge), ("orbit", orbit)):
+        failed = 0
+        for host in hosts:
+            entry = check_edge_equation(host)
+            assert (entry.passed, entry.witness) == brute_edge_equation(host), kind
+            failed += not entry.passed
+        assert failed == (0 if kind == "honest" else 30), kind
+
+
+def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
+    # Zero mix columns fix every row key under each x-translation, so the
+    # flat host stays invariant with one row edge dropped. Those tables are
+    # not build_coefficients', the orbits are not the ones the slice
+    # assumes, and the full scan finds the edge outside the slice.
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    assert flat.by_key.pop((6, 11)) == (2, 2)
+    assert _invariant(flat)
+    assert check_edge_equation(flat).witness == (
+        "row 1 vertices (6, 11): membership says edge with label 2, store says None"
+    )
+
+
+class CountedLookups(dict):
+    """An edge index that counts its get calls while on is set."""
+
+    on = False
+    reads = 0
+
+    def get(self, *args):
+        self.reads += self.on
+        return super().get(*args)
+
+
+def with_a_longer_key(host):
+    """A copy of host with one extra key one vertex longer: no longer
+    invariant, though no probe of the walk or of edge-equation reads it."""
+    longer = copy.deepcopy(host)
+    longer.by_key[(0, 5, 10, 15)] = (2, 0)
+    assert not _invariant(longer)
+    return longer
+
+
+def test_edge_equation_reads_one_tuple_per_orbit(ap4_full, monkeypatch):
+    # (free + ell) * n = 20 candidate tuples on the invariant host, all
+    # (free + ell) * n^r = 500 on the copy with a longer key, where the
+    # check passes and the full scan runs to its end. _invariant's own
+    # reads are left out, and check_representation runs it once.
+    calls = []
+    invariant = verify._invariant
+
+    def quiet(host):
+        calls.append(host)
+        was, host.by_key.on = host.by_key.on, False
+        answer = invariant(host)
+        host.by_key.on = was
+        return answer
+
+    check = verify.check_edge_equation
+
+    def counting(host, *args, **kw):
+        host.by_key.on = True
+        entry = check(host, *args, **kw)
+        host.by_key.on = False
+        return entry
+
+    monkeypatch.setattr(verify, "_invariant", quiet)
+    for host, reads in ((ap4_full, 20), (with_a_longer_key(ap4_full), 500)):
+        counted = copy.copy(host)
+        counted.by_key = CountedLookups(host.by_key)
+        assert counting(counted).passed
+        assert (counted.by_key.reads, len(calls)) == (reads, 1)
+        counted.by_key.reads = 0
+        calls.clear()
+        monkeypatch.setattr(verify, "check_edge_equation", counting)
+        report = check_representation(counted)
+        monkeypatch.setattr(verify, "check_edge_equation", check)
+        assert [e.name for e in report.entries if not e.passed] == (
+            [] if reads == 20 else ["edge-counts"]
+        )
+        assert (counted.by_key.reads, len(calls)) == (reads, 1)
+        calls.clear()
+
+
+def test_only_an_invariant_host_is_walked_at_x_zero_alone(ap4_full, monkeypatch):
+    fed = fed_prefixes(monkeypatch)
+    assert check_representation(ap4_full).copies == 625
+    assert fed == [(0, 5)]
+    fed.clear()
+    assert check_representation(with_a_longer_key(ap4_full)).copies == 625
+    assert fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
 
 
 # ---------------------------------------------------------------------------
