@@ -9,9 +9,8 @@ check_representation's copy count and its per-solution and
 copy-structure entries must equal those check_copies gives over the
 listed copies of enumerate_copies, and check_edge_equation's entry must
 equal that of a brute-force scan of every candidate tuple (on hosts of
-at most --brute-cap such tuples), on each host and on one copy of it
-with the whole translation orbit of one edge
-dropped, relabeled or recolored. Such a copy stays translation
+at most BRUTE_CAP such tuples), on each host and on one copy of it with
+the whole translation orbit of one edge dropped, relabeled or recolored. Such a copy stays translation
 invariant, so it is the faulty host most likely to reach the verifier's
 credited walk and its one-tuple-per-orbit edge-equation scan. A nonzero
 mismatch, collision or disagreement count means a bug; the exit code
@@ -43,6 +42,10 @@ from linrem.verify import (
     check_simple,
     enumerate_copies,
 )
+
+# Hosts above this many candidate tuples skip the brute-force
+# edge-equation comparison.
+BRUTE_CAP = 20_000
 
 
 def draw_instance(rng: random.Random, copy_cap: int):
@@ -159,11 +162,11 @@ def brute_edge_equation(host) -> tuple[bool, str]:
     return True, ""
 
 
-def edge_equation_disagrees(host, cap: int) -> bool | None:
+def edge_equation_disagrees(host) -> bool | None:
     """Does check_edge_equation's entry differ from the brute-force scan's;
-    None above cap candidate tuples, where the scan is not run."""
+    None above BRUTE_CAP candidate tuples, where the scan is not run."""
     tuples = (host.free + host.ell) * host.n**host.r
-    if tuples > cap:
+    if tuples > BRUTE_CAP:
         return None
     entry = check_edge_equation(host, guard=tuples)
     if (entry.passed, entry.witness) == brute_edge_equation(host):
@@ -179,12 +182,6 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=100, help="instances to scan")
     parser.add_argument(
         "--copy-cap", type=int, default=50_000, help="skip instances above this copy count"
-    )
-    parser.add_argument(
-        "--brute-cap",
-        type=int,
-        default=20_000,
-        help="compare edge-equation with the brute-force scan up to this many candidate tuples",
     )
     args = parser.parse_args(argv)
 
@@ -217,14 +214,14 @@ def main(argv=None) -> int:
                 f"{copies} copies vs {solutions} * {shell}"
             )
         disagreements += routes_disagree(host, listed, solutions)
-        brute[edge_equation_disagrees(host, args.brute_cap)] += 1
+        brute[edge_equation_disagrees(host)] += 1
         # A separate stream per host keeps the drawn instances those of
         # the plain scan.
         bad = orbit_faulted(host, random.Random(f"{args.seed}:{done}"))
         if bad is not None:
             faulted += 1
             disagreements += routes_disagree(bad, enumerate_copies(bad), solutions)
-            brute[edge_equation_disagrees(bad, args.brute_cap)] += 1
+            brute[edge_equation_disagrees(bad)] += 1
         if not check_simple(host).passed:
             collisions += 1
     elapsed = time.perf_counter() - start

@@ -333,7 +333,7 @@ def _edge_equation_tuples(host: Host) -> int:
 
 
 def check_edge_equation(
-    host: Host, guard: int = 10**6, invariant: bool | None = None
+    host: Host, guard: int = 10**6, *, _invariance: _Invariance | None = None
 ) -> CheckEntry:
     """Edge presence must match set membership on every candidate tuple.
 
@@ -345,20 +345,21 @@ def check_edge_equation(
     each (x, j) compares one list of probes with the list it predicts.
     Work is priced at (free + ell) * n^r tuples, guarded.
 
-    invariant is _invariant(host), computed here when not given. On an
-    invariant host whose coefficient tables are build_coefficients'
-    own, one tuple per translation orbit is read, n per color:
-    a row color's tuples with every off-block x value and support value
-    0, a free color's at x = 0. The translations act simply transitively
-    on (off-block x values, support values), as sep[i] is nonsingular, so
-    each orbit meets those n tuples once, and they come first in scan
-    order. The stored value is fixed on each orbit, as the host is
+    On an invariant host whose coefficient tables are
+    build_coefficients' own, one tuple per translation orbit is read, n
+    per color: a row color's tuples with every off-block x value and
+    support value 0, a free color's at x = 0. The translations act
+    simply transitively on (off-block x values, support values), as
+    sep[i] is nonsingular, so each orbit meets those n tuples once, and
+    they come first in scan order. The stored value is fixed on each orbit, as the host is
     invariant. So is the predicted label: with shifts linear in x, it is
     an affine function of the tuple whose x coefficients on row i's block
     vanish by the cancellation build_coefficients checks, and a
     translation moves the tuple by exactly such a combination. Failing
     tuples thus form whole orbits, and the first in scan order is read:
-    the entry, witness included, is the full scan's.
+    the entry, witness included, is the full scan's. The tables are
+    compared first; invariance is then read off _invariance when that was
+    decided on this host, and decided here otherwise.
     """
     ns = host.ns
     n = host.n
@@ -366,11 +367,10 @@ def check_edge_equation(
     tuples = _edge_equation_tuples(host)
     if tuples > guard:
         raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
-    if invariant is None:
-        invariant = _invariant(host)
     # The slice rests on the tables build_coefficients makes and checks;
-    # a host carrying any others is scanned in full.
-    sliced = invariant and host.coeffs == build_coefficients(ns)
+    # a host carrying any others is scanned in full, unprobed.
+    known = _invariance if _invariance is not None and _invariance.host is host else None
+    sliced = host.coeffs == build_coefficients(ns) and (known or _Invariance(host)).holds
     # Off-block x values and support values scanned: 0 alone when sliced.
     span = range(1 if sliced else n)
     for i in range(ns.ell):
@@ -655,6 +655,19 @@ def _invariant(host: Host) -> bool:
     return True
 
 
+class _Invariance:
+    """_invariant(host), decided once and bound to the host it was decided on.
+
+    check_representation makes one and hands it to the walk and to
+    check_edge_equation. holds is set here alone, from _invariant, so no
+    caller can claim invariance for a host without it being checked.
+    """
+
+    def __init__(self, host: Host):
+        self.host = host
+        self.holds = _invariant(host)
+
+
 def _walk_check(
     host: Host, solutions: int, invariant: bool
 ) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
@@ -727,7 +740,7 @@ def check_representation(
     guard bounds the naive copy scan; the edge-equation check is left out
     of the entries, and recorded in skipped with its tuple count, when
     that count exceeds it. _invariant runs once, and the walk and
-    edge-equation share its answer.
+    edge-equation share its _Invariance.
     """
     report = VerificationReport()
     report.entries.append(check_simple(host))
@@ -735,9 +748,9 @@ def check_representation(
     # The walk's batches go straight to the copy check; no copy list.
     listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
-    invariant = _invariant(host)
+    invariance = _Invariance(host)
     if listed is None:
-        copies, copy_entries = _walk_check(host, solutions, invariant)
+        copies, copy_entries = _walk_check(host, solutions, invariance.holds)
     else:
         copies, copy_entries = len(listed), check_copies(host, listed, solutions)
     expected = solutions * host.n ** (host.r - 1)
@@ -748,7 +761,7 @@ def check_representation(
     report.entries.extend(copy_entries)
     tuples = _edge_equation_tuples(host)
     if tuples <= guard:
-        report.entries.append(check_edge_equation(host, guard=guard, invariant=invariant))
+        report.entries.append(check_edge_equation(host, guard=guard, _invariance=invariance))
     else:
         report.skipped.append(("edge-equation", tuples))
     report.edges = len(host.by_key)

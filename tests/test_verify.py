@@ -1068,6 +1068,40 @@ def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
     )
 
 
+def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
+    triangle_small, monkeypatch
+):
+    # Tables are compared before invariance is probed, so a host with other
+    # tables goes to the full scan without one probe of _invariant.
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    calls = []
+    invariant = verify._invariant
+    monkeypatch.setattr(verify, "_invariant", lambda host: calls.append(host) or invariant(host))
+    assert check_edge_equation(flat).passed
+    assert calls == []
+    assert check_edge_equation(triangle_small).passed
+    assert calls == [triangle_small]
+
+
+def test_edge_equation_decides_invariance_on_the_host_it_checks(ap4_full):
+    # A row edge with no vertex but its pivot at value 0 lies outside the
+    # slice: dropped, only the full scan finds it. An _Invariance decided
+    # on the honest host does not narrow the scan of the faulted copy,
+    # which decides its own.
+    bad = copy.deepcopy(ap4_full)
+    key = next(k for k, (c, _) in bad.by_key.items() if c >= bad.free and all(v % 5 for v in k[:-1]))
+    del bad.by_key[key]
+    honest = verify._Invariance(ap4_full)
+    assert honest.holds and not verify._Invariance(bad).holds
+    entry = check_edge_equation(bad, _invariance=honest)
+    assert not entry.passed
+    assert (entry.passed, entry.witness) == brute_edge_equation(bad)
+    # Bound to the faulted copy by hand, the honest answer would hide it.
+    honest.host = bad
+    assert check_edge_equation(bad, _invariance=honest).passed
+
+
 class CountedLookups(dict):
     """An edge index that counts its get calls while on is set."""
 
