@@ -7,14 +7,16 @@ colored template copies equals (solution count) * n^(r-1) while the edge
 store stays simple. It also checks the verifier against itself:
 check_representation's copy count and its per-solution and
 copy-structure entries must equal those check_copies gives over the
-listed copies of enumerate_copies, and check_edge_equation's entry must
+listed copies of enumerate_copies, and the edge-equation entry, of a
+direct check_edge_equation call and of check_representation both, must
 equal that of a brute-force scan of every candidate tuple (on hosts of
 at most BRUTE_CAP such tuples), on each host and on one copy of it with
-the whole translation orbit of one edge dropped, relabeled or recolored. Such a copy stays translation
-invariant, so it is the faulty host most likely to reach the verifier's
-credited walk and its one-tuple-per-orbit edge-equation scan. A nonzero
-mismatch, collision or disagreement count means a bug; the exit code
-reflects it so the scan can run in CI.
+the whole translation orbit of one edge dropped, relabeled or recolored.
+Such a copy stays translation invariant, so it is the faulty host most
+likely to reach check_representation's credited walk and its
+one-tuple-per-orbit edge-equation scan; a direct call scans in full. A
+nonzero mismatch, collision or disagreement count means a bug; the exit
+code reflects it so the scan can run in CI.
 
 Usage:
     python scripts/copy_identity_scan.py --seed 7 --count 100
@@ -105,9 +107,9 @@ def orbit_faulted(host, rng: random.Random):
     return bad
 
 
-def routes_disagree(host, listed, solutions) -> bool:
-    """Do check_representation and check_copies over listed differ on host's copies."""
-    report = check_representation(host)
+def routes_disagree(host, report, listed, solutions) -> bool:
+    """Do report, host's check_representation, and check_copies over listed
+    differ on host's copies."""
     entries = {e.name: e for e in report.entries}
     walked = (report.copies, entries["per-solution"], entries["copy-structure"])
     if walked == (len(listed), *check_copies(host, listed, solutions)):
@@ -162,17 +164,21 @@ def brute_edge_equation(host) -> tuple[bool, str]:
     return True, ""
 
 
-def edge_equation_disagrees(host) -> bool | None:
-    """Does check_edge_equation's entry differ from the brute-force scan's;
-    None above BRUTE_CAP candidate tuples, where the scan is not run."""
+def edge_equation_disagrees(host, report) -> bool | None:
+    """Does a direct check_edge_equation call's entry, or the edge-equation
+    entry of report, host's check_representation, differ from the
+    brute-force scan's; None above BRUTE_CAP candidate tuples, where the
+    scan is not run."""
     tuples = (host.free + host.ell) * host.n**host.r
     if tuples > BRUTE_CAP:
         return None
-    entry = check_edge_equation(host, guard=tuples)
-    if (entry.passed, entry.witness) == brute_edge_equation(host):
+    brute = brute_edge_equation(host)
+    direct = check_edge_equation(host, guard=tuples)
+    sliced = next(e for e in report.entries if e.name == "edge-equation")
+    if (direct.passed, direct.witness) == (sliced.passed, sliced.witness) == brute:
         return False
     print(f"DISAGREE edge-equation q={host.n} rows={host.ns.base.rows} sets={host.sets.sets}: "
-          f"{entry}")
+          f"{direct} {sliced}")
     return True
 
 
@@ -213,15 +219,17 @@ def main(argv=None) -> int:
                 f"MISMATCH q={ns.field.q} rows={ns.base.rows} sets={sets.sets}: "
                 f"{copies} copies vs {solutions} * {shell}"
             )
-        disagreements += routes_disagree(host, listed, solutions)
-        brute[edge_equation_disagrees(host)] += 1
+        report = check_representation(host)
+        disagreements += routes_disagree(host, report, listed, solutions)
+        brute[edge_equation_disagrees(host, report)] += 1
         # A separate stream per host keeps the drawn instances those of
         # the plain scan.
         bad = orbit_faulted(host, random.Random(f"{args.seed}:{done}"))
         if bad is not None:
             faulted += 1
-            disagreements += routes_disagree(bad, enumerate_copies(bad), solutions)
-            brute[edge_equation_disagrees(bad)] += 1
+            report = check_representation(bad)
+            disagreements += routes_disagree(bad, report, enumerate_copies(bad), solutions)
+            brute[edge_equation_disagrees(bad, report)] += 1
         if not check_simple(host).passed:
             collisions += 1
     elapsed = time.perf_counter() - start

@@ -42,13 +42,15 @@ and it is credited unwalked. Otherwise every x-tuple is walked and fed.
 The walk and the naive scan both return nothing at once when some color
 has no edge.
 
-edge-equation certifies every edge, not only those on copies: each row
-color's equation and each free color's shift rule, over every candidate
-vertex tuple. It is priced at n^r tuples per color. On an invariant host
-the failing tuples form whole translation orbits, so it reads one tuple
-per orbit, n per color, and names the same first witness.
-check_representation decides invariance once, for the walk and
-edge-equation both.
+edge-equation certifies every edge, not only those on copies, with one
+rule per color: its label solves one linear equation in the x = 0 values
+of its U parts (a row for its block value, free color j for
+label = u_j - mix_j . x), checked on every candidate vertex tuple, n^r
+per color. The slice comes only under check_representation, which
+decides invariance once, for the walk and edge-equation both: on an
+invariant host the failing tuples form whole translation orbits, so
+edge-equation reads one tuple per orbit, n per color, and names the same
+first witness. A direct call scans in full.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, and_, eq, itemgetter, lt, mod, mul, not_, sub
+from operator import add, and_, eq, itemgetter, lt, mod, mul, sub
 
 from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey, build_coefficients
@@ -326,8 +328,9 @@ def check_edge_counts(host: Host) -> CheckEntry:
 def _edge_equation_tuples(host: Host) -> int:
     """The candidate tuples check_edge_equation is priced at: n^r per color.
 
-    The guard and the report's skip rule read this figure. An invariant
-    host is read at n tuples per color, one per translation orbit.
+    The guard and the report's skip rule read this figure. Under
+    check_representation an invariant host is read at n tuples per color,
+    one per translation orbit.
     """
     return (host.free + host.ell) * host.n**host.r
 
@@ -337,29 +340,30 @@ def check_edge_equation(
 ) -> CheckEntry:
     """Edge presence must match set membership on every candidate tuple.
 
-    For each row, every choice of off-block x values and support-part and
-    pivot-part vertices either solves the row's equation with an
-    admissible label and carries exactly that edge, or does neither. For
-    each free color j, the x-tuple x and U_j vertex u carry a color-j edge
-    exactly when (u - mix_j . x) mod n is admissible, labeled with it;
-    each (x, j) compares one list of probes with the list it predicts.
-    Work is priced at (free + ell) * n^r tuples, guarded.
+    One rule per color. A candidate tuple is a head, the off-block x
+    values and every U vertex but the closing one, then a closing U
+    vertex. Its label solves one equation in the x = 0 values u (value
+    less shift) of the color's U columns, u_close + coefs . u + lab *
+    label = rhs: a row's pivot closes and lab is its block entry; free
+    color j's u_j closes, with lab -1 and rhs 0, so label = u_j -
+    mix_j . x. The closing value y0 carrying label 0 is affine in the
+    head values and y0 - lab * l carries label l, so each head's probes
+    are compared with the color's admissibility table rotated by -y0, a
+    running sum. A tuple passes when it carries exactly the predicted
+    edge of the color, or none where the label is not admissible. Rows
+    come first, then free colors; priced at (free + ell) * n^r tuples,
+    guarded.
 
-    On an invariant host whose coefficient tables are
-    build_coefficients' own, one tuple per translation orbit is read, n
-    per color: a row color's tuples with every off-block x value and
-    support value 0, a free color's at x = 0. The translations act
-    simply transitively on (off-block x values, support values), as
-    sep[i] is nonsingular, so each orbit meets those n tuples once, and
-    they come first in scan order. The stored value is fixed on each orbit, as the host is
-    invariant. So is the predicted label: with shifts linear in x, it is
-    an affine function of the tuple whose x coefficients on row i's block
-    vanish by the cancellation build_coefficients checks, and a
-    translation moves the tuple by exactly such a combination. Failing
-    tuples thus form whole orbits, and the first in scan order is read:
-    the entry, witness included, is the full scan's. The tables are
-    compared first; invariance is then read off _invariance when that was
-    decided on this host, and decided here otherwise.
+    With check_representation's _Invariance for this host holding, and
+    build_coefficients' own tables, only the head with every value 0 is
+    read, n tuples per color. The translations act simply transitively
+    on head values (on a row's as sep[i] is nonsingular), so each orbit
+    meets that head once, first in scan order. The stored value is fixed
+    on each orbit, as the host is invariant, and so is the predicted
+    label: a translation fixes every u but through a row's block x
+    values, whose terms cancel by build_coefficients' check. Failing
+    tuples form whole orbits, so the entry, witness included, is the full
+    scan's. Any other call scans in full.
     """
     ns = host.ns
     n = host.n
@@ -367,71 +371,61 @@ def check_edge_equation(
     tuples = _edge_equation_tuples(host)
     if tuples > guard:
         raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
-    # The slice rests on the tables build_coefficients makes and checks;
-    # a host carrying any others is scanned in full, unprobed.
-    known = _invariance if _invariance is not None and _invariance.host is host else None
-    sliced = host.coeffs == build_coefficients(ns) and (known or _Invariance(host)).holds
-    # Off-block x values and support values scanned: 0 alone when sliced.
+    sliced = (
+        _invariance is not None
+        and _invariance.host is host
+        and _invariance.holds
+        and host.coeffs == build_coefficients(ns)
+    )
     span = range(1 if sliced else n)
-    for i in range(ns.ell):
-        row = ns.base.rows[i]
-        d = ns.diag_cols[i]
-        m_i = ns.pivots[i]
-        outs = host.coeffs.outside[i]
-        support = ns.support[i]
-        admissible = frozenset(host.sets_n.sets[d])
-        inv_d = ns.field.inv(row[d])
-        pbase = (width + m_i) * n
-        for xs in itertools.product(span, repeat=len(outs)):
-            xkey = tuple(t * n + x for t, x in zip(outs, xs))
-            # Zero-extending x to the block positions recovers the
-            # generating labels; the block contributions cancel.
-            at = dict(zip(outs, xkey))
-            shifts = host.shifts([at.get(t, t * n) for t in range(width)])
-            for ys in itertools.product(span, repeat=len(support)):
-                ykey = xkey + tuple((width + j) * n + y for j, y in zip(support, ys))
-                acc = ns.base.rhs[i] + shifts[m_i]
-                for j, y in zip(support, ys):
-                    acc -= row[j] * ((y - shifts[j]) % n)
-                for ym in range(n):
-                    label = (acc - ym) * inv_d % n
-                    member = label in admissible
-                    key = ykey + (pbase + ym,)
-                    stored = host.by_key.get(key)
-                    present = stored is not None and stored[0] == host.free + i
-                    if member != present or (present and stored[1] != label):
-                        return CheckEntry(
-                            "edge-equation",
-                            False,
-                            f"row {i + 1} vertices {key}: membership says "
-                            f"{'edge' if member else 'no edge'} with label {label}, "
-                            f"store says {stored}",
-                        )
-    scanned = itertools.islice(_x_prefixes(host), 1 if sliced else None)
-    prefixes = [(prefix, host.shifts(prefix)) for prefix in scanned]
-    for j in range(host.free):
-        admissible = frozenset(host.sets_n.sets[j])
-        lo = (width + j) * n
-        tails = [(u,) for u in range(lo, lo + n)]
-        labels = [(j, t) if t in admissible else None for t in range(n)]
-        for prefix, shifts in prefixes:
-            s = shifts[j]
-            # U_j vertex lo + t carries label (t - s) mod n, if admissible.
-            predicted = labels[n - s:] + labels[:n - s]
-            got = list(map(host.by_key.get, map(add, repeat(prefix), tails)))
+    # Per color, rows first: color, off-block x positions, U columns with
+    # the closing one last, their coefficients, the label's, and rhs. A
+    # row's color is its block column, and normalize makes its pivot 1.
+    eqs = [
+        (d, outs, (*support, m), [*map(row.__getitem__, support), 1], row[d], rhs)
+        for outs, support, m, row, d, rhs in zip(
+            host.coeffs.outside, ns.support, ns.pivots, ns.base.rows, ns.diag_cols, ns.base.rhs
+        )
+    ]
+    eqs += [(j, range(width), (j,), [1], -1, 0) for j in range(host.free)]
+    # Each free color's shift at each unit x-tuple; unread on the slice.
+    units = [] if sliced else [
+        host.shifts([p * n + (p == t) for p in range(width)]) for t in range(width)
+    ]
+    by_key = host.by_key
+    for color, outs, cols, coefs, lab, rhs in eqs:
+        offsets = [-rhs % n]
+        if not sliced:
+            # An x value's slope takes back the shifts of the U values.
+            slopes = [-sum(map(mul, coefs, map(units[t].__getitem__, cols))) for t in outs]
+            for c in slopes + coefs[:-1]:
+                offsets = [(o + c * v) % n for o in offsets for v in span]
+        heads = itertools.product(
+            *(range(p * n, p * n + len(span)) for p in (*outs, *(width + c for c in cols[:-1])))
+        )
+        lo = (width + cols[-1]) * n
+        tails = list(zip(range(lo, lo + n)))
+        # Closing value y0 + z carries the label l with z = -lab * l.
+        edges = [None] * n
+        for label in host.sets_n.sets[color]:
+            edges[-lab * label % n] = (color, label)
+        for head, offset in zip(heads, offsets):
+            got = list(map(by_key.get, map(add, repeat(head), tails)))
+            predicted = edges[offset:] + edges[:offset]
             if got == predicted:
                 continue
-            for tail, want, stored in zip(tails, predicted, got):
-                # As for a row, an edge of another color is no color-j edge.
-                present = stored is not None and stored[0] == j
+            for y, (want, stored) in enumerate(zip(predicted, got)):
+                # An edge of another color is no edge of this one.
+                present = stored is not None and stored[0] == color
                 if present != (want is not None) or (present and stored != want):
-                    label = (tail[0] - lo - s) % n
+                    row = color - host.free
+                    name = f"row {row + 1}" if row >= 0 else f"color {color + 1}"
+                    label = -(y + offset) * ns.field.inv(lab) % n
                     return CheckEntry(
                         "edge-equation",
                         False,
-                        f"color {j + 1} vertices {prefix + tail}: membership says "
-                        f"{'edge' if want else 'no edge'} with label {label}, "
-                        f"store says {stored}",
+                        f"{name} vertices {head + tails[y]}: membership says "
+                        f"{'edge' if want else 'no edge'} with label {label}, store says {stored}",
                     )
     return CheckEntry("edge-equation", True)
 

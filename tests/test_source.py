@@ -1,6 +1,6 @@
 """Source hygiene: no assert statements, a standard-library-only runtime,
-no reader of the derived Host.records tuple inside the package, and no
-reader of the mix table outside hrep."""
+no imported name left unused, no reader of the derived Host.records tuple
+inside the package, and no reader of the mix table outside hrep."""
 
 import ast
 import os
@@ -41,6 +41,25 @@ def test_package_has_no_asserts_and_imports_only_stdlib():
             elif isinstance(node, ast.ImportFrom) and node.level == 0 and not _stdlib(node.module):
                 problems.append(f"{name}:{node.lineno}: imports {node.module}")
     assert problems == []
+
+
+def test_package_modules_use_every_name_they_import():
+    # __init__ imports to re-export; any other module reads each name it
+    # imports. A __future__ import is a compiler directive, not a name.
+    unused = []
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{name}:{node.lineno}: {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for bound in ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            if bound not in read
+        ]
+    assert unused == []
 
 
 def test_package_reads_no_host_records():

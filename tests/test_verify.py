@@ -915,20 +915,33 @@ def orbit_faulted_hosts(seed, count):
     rng = random.Random(seed)
     out = []
     for host in drawn_hosts(seed, count):
-        fault = rng.choice(["drop", "relabel", "recolor"])
-        key = rng.choice(list(host.by_key))
-        color, label = host.by_key[key]
-        for xs in itertools.product(range(host.n), repeat=host.r - 1):
-            moved = translated(host, key, xs)
-            assert host.by_key[moved] == (color, label)
-            if fault == "drop":
-                del host.by_key[moved]
-            elif fault == "relabel":
-                host.by_key[moved] = (color, (label + 1) % host.n)
-            else:
-                host.by_key[moved] = ((color + 1) % (host.free + host.ell), label)
-        out.append((fault, host))
+        kind = rng.choice(FAULTS)
+        fault_orbit(host, rng.choice(list(host.by_key)), kind)
+        out.append((kind, host))
     return out
+
+
+FAULTS = ["drop", "relabel", "recolor"]
+
+
+def fault(host, key, kind):
+    """Drop, relabel or recolor the edge on key, in place."""
+    color, label = host.by_key[key]
+    if kind == "drop":
+        del host.by_key[key]
+    elif kind == "relabel":
+        host.by_key[key] = (color, (label + 1) % host.n)
+    else:
+        host.by_key[key] = ((color + 1) % (host.free + host.ell), label)
+
+
+def fault_orbit(host, key, kind):
+    """fault on every edge of key's translation orbit, in place."""
+    stored = host.by_key[key]
+    for xs in itertools.product(range(host.n), repeat=host.r - 1):
+        moved = translated(host, key, xs)
+        assert host.by_key[moved] == stored
+        fault(host, moved, kind)
 
 
 def test_batch_decoded_solutions_solve_every_row():
@@ -1027,31 +1040,87 @@ def test_orbit_faults_agree_with_the_listed_check(monkeypatch):
     assert credited >= 35
 
 
+def edge_equation_entry(report):
+    return next(e for e in report.entries if e.name == "edge-equation")
+
+
 def test_edge_equation_matches_the_brute_force_scan():
-    # Honest hosts take the sliced scan and pass. A one-edge fault breaks
-    # the invariance, so the full scan runs; an orbit fault keeps it, so
-    # the sliced scan runs and must still name the full scan's witness.
+    # A direct call scans in full. Under check_representation honest hosts
+    # take the sliced scan and pass; a one-edge fault breaks the
+    # invariance, so the full scan runs; an orbit fault keeps it, so the
+    # sliced scan runs and must still name the full scan's witness.
     rng = random.Random(6)
     one_edge = drawn_hosts(6, 30)
     for host in one_edge:
         key = rng.choice(list(host.by_key))
-        color, label = host.by_key[key]
-        fault = rng.choice(["drop", "relabel", "recolor"])
-        if fault == "drop":
-            del host.by_key[key]
-        elif fault == "relabel":
-            host.by_key[key] = (color, (label + 1) % host.n)
-        else:
-            host.by_key[key] = ((color + 1) % (host.free + host.ell), label)
+        fault(host, key, rng.choice(FAULTS))
     orbit = [host for _, host in orbit_faulted_hosts(7, 30)]
     assert not any(map(_invariant, one_edge)) and all(map(_invariant, orbit))
     for kind, hosts in (("honest", drawn_hosts(5, 30)), ("one-edge", one_edge), ("orbit", orbit)):
         failed = 0
         for host in hosts:
+            brute = brute_edge_equation(host)
             entry = check_edge_equation(host)
-            assert (entry.passed, entry.witness) == brute_edge_equation(host), kind
+            assert (entry.passed, entry.witness) == brute, kind
+            entry = edge_equation_entry(check_representation(host))
+            assert (entry.passed, entry.witness) == brute, kind
             failed += not entry.passed
         assert failed == (0 if kind == "honest" else 30), kind
+
+
+@pytest.mark.parametrize(
+    "sets", [[[0, 1, 2]] * 6, [[0, 1], [1, 2], [0, 2], [0, 1, 2], [1], [0, 2]]]
+)
+def test_edge_equation_matches_the_brute_force_scan_on_wide_heads(sets):
+    # r = 5 over F3, and each row has two off-block x positions and two
+    # support columns, so each head's offset is a running sum over four
+    # positions. One-edge faults go to direct calls, orbit faults to
+    # check_representation's slice.
+    host = make_host(3, [[1, 2, 1, 2, 1, 2], [0, 1, 0, 2, 1, 1]], [1, 2], sets)
+    assert (host.r, host.ns.support, host.coeffs.outside) == (5, ((0, 2), (0, 1)), ((2, 3), (0, 1)))
+    assert check_edge_equation(host) == CheckEntry("edge-equation", True)
+    assert check_representation(host).passed
+    rng = random.Random(30)
+    for _ in range(45):
+        bad = copy.deepcopy(host)
+        fault(bad, rng.choice(list(bad.by_key)), rng.choice(FAULTS))
+        entry = check_edge_equation(bad)
+        assert not entry.passed and (entry.passed, entry.witness) == brute_edge_equation(bad)
+        bad = copy.deepcopy(host)
+        fault_orbit(bad, rng.choice(list(bad.by_key)), rng.choice(FAULTS))
+        assert _invariant(bad)
+        entry = edge_equation_entry(check_representation(bad))
+        assert not entry.passed and (entry.passed, entry.witness) == brute_edge_equation(bad)
+
+
+def test_edge_equation_names_the_first_failing_tuple(ap4_full):
+    # Rows are scanned before free colors and a head's closing vertices in
+    # ascending order. So with a free-color edge and the last row-2 edge
+    # dropped, the row is named, and of two faults under row 1's first
+    # head (5, 10) the lower closing vertex is. The one-edge faults go
+    # through the full scan; the same faults on whole orbits go through
+    # check_representation's slice, which names the orbit's tuple at head
+    # value 0, the first the full scan meets.
+    said = "row {} vertices {}: membership says edge with label {}, store says {}"
+    cases = [
+        ([((0, 5, 10), "drop"), ((4, 14, 19), "drop")],
+         said.format(2, (4, 14, 19), 1, None), said.format(2, (0, 10, 17), 1, None)),
+        ([((5, 10, 18), "relabel"), ((5, 10, 16), "drop")],
+         said.format(1, (5, 10, 16), 2, None), said.format(1, (5, 10, 16), 2, None)),
+        ([((5, 10, 16), "relabel"), ((5, 10, 18), "drop")],
+         said.format(1, (5, 10, 16), 2, (2, 3)), said.format(1, (5, 10, 16), 2, (2, 3))),
+    ]
+    for faults, witness, sliced in cases:
+        bad, orbit = copy.deepcopy(ap4_full), copy.deepcopy(ap4_full)
+        for key, kind in faults:
+            fault(bad, key, kind)
+            fault_orbit(orbit, key, kind)
+        entry = check_edge_equation(bad)
+        assert entry.witness == witness
+        assert edge_equation_entry(check_representation(bad)) == entry
+        assert _invariant(orbit)
+        assert edge_equation_entry(check_representation(orbit)).witness == sliced
+        assert check_edge_equation(orbit).witness == sliced
 
 
 def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
@@ -1071,16 +1140,18 @@ def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
 def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
     triangle_small, monkeypatch
 ):
-    # Tables are compared before invariance is probed, so a host with other
-    # tables goes to the full scan without one probe of _invariant.
+    # edge-equation never probes invariance itself: a direct call scans in
+    # full, whatever the tables, without one probe of _invariant, and
+    # check_representation's probe is the only one it makes.
     coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
     flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
     calls = []
     invariant = verify._invariant
     monkeypatch.setattr(verify, "_invariant", lambda host: calls.append(host) or invariant(host))
     assert check_edge_equation(flat).passed
-    assert calls == []
     assert check_edge_equation(triangle_small).passed
+    assert calls == []
+    assert check_representation(triangle_small).passed
     assert calls == [triangle_small]
 
 
@@ -1123,10 +1194,11 @@ def with_a_longer_key(host):
 
 
 def test_edge_equation_reads_one_tuple_per_orbit(ap4_full, monkeypatch):
-    # (free + ell) * n = 20 candidate tuples on the invariant host, all
-    # (free + ell) * n^r = 500 on the copy with a longer key, where the
-    # check passes and the full scan runs to its end. _invariant's own
-    # reads are left out, and check_representation runs it once.
+    # A direct call reads all (free + ell) * n^r = 500 candidate tuples
+    # and never probes invariance. check_representation probes it once and
+    # reads (free + ell) * n = 20 on the invariant host, and 500 on the
+    # copy with a longer key, where the check passes and the full scan runs
+    # to its end. _invariant's own reads are left out.
     calls = []
     invariant = verify._invariant
 
@@ -1150,9 +1222,8 @@ def test_edge_equation_reads_one_tuple_per_orbit(ap4_full, monkeypatch):
         counted = copy.copy(host)
         counted.by_key = CountedLookups(host.by_key)
         assert counting(counted).passed
-        assert (counted.by_key.reads, len(calls)) == (reads, 1)
+        assert (counted.by_key.reads, len(calls)) == (500, 0)
         counted.by_key.reads = 0
-        calls.clear()
         monkeypatch.setattr(verify, "check_edge_equation", counting)
         report = check_representation(counted)
         monkeypatch.setattr(verify, "check_edge_equation", check)
