@@ -294,7 +294,7 @@ def parse_host_export(host: Host, text: str) -> list[EdgeRef]:
     for no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        toks = raw.split(" ")
+        toks = raw.split()
         if len(toks) < 3:
             raise ParseError(f"line {no}: expected 'color label part:vertex ...'")
         try:

@@ -46,11 +46,12 @@ edge-equation certifies every edge, not only those on copies, with one
 rule per color: its label solves one linear equation in the x = 0 values
 of its U parts (a row for its block value, free color j for
 label = u_j - mix_j . x), checked on every candidate vertex tuple, n^r
-per color. The slice comes only under check_representation, which
-decides invariance once, for the walk and edge-equation both: on an
-invariant host the failing tuples form whole translation orbits, so
-edge-equation reads one tuple per orbit, n per color, and names the same
-first witness. A direct call scans in full.
+per color. The slice is check_representation's private route: it builds
+by_key's key columns once, decides invariance once from them, and hands
+that answer to the walk and to the edge-equation scan. On an invariant
+host the failing tuples form whole translation orbits, so the scan reads
+one tuple per orbit, n per color, and names the same first witness. A
+direct check_edge_equation call scans in full.
 """
 
 from __future__ import annotations
@@ -279,10 +280,13 @@ def _key_columns(host: Host) -> list[list[int]] | None:
 
 def check_simple(host: Host) -> CheckEntry:
     """No vertex set may carry two edges: no two keys of by_key hold the same vertices."""
+    return _simple(host, _key_columns(host))
+
+
+def _simple(host: Host, columns: list[list[int]] | None) -> CheckEntry:
     # Distinct keys that all ascend strictly hold distinct vertex sets. When
     # every key has one length, adjacent key positions are compared a column
     # at a time; any other store goes to the vertex-set comparison.
-    columns = _key_columns(host)
     if columns is not None and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
         return CheckEntry("simple", True)
     seen: dict[frozenset[int], tuple[int, int]] = {}
@@ -328,16 +332,14 @@ def check_edge_counts(host: Host) -> CheckEntry:
 def _edge_equation_tuples(host: Host) -> int:
     """The candidate tuples check_edge_equation is priced at: n^r per color.
 
-    The guard and the report's skip rule read this figure. Under
-    check_representation an invariant host is read at n tuples per color,
-    one per translation orbit.
+    The guard and the report's skip rule read this figure. The slice that
+    check_representation takes on an invariant host reads n tuples per
+    color, one per translation orbit.
     """
     return (host.free + host.ell) * host.n**host.r
 
 
-def check_edge_equation(
-    host: Host, guard: int = 10**6, *, _invariance: _Invariance | None = None
-) -> CheckEntry:
+def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
     """Edge presence must match set membership on every candidate tuple.
 
     One rule per color. A candidate tuple is a head, the off-block x
@@ -352,31 +354,31 @@ def check_edge_equation(
     running sum. A tuple passes when it carries exactly the predicted
     edge of the color, or none where the label is not admissible. Rows
     come first, then free colors; priced at (free + ell) * n^r tuples,
-    guarded.
+    guarded, and always scanned in full.
+    """
+    tuples = _edge_equation_tuples(host)
+    if tuples > guard:
+        raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
+    return _edge_equation(host, False)
 
-    With check_representation's _Invariance for this host holding, and
-    build_coefficients' own tables, only the head with every value 0 is
-    read, n tuples per color. The translations act simply transitively
-    on head values (on a row's as sep[i] is nonsingular), so each orbit
-    meets that head once, first in scan order. The stored value is fixed
-    on each orbit, as the host is invariant, and so is the predicted
-    label: a translation fixes every u but through a row's block x
-    values, whose terms cancel by build_coefficients' check. Failing
-    tuples form whole orbits, so the entry, witness included, is the full
-    scan's. Any other call scans in full.
+
+def _edge_equation(host: Host, sliced: bool) -> CheckEntry:
+    """check_edge_equation's scan, unguarded; sliced reads one head per color.
+
+    check_representation passes sliced when its _invariant answer holds
+    and the tables are build_coefficients' own. Then only the head with
+    every value 0 is read, n tuples per color. The translations act
+    simply transitively on head values (on a row's as sep[i] is
+    nonsingular), so each orbit meets that head once, first in scan
+    order. The stored value is fixed on each orbit, as the host is
+    invariant, and so is the predicted label: a translation fixes every u
+    but through a row's block x values, whose terms cancel by
+    build_coefficients' check. Failing tuples form whole orbits, so the
+    entry, witness included, is the full scan's.
     """
     ns = host.ns
     n = host.n
     width = host.r - 1
-    tuples = _edge_equation_tuples(host)
-    if tuples > guard:
-        raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
-    sliced = (
-        _invariance is not None
-        and _invariance.host is host
-        and _invariance.holds
-        and host.coeffs == build_coefficients(ns)
-    )
     span = range(1 if sliced else n)
     # Per color, rows first: color, off-block x positions, U columns with
     # the closing one last, their coefficients, the label's, and rhs. A
@@ -622,7 +624,7 @@ class _CopyCheck:
         )
 
 
-def _invariant(host: Host) -> bool:
+def _invariant(host: Host, columns: list[list[int]] | None) -> bool:
     """Does each unit x-translation map by_key into itself, colors and labels kept.
 
     T_t moves x part t by +1 and rotates each U_j part by that unit
@@ -630,9 +632,9 @@ def _invariant(host: Host) -> bool:
     so a finite store it maps into itself it maps onto itself, and the T_t
     generate every x-tuple's translation. The walk at x is then x = 0's
     walk translated, with the same stored edges. (r-1) * |edges| probes, a
-    key column at a time. A store of mixed key lengths is not invariant.
+    column at a time over columns, _key_columns(host). A store of mixed
+    key lengths, whose columns are None, is not invariant.
     """
-    columns = _key_columns(host)
     if columns is None:
         return False
     n = host.n
@@ -647,19 +649,6 @@ def _invariant(host: Host) -> bool:
         if list(map(by_key.get, moved)) != stored:
             return False
     return True
-
-
-class _Invariance:
-    """_invariant(host), decided once and bound to the host it was decided on.
-
-    check_representation makes one and hands it to the walk and to
-    check_edge_equation. holds is set here alone, from _invariant, so no
-    caller can claim invariance for a host without it being checked.
-    """
-
-    def __init__(self, host: Host):
-        self.host = host
-        self.holds = _invariant(host)
 
 
 def _walk_check(
@@ -733,18 +722,22 @@ def check_representation(
 
     guard bounds the naive copy scan; the edge-equation check is left out
     of the entries, and recorded in skipped with its tuple count, when
-    that count exceeds it. _invariant runs once, and the walk and
-    edge-equation share its _Invariance.
+    that count exceeds it. by_key's key columns are built once, for the
+    simple check and _invariant, and _invariant's one answer goes to the
+    walk and to edge-equation, which reads its slice when the answer
+    holds on build_coefficients' own tables.
     """
     report = VerificationReport()
-    report.entries.append(check_simple(host))
+    columns = _key_columns(host)
+    report.entries.append(_simple(host, columns))
     report.entries.append(check_edge_counts(host))
     # The walk's batches go straight to the copy check; no copy list.
     listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
-    invariance = _Invariance(host)
+    invariant = _invariant(host, columns)
+    del columns  # freed before the walk, whose index sets the report's peak memory
     if listed is None:
-        copies, copy_entries = _walk_check(host, solutions, invariance.holds)
+        copies, copy_entries = _walk_check(host, solutions, invariant)
     else:
         copies, copy_entries = len(listed), check_copies(host, listed, solutions)
     expected = solutions * host.n ** (host.r - 1)
@@ -755,7 +748,8 @@ def check_representation(
     report.entries.extend(copy_entries)
     tuples = _edge_equation_tuples(host)
     if tuples <= guard:
-        report.entries.append(check_edge_equation(host, guard=guard, _invariance=invariance))
+        sliced = invariant and host.coeffs == build_coefficients(host.ns)
+        report.entries.append(_edge_equation(host, sliced))
     else:
         report.skipped.append(("edge-equation", tuples))
     report.edges = len(host.by_key)

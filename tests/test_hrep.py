@@ -462,6 +462,16 @@ def test_export_round_trip():
     assert sorted(refs) == sorted((color, key) for key, (color, _) in host.by_key.items())
 
 
+def test_parse_export_splits_on_any_whitespace():
+    # A hand-edited export line may gain a tab between fields, runs of
+    # spaces or trailing blanks; like parse_system, the reader takes them.
+    ns = triangle5_ns()
+    host = build_host(ns, build_coefficients(ns), mk_sets(5, [[1, 2]] * 3))
+    lines = export_host(host).splitlines()
+    edited = [line.replace(" ", "\t", 1).replace(" ", "   ", 1) + " \t" for line in lines]
+    assert parse_host_export(host, "\n".join(edited)) == parse_host_export(host, "\n".join(lines))
+
+
 def test_parse_export_errors():
     ns = triangle5_ns()
     host = build_host(ns, build_coefficients(ns), mk_sets(5, [[1, 2]] * 3))

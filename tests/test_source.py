@@ -1,6 +1,7 @@
 """Source hygiene: no assert statements, a standard-library-only runtime,
 no imported name left unused, no reader of the derived Host.records tuple
-inside the package, and no reader of the mix table outside hrep."""
+inside the package, no reader of the mix table outside hrep, and no
+public function with a parameter named like a private name."""
 
 import ast
 import os
@@ -85,6 +86,27 @@ def test_only_hrep_reads_the_mix_table():
         if isinstance(node, ast.Attribute) and node.attr == "mix"
     ]
     assert reads == []
+
+
+def test_public_functions_take_no_private_parameters():
+    # A parameter named like a private name is part of the public
+    # signature all the same; a route only the package may take belongs
+    # behind a private function.
+    private = []
+    for name, tree in _modules():
+        publics = [node for node in tree.body if not getattr(node, "name", "_").startswith("_")]
+        for cls in [node for node in publics if isinstance(node, ast.ClassDef)]:
+            publics += [node for node in cls.body if not getattr(node, "name", "_").startswith("_")]
+        for func in publics:
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = func.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                private += [
+                    f"{name}:{func.lineno}: {func.name}({arg.arg})"
+                    for arg in params
+                    if arg is not None and arg.arg.startswith("_")
+                ]
+    assert private == []
 
 
 def test_cli_import_leaves_out_multiprocessing():

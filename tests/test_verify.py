@@ -15,7 +15,6 @@ from linrem.solutions import count_system, iter_solutions, min_copy_hitting_set
 from linrem.verify import (
     CheckEntry,
     _CopyCheck,
-    _invariant,
     _iter_per_part,
     check_copies,
     check_edge_counts,
@@ -360,14 +359,20 @@ def test_check_edge_equation_ap4_witnesses(ap4_full):
         "row 1 vertices (6, 10, 17): membership says edge with label 2, store says (2, 3)",
     )
 
+    # No value of (3, 14, 18) but its pivot's is 0, so the edge lies off
+    # check_representation's slice, which would miss it; a direct call
+    # scans in full and names it, as the brute scan does.
     dropped = copy.deepcopy(ap4_full)
     key = (3, 14, 18)
     assert dropped.by_key.pop(key) == (3, 0)
-    assert check_edge_equation(dropped) == CheckEntry(
+    entry = check_edge_equation(dropped)
+    assert entry == CheckEntry(
         "edge-equation",
         False,
         "row 2 vertices (3, 14, 18): membership says edge with label 0, store says None",
     )
+    assert (entry.passed, entry.witness) == brute_edge_equation(dropped)
+    assert verify._edge_equation(dropped, True).passed
 
 
 def test_check_edge_equation_free_colors():
@@ -881,6 +886,11 @@ def test_streamed_copy_check_matches_the_listed_one():
 # Translation invariance.
 
 
+def _invariant(host):
+    """verify._invariant's answer on host's own key columns."""
+    return verify._invariant(host, verify._key_columns(host))
+
+
 def translated(host, key, xs):
     """key moved to x-tuple xs: x part t by xs[t], U_j by mix_j . xs, as a copy is."""
     n = host.n
@@ -1142,35 +1152,26 @@ def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
 ):
     # edge-equation never probes invariance itself: a direct call scans in
     # full, whatever the tables, without one probe of _invariant, and
-    # check_representation's probe is the only one it makes.
+    # check_representation's probe is the only one it makes. The scan is
+    # sliced only on the invariant host with build_coefficients' tables.
     coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
     flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
-    calls = []
-    invariant = verify._invariant
-    monkeypatch.setattr(verify, "_invariant", lambda host: calls.append(host) or invariant(host))
+    assert _invariant(flat)
+    calls, scans = [], []
+    invariant, scan = verify._invariant, verify._edge_equation
+    monkeypatch.setattr(
+        verify, "_invariant", lambda host, columns: calls.append(host) or invariant(host, columns)
+    )
+    monkeypatch.setattr(
+        verify, "_edge_equation", lambda host, sliced: scans.append(sliced) or scan(host, sliced)
+    )
     assert check_edge_equation(flat).passed
     assert check_edge_equation(triangle_small).passed
-    assert calls == []
+    assert (calls, scans) == ([], [False, False])
     assert check_representation(triangle_small).passed
-    assert calls == [triangle_small]
-
-
-def test_edge_equation_decides_invariance_on_the_host_it_checks(ap4_full):
-    # A row edge with no vertex but its pivot at value 0 lies outside the
-    # slice: dropped, only the full scan finds it. An _Invariance decided
-    # on the honest host does not narrow the scan of the faulted copy,
-    # which decides its own.
-    bad = copy.deepcopy(ap4_full)
-    key = next(k for k, (c, _) in bad.by_key.items() if c >= bad.free and all(v % 5 for v in k[:-1]))
-    del bad.by_key[key]
-    honest = verify._Invariance(ap4_full)
-    assert honest.holds and not verify._Invariance(bad).holds
-    entry = check_edge_equation(bad, _invariance=honest)
-    assert not entry.passed
-    assert (entry.passed, entry.witness) == brute_edge_equation(bad)
-    # Bound to the faulted copy by hand, the honest answer would hide it.
-    honest.host = bad
-    assert check_edge_equation(bad, _invariance=honest).passed
+    assert (calls, scans[2:]) == ([triangle_small], [True])
+    check_representation(flat)
+    assert (calls[1:], scans[3:]) == ([flat], [False])
 
 
 class CountedLookups(dict):
@@ -1196,37 +1197,32 @@ def with_a_longer_key(host):
 def test_edge_equation_reads_one_tuple_per_orbit(ap4_full, monkeypatch):
     # A direct call reads all (free + ell) * n^r = 500 candidate tuples
     # and never probes invariance. check_representation probes it once and
-    # reads (free + ell) * n = 20 on the invariant host, and 500 on the
-    # copy with a longer key, where the check passes and the full scan runs
-    # to its end. _invariant's own reads are left out.
+    # its scan reads (free + ell) * n = 20 on the invariant host, and 500
+    # on the copy with a longer key, where the check passes and the full
+    # scan runs to its end. Only the edge-equation scan's reads count.
     calls = []
-    invariant = verify._invariant
+    invariant, scan = verify._invariant, verify._edge_equation
 
-    def quiet(host):
+    def probe(host, columns):
         calls.append(host)
-        was, host.by_key.on = host.by_key.on, False
-        answer = invariant(host)
-        host.by_key.on = was
-        return answer
+        return invariant(host, columns)
 
-    check = verify.check_edge_equation
-
-    def counting(host, *args, **kw):
+    def counting(host, sliced):
         host.by_key.on = True
-        entry = check(host, *args, **kw)
+        entry = scan(host, sliced)
         host.by_key.on = False
         return entry
 
-    monkeypatch.setattr(verify, "_invariant", quiet)
-    for host, reads in ((ap4_full, 20), (with_a_longer_key(ap4_full), 500)):
+    cases = ((ap4_full, 20), (with_a_longer_key(ap4_full), 500))
+    monkeypatch.setattr(verify, "_invariant", probe)
+    monkeypatch.setattr(verify, "_edge_equation", counting)
+    for host, reads in cases:
         counted = copy.copy(host)
         counted.by_key = CountedLookups(host.by_key)
-        assert counting(counted).passed
+        assert check_edge_equation(counted).passed
         assert (counted.by_key.reads, len(calls)) == (500, 0)
         counted.by_key.reads = 0
-        monkeypatch.setattr(verify, "check_edge_equation", counting)
         report = check_representation(counted)
-        monkeypatch.setattr(verify, "check_edge_equation", check)
         assert [e.name for e in report.entries if not e.passed] == (
             [] if reads == 20 else ["edge-counts"]
         )
@@ -1241,6 +1237,20 @@ def test_only_an_invariant_host_is_walked_at_x_zero_alone(ap4_full, monkeypatch)
     fed.clear()
     assert check_representation(with_a_longer_key(ap4_full)).copies == 625
     assert fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
+
+
+@pytest.mark.parametrize("mode", ["per-part", "naive"])
+def test_a_report_builds_key_columns_once_and_probes_invariance_once(ap4_full, mode, monkeypatch):
+    # The simple check and _invariant share one set of key columns, and the
+    # walk and edge-equation share _invariant's one answer.
+    built, probed = [], []
+    key_columns, invariant = verify._key_columns, verify._invariant
+    monkeypatch.setattr(verify, "_key_columns", lambda host: built.append(key_columns(host)) or built[-1])
+    monkeypatch.setattr(
+        verify, "_invariant", lambda host, columns: probed.append(columns) or invariant(host, columns)
+    )
+    assert check_representation(ap4_full, mode=mode).passed
+    assert len(built) == len(probed) == 1 and probed[0] is built[0]
 
 
 # ---------------------------------------------------------------------------
