@@ -11,12 +11,14 @@ listed copies of enumerate_copies, and the edge-equation entry, of a
 direct check_edge_equation call and of check_representation both, must
 equal that of a brute-force scan of every candidate tuple (on hosts of
 at most BRUTE_CAP such tuples), on each host and on one copy of it with
-the whole translation orbit of one edge dropped, relabeled or recolored.
-Such a copy stays translation invariant, so it is the faulty host most
-likely to reach check_representation's credited walk and its
-one-tuple-per-orbit edge-equation scan; a direct call scans in full. A
-nonzero mismatch, collision or disagreement count means a bug; the exit
-code reflects it so the scan can run in CI.
+the whole translation orbit of one edge dropped, relabeled, recolored or
+moved. Such a copy stays translation invariant, so it is the faulty host
+most likely to reach check_representation's credited walk, its x = 0
+probes and its one-tuple-per-orbit edge-equation scan; a direct call
+scans in full. A move puts the x = 0 key of a free-color edge's orbit
+outside its U part, where only a walk that probes every closing vertex
+of the store sees it. A nonzero mismatch, collision or disagreement
+count means a bug; the exit code reflects it so the scan can run in CI.
 
 Usage:
     python scripts/copy_identity_scan.py --seed 7 --count 100
@@ -80,24 +82,48 @@ def draw_instance(rng: random.Random, copy_cap: int):
 
 
 def orbit_faulted(host, rng: random.Random):
-    """A copy of host with one edge's translation orbit dropped, relabeled or
-    recolored; None for a host without edges.
+    """A copy of host with one edge's translation orbit dropped, relabeled,
+    recolored or moved; None for a host without edges.
 
     Solution s's copy at x-tuple x has x part t at x_t and U_j at
     s_j + mix_j . x, so moving an edge to x adds x_t to its part-t vertex
-    and mix_j . x to its U_j vertex.
+    and mix_j . x to its U_j vertex. A move takes a free-color edge's
+    orbit to the orbit of its x = 0 key with the last vertex put in
+    another part, one that holds no key there, so that x = 0 key ends
+    outside U_j and the host stays invariant; it falls back to a drop
+    when no such part exists.
     """
     if not host.by_key:
         return None
     n = host.n
+    width = host.r - 1
     bad = copy.copy(host)
     bad.by_key = dict(host.by_key)
     key = rng.choice(list(host.by_key))
     color, label = host.by_key[key]
-    fault = rng.choice(("drop", "relabel", "recolor"))
-    for xs in itertools.product(range(n), repeat=host.r - 1):
-        steps = [*xs, *(sum(c * x for c, x in zip(a, xs)) for a in host.coeffs.mix)]
-        moved = tuple(v // n * n + (v % n + steps[v // n]) % n for v in key)
+    fault = rng.choice(("drop", "relabel", "recolor", "move"))
+
+    def orbit(key):
+        for xs in itertools.product(range(n), repeat=width):
+            steps = [*xs, *(sum(c * x for c, x in zip(a, xs)) for a in host.coeffs.mix)]
+            yield tuple(v // n * n + (v % n + steps[v // n]) % n for v in key)
+
+    if fault == "move":
+        zero = tuple(t * n for t in range(width))
+        free = [k for k, (c, _) in host.by_key.items() if c < host.free and k[:width] == zero]
+        if free:
+            key = rng.choice(free)
+            color, label = host.by_key[key]
+            parts = [p for p in range(host.k) if p != key[-1] // n]
+            moved = [key[:-1] + (p * n + rng.randrange(n),) for p in rng.sample(parts, len(parts))]
+            target = next((m for m in moved if m not in host.by_key), None)
+            if target is not None:
+                for old in orbit(key):
+                    del bad.by_key[old]
+                bad.by_key.update(dict.fromkeys(orbit(target), (color, label)))
+                return bad
+        fault = "drop"
+    for moved in orbit(key):
         if fault == "drop":
             del bad.by_key[moved]
         elif fault == "relabel":

@@ -101,12 +101,14 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
                 for t in outs
             )
         )
-    return CoefficientTables(
+    tables = CoefficientTables(
         mix=tuple(tuple(r) for r in mix),
         sep=tuple(sep),
         outside=tuple(outside),
         closing=tuple(closing),
     )
+    object.__setattr__(tables, "_ns", ns)  # Host.own_tables; dataclasses.replace drops it
+    return tables
 
 
 class Host:
@@ -128,6 +130,7 @@ class Host:
         self.free = ns.free_count
         self.ell = ns.ell
         self.by_key: dict[VKey, tuple[int, int]] = {}
+        self.own_tables = getattr(coeffs, "_ns", None) is ns  # build_coefficients(ns)'s own
         self._rows = tuple(
             (self.free + i, coeffs.outside[i], itemgetter(*ns.support[i], ns.pivots[i]))
             for i in range(self.ell)

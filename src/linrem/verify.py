@@ -31,16 +31,15 @@ x-part prefix. Per batch the check reads each free-color edge once per
 U vertex. A batch holding one copy of every solution decoded so far, all
 labels right, is a full batch and passes with one set comparison. Any
 other batch first decodes its copies of no known solution, a column at a
-time, and is then checked copy by copy.
+time, is compared again, and is checked copy by copy if it still fails.
 
 check_representation holds no copy list. Solution s's copy at x has U_j
 vertex s_j + mix_j . x, the shift Host.shifts gives, so each x-tuple's
-copies are x = 0's translated. When x = 0's batch decodes one solution
-per copy and sets no witness, and by_key maps into itself under each
-unit x-translation, every later x-tuple's batch would be a full batch,
-and it is credited unwalked. Otherwise every x-tuple is walked and fed.
-The walk and the naive scan both return nothing at once when some color
-has no edge.
+copies are x = 0's translated. When by_key maps into itself under each
+unit x-translation, the walk reads x = 0 alone, by probes, and if its
+batch is full, one credit call counts every later x-tuple's, unwalked.
+Otherwise every x-tuple is walked and fed. The walk and the naive scan
+both return nothing at once when some color has no edge.
 
 edge-equation certifies every edge, not only those on copies, with one
 rule per color: its label solves one linear equation in the x = 0 values
@@ -63,7 +62,7 @@ from itertools import compress, repeat
 from operator import add, and_, eq, itemgetter, lt, mod, mul, sub
 
 from .errors import SearchBudgetExceeded
-from .hrep import Host, VKey, build_coefficients
+from .hrep import Host, VKey
 from .linsys import NormalizedSystem
 from .solutions import count_system, iter_solutions
 
@@ -94,24 +93,39 @@ def _x_prefixes(host: Host):
     return itertools.product(*(range(t * n, (t + 1) * n) for t in range(host.r - 1)))
 
 
-def _iter_per_part(host: Host):
+def _iter_per_part(host: Host, closing: set[int] | None = None):
     """The walk: one (prefix, U-tuples, per-row stored edges) batch per x-tuple.
 
-    An x-tuple's candidate U-tuples are the product of its per-part
-    candidate lists. Each row then probes every surviving candidate's edge
-    once, in one by_key.get pipeline, and keeps the candidates whose edge
-    has that row's color; stored[i] holds row i's (color, label) for each
-    kept tuple. x-part keys come in lexicographic order, parts occupy
-    ascending vertex ranges and each candidate list is ascending, so
-    prefix + U-tuple comes out sorted. Nothing is yielded when some color
-    has no edge, since such a host has no copy, and no batch is yielded
-    empty.
+    closing, the distinct last vertices of an invariant host's r-vertex
+    keys, holds each x = 0 key's, whatever its part: probes of zero + (v,)
+    give _part_index's x = 0 lists, and _part_index runs only if the walk
+    goes on. Nothing is yielded when some color has no edge.
+    """
+    prefixes = _x_prefixes(host)
+    if closing is not None:
+        zero = next(prefixes)
+        index: PartIndex = [{zero: []} for _ in range(host.free)]
+        for v in sorted(closing):
+            color = host.by_key.get(zero + (v,), (host.free,))[0]
+            if color < host.free:
+                index[color][zero].append(v)
+        yield from _batches(host, [zero], index)  # a batch holds every color
+    if set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell)):
+        yield from _batches(host, prefixes, _part_index(host))
+
+
+def _batches(host: Host, prefixes, index: PartIndex):
+    """The walk's nonempty batches at prefixes, over index's candidate lists.
+
+    Each row probes every candidate U-tuple's edge once, in one
+    by_key.get pipeline, and keeps the candidates whose edge has that
+    row's color; stored[i] holds row i's (color, label) for each kept
+    tuple. x-part keys come in lexicographic order, parts occupy ascending
+    vertex ranges and each candidate list is ascending, so prefix +
+    U-tuple comes out sorted.
     """
     by_key = host.by_key
-    if not set(map(itemgetter(0), by_key.values())).issuperset(range(host.free + host.ell)):
-        return
-    index = _part_index(host)
-    for prefix in _x_prefixes(host):
+    for prefix in prefixes:
         cands = [values.get(prefix) for values in index]
         if not all(cands):
             continue
@@ -437,17 +451,13 @@ class _CopyCheck:
 
     feed takes a prefix, its U-tuples and, per row, the (color, label)
     stored on each tuple's row edge. Free-color edges are read here, once
-    per (x-tuple, U vertex). A batch holding exactly one copy of each
-    solution decoded so far, with every label right, is accepted by one
-    set comparison and credited to those solutions alone through the
-    count of such full batches. Any other batch first decodes, in one
-    _decode call, its copies of no solution decoded so far, and then runs
-    the per-copy check, which tallies each copy and fixes the label
-    witnesses.
-    credit counts a full batch without one: _walk_check calls it for every
-    x-tuple after x = 0 once x = 0's batch has decoded one solution per
-    copy with no witness and the host is translation invariant, so each
-    batch it stands for would have passed the set comparison.
+    per (x-tuple, U vertex). A batch holding one copy of each solution
+    decoded so far, every label right, passes one set comparison and is
+    credited to those solutions alone through the count of full batches.
+    Any other batch decodes, in one _decode call, its copies of no known
+    solution and is compared again; if it still fails, the per-copy check
+    tallies each copy and fixes the label witnesses. _walk_check may
+    credit every x-tuple after x = 0 in one credit call.
     """
 
     def __init__(self, host: Host):
@@ -500,17 +510,21 @@ class _CopyCheck:
             got = list(map(by_key.get, map(add, repeat(prefix), tails)))
             free_at_zero[part.start:part.stop] = got[s:] + got[:s]
         # Each copy's x = 0 vertices; a vertex in no U part stays put.
-        zeros = list(map(tuple, map(map, repeat(at_zero.get), batch, batch)))
+        zeros = batch  # at x = 0, or wherever every shift is 0
+        if any(shifts):
+            zeros = list(map(tuple, map(map, repeat(at_zero.get), batch, batch)))
         solved = self.solved
-        if (
-            len(batch) == len(solved)
-            and list(map(free_at_zero.__getitem__, self.zero_label))
-            == list(self.zero_label.values())
-            and set(zip(zeros, *stored)) == self.expect
-        ):
-            self.credit(prefix, shifts)
-            return
-        self._decode(prefix, batch, zeros)
+        for decode in (True, False):  # compared again after _decode
+            if (
+                len(batch) == len(solved)
+                and list(map(free_at_zero.__getitem__, self.zero_label))
+                == list(self.zero_label.values())
+                and set(zip(zeros, *stored)) == self.expect
+            ):
+                self.credit([prefix])
+                return
+            if decode:
+                self._decode(prefix, batch, zeros)
         diag = host.row_keys(prefix)
         first = self.first
         for us, zero, *row_got in zip(batch, zeros, *stored):
@@ -530,23 +544,28 @@ class _CopyCheck:
                     _, xkey, get_u = diag[c - host.free]
                     self._own(first, c, xkey + get_u(us), xs)
 
-    def credit(self, prefix: VKey, shifts: list[int]) -> None:
-        """Count a full batch at x, whose U parts are x = 0's rotated by shifts.
+    def credit(self, prefixes: list[VKey]) -> None:
+        """Count a full batch at each x of prefixes, claiming the first solution's row edges.
 
-        feed calls it when the set comparison passes, and _walk_check for
-        each x-tuple after x = 0 on an invariant host. A full batch holds
-        the first solution's copy, whose row edges are claimed for x.
+        Its copy at x has x = 0's U vertices rotated by x's shifts. Its
+        keys are built a column at a time, row_keys reading columns as it
+        reads vertices, and claimed at once unless one repeats or is
+        claimed already; then x by x, so that the first clash is named.
         """
-        n = self.host.n
-        first = self.first
-        self.full += 1
-        us = tuple(
-            part[(z - part.start + s) % n]
-            for (part, _), z, s in zip(self.u_ranges, first[4], shifts)
-        )
-        xs = tuple(v % n for v in prefix)
-        for color, xkey, get_u in self.host.row_keys(prefix):
-            self._own(first, color, xkey + get_u(us), xs)
+        host, n, first, owner = self.host, self.host.n, self.first, self.owner
+        self.full += len(prefixes)
+        columns = tuple(zip(*prefixes))
+        xs = list(zip(*(map(mod, col, repeat(n)) for col in columns)))
+        shifts = zip(*map(host.shifts, prefixes))
+        us = tuple([part[(z - part.start + s) % n] for s in col]
+                   for (part, _), z, col in zip(self.u_ranges, first[4], shifts))
+        rows = [list(zip(repeat(c), zip(*xk, *get(us)))) for c, xk, get in host.row_keys(columns)]
+        refs = list(itertools.chain(*rows))
+        if len(set(refs)) == len(refs) and owner.keys().isdisjoint(refs):
+            owner.update(zip(refs, xs * len(rows)))
+            return
+        for (at, x), row in itertools.product(enumerate(xs), rows):
+            self._own(first, *row[at], x)
 
     def _decode(self, prefix: VKey, batch: list[VKey], zeros: list[tuple]) -> None:
         """Record the admissible solutions of the batch's copies not decoded before.
@@ -652,27 +671,25 @@ def _invariant(host: Host, columns: list[list[int]] | None) -> bool:
 
 
 def _walk_check(
-    host: Host, solutions: int, invariant: bool
+    host: Host, solutions: int, closing: set[int] | None
 ) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
     """The walk's copies fed to the copy check; the copies, and its two entries.
 
-    Each batch of the walk is fed. When x = 0's batch decodes one solution
-    per copy, sets no witness and the host is invariant, every later
-    x-tuple's batch is x = 0's translated, a full batch, and is credited
-    unwalked. Otherwise every x-tuple is walked and fed, as check_copies
-    would.
+    closing, set on an invariant host of r-vertex keys, lets the walk read
+    x = 0 by probes. If x = 0's batch then decodes one solution per copy
+    with no witness, each later x-tuple's is its translate, a full batch,
+    and one credit counts them all; else all are walked, as check_copies would.
     """
     check = _CopyCheck(host)
     copies = 0
     prefixes = _x_prefixes(host)
     zero = next(prefixes)
-    for prefix, batch, stored in _iter_per_part(host):
+    for prefix, batch, stored in _iter_per_part(host, closing):
         check.feed(prefix, batch, stored)
         copies += len(batch)
         clean = copies == len(check.solved) and not (check.structure or check.labels)
-        if prefix == zero and clean and invariant:
-            for later in prefixes:
-                check.credit(later, host.shifts(later))
+        if prefix == zero and clean and closing is not None:
+            check.credit(list(prefixes))
             return copies * host.n ** (host.r - 1), check.entries(solutions)
     return copies, check.entries(solutions)
 
@@ -723,9 +740,9 @@ def check_representation(
     guard bounds the naive copy scan; the edge-equation check is left out
     of the entries, and recorded in skipped with its tuple count, when
     that count exceeds it. by_key's key columns are built once, for the
-    simple check and _invariant, and _invariant's one answer goes to the
-    walk and to edge-equation, which reads its slice when the answer
-    holds on build_coefficients' own tables.
+    simple check, _invariant and the walk's x = 0 probes, and _invariant's
+    one answer goes to the walk and to edge-equation, which reads its
+    slice when the answer holds on build_coefficients' own tables.
     """
     report = VerificationReport()
     columns = _key_columns(host)
@@ -735,9 +752,10 @@ def check_representation(
     listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
     invariant = _invariant(host, columns)
-    del columns  # freed before the walk, whose index sets the report's peak memory
+    closing = set(columns[-1]) if listed is None and invariant and len(columns) == host.r else None
+    del columns  # freed before the walk, whose index may set the report's peak memory
     if listed is None:
-        copies, copy_entries = _walk_check(host, solutions, invariant)
+        copies, copy_entries = _walk_check(host, solutions, closing)
     else:
         copies, copy_entries = len(listed), check_copies(host, listed, solutions)
     expected = solutions * host.n ** (host.r - 1)
@@ -748,8 +766,7 @@ def check_representation(
     report.entries.extend(copy_entries)
     tuples = _edge_equation_tuples(host)
     if tuples <= guard:
-        sliced = invariant and host.coeffs == build_coefficients(host.ns)
-        report.entries.append(_edge_equation(host, sliced))
+        report.entries.append(_edge_equation(host, invariant and host.own_tables))
     else:
         report.skipped.append(("edge-equation", tuples))
     report.edges = len(host.by_key)

@@ -1239,6 +1239,75 @@ def test_only_an_invariant_host_is_walked_at_x_zero_alone(ap4_full, monkeypatch)
     assert fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
 
 
+def test_an_invariant_host_is_read_at_x_zero_alone(ap4_full, monkeypatch):
+    # The walk reads ap4_full at x = 0 alone, and builds no index of every
+    # edge: one probe per closing vertex of the store (U1 and U2, 10), each
+    # row's probe of every x = 0 U-tuple (2 * 25), and the copy check's read
+    # of each U vertex's free-color edge (10). Every later x-tuple is
+    # credited, unread. Only the walk's reads count.
+    indexed = []
+    part_index, walk_check = verify._part_index, verify._walk_check
+
+    def walk(host, solutions, closing):
+        host.by_key.on = True
+        try:
+            return walk_check(host, solutions, closing)
+        finally:
+            host.by_key.on = False
+
+    monkeypatch.setattr(verify, "_part_index", lambda host: indexed.append(host) or part_index(host))
+    monkeypatch.setattr(verify, "_walk_check", walk)
+    fed = fed_prefixes(monkeypatch)
+    counted = copy.copy(ap4_full)
+    counted.by_key = CountedLookups(ap4_full.by_key)
+    assert len({key[-1] for key in counted.by_key}) == 10
+    report = check_representation(counted)
+    assert report.passed and report.copies == 625
+    assert (counted.by_key.reads, indexed, fed) == (10 + 2 * 25 + 10, [], [(0, 5)])
+    # With x = 0's color-1 edges relabeled along their whole orbits, the
+    # host stays invariant but x = 0's batch sets a witness: every edge is
+    # indexed, once, and every x-tuple is walked.
+    bad = copy.deepcopy(ap4_full)
+    for u in range(10, 15):
+        fault_orbit(bad, (0, 5, u), "relabel")
+    assert _invariant(bad)
+    bad.by_key = CountedLookups(bad.by_key)
+    fed.clear()
+    report = check_representation(bad)
+    assert indexed == [bad] and fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
+    assert bad.by_key.reads > 25 * (10 + 2 * 25)
+    assert [e.witness for e in report.entries if e.name == "per-solution"] == [
+        "solution (0, 0, 0, 0): color 1 edge missing for x=(0, 0)"
+    ]
+
+
+def test_probed_x_zero_keeps_the_listed_witnesses(triangle_small):
+    # Three invariant hosts that reach the x = 0 probes. In the first two a
+    # color-3 orbit's x = 0 key ends outside U3: moved into U1, or at vertex
+    # 20 = n * k, which every translation fixes. No row reads U3, so those
+    # vertices reach copies and name the copy-structure witness, which
+    # probing U3's vertices alone would miss. The third has zero mix
+    # columns, so the credit meets the first solution's row edge at every x.
+    host = make_host(5, [[1, 1, -1, 0]], [0], [[1, 2], [1, 2], [1, 2, 3], [0, 4]])
+    assert host.coeffs.mix[2] == (0,) and host.k * host.n == 20
+    moved, beyond = copy.deepcopy(host), copy.deepcopy(host)
+    for x in range(5):
+        assert moved.by_key.pop((x, 15)) == (2, 0)
+        moved.by_key[translated(host, (0, 5), [x])] = (2, 0)
+        beyond.by_key[(x, 20)] = (2, 0)
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    cases = [
+        (moved, "solution (1, 1, 0, 2) spans 0 copies, wants 5",
+         "copy (0, 6, 11, 5) does not meet every part once"),
+        (beyond, "", "copy (0, 6, 11, 20) does not meet every part once"),
+        (flat, "solution (1, 1, 2): edge (2, (6, 11)) shared by x=(0,) and x=(1,)", ""),
+    ]
+    for bad, per_solution, structure in cases:
+        assert _invariant(bad) and all(len(key) == bad.r for key in bad.by_key)
+        assert walked_and_listed(bad) == (per_solution, structure)
+
+
 @pytest.mark.parametrize("mode", ["per-part", "naive"])
 def test_a_report_builds_key_columns_once_and_probes_invariance_once(ap4_full, mode, monkeypatch):
     # The simple check and _invariant share one set of key columns, and the
