@@ -10,15 +10,17 @@ copy-structure entries must equal those check_copies gives over the
 listed copies of enumerate_copies, and the edge-equation entry, of a
 direct check_edge_equation call and of check_representation both, must
 equal that of a brute-force scan of every candidate tuple (on hosts of
-at most BRUTE_CAP such tuples), on each host and on one copy of it with
-the whole translation orbit of one edge dropped, relabeled, recolored or
-moved. Such a copy stays translation invariant, so it is the faulty host
-most likely to reach check_representation's credited walk, its x = 0
-probes and its one-tuple-per-orbit edge-equation scan; a direct call
-scans in full. A move puts the x = 0 key of a free-color edge's orbit
-outside its U part, where only a walk that probes every closing vertex
-of the store sees it. A nonzero mismatch, collision or disagreement
-count means a bug; the exit code reflects it so the scan can run in CI.
+at most BRUTE_CAP such tuples). Both comparisons run on each host, on
+one copy of it with the whole translation orbit of one edge dropped,
+relabeled, recolored or moved, and on the host built again with random
+mix columns. An orbit-faulted copy stays translation invariant but is
+not exact, so check_representation walks it in full. A move puts the
+x = 0 key of a free-color edge's orbit outside its U part. The random
+mix columns come with closing tables recomputed from them, as
+build_coefficients does, so the store is exact but not translation
+invariant: a walk that credited it would count wrong. A nonzero
+mismatch, collision or disagreement count means a bug; the exit code
+reflects it so the scan can run in CI.
 
 Usage:
     python scripts/copy_identity_scan.py --seed 7 --count 100
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import random
 import sys
@@ -36,7 +39,7 @@ from collections import Counter
 
 from linrem.errors import InputError
 from linrem.field import PrimeField
-from linrem.hrep import build_coefficients, build_host
+from linrem.hrep import CoefficientTables, build_coefficients, build_host
 from linrem.linsys import LinearSystem, SetFamily, normalize
 from linrem.solutions import count_system
 from linrem.verify import (
@@ -133,6 +136,19 @@ def orbit_faulted(host, rng: random.Random):
     return bad
 
 
+def random_mix_tables(ns, rng: random.Random) -> CoefficientTables:
+    """build_coefficients(ns) with random mix columns and the closing
+    tables recomputed from them, as build_coefficients computes them."""
+    own = build_coefficients(ns)
+    q = ns.field.q
+    mix = [[rng.randrange(q) for _ in row] for row in own.mix]
+    closing = tuple(
+        tuple((mix[m][t] + sum(mix[j][t] * row[j] for j in support)) % q for t in outs)
+        for outs, support, m, row in zip(own.outside, ns.support, ns.pivots, ns.base.rows)
+    )
+    return dataclasses.replace(own, mix=tuple(map(tuple, mix)), closing=closing)
+
+
 def routes_disagree(host, report, listed, solutions) -> bool:
     """Do report, host's check_representation, and check_copies over listed
     differ on host's copies."""
@@ -200,11 +216,11 @@ def edge_equation_disagrees(host, report) -> bool | None:
         return None
     brute = brute_edge_equation(host)
     direct = check_edge_equation(host, guard=tuples)
-    sliced = next(e for e in report.entries if e.name == "edge-equation")
-    if (direct.passed, direct.witness) == (sliced.passed, sliced.witness) == brute:
+    reported = next(e for e in report.entries if e.name == "edge-equation")
+    if (direct.passed, direct.witness) == (reported.passed, reported.witness) == brute:
         return False
     print(f"DISAGREE edge-equation q={host.n} rows={host.ns.base.rows} sets={host.sets.sets}: "
-          f"{direct} {sliced}")
+          f"{direct} {reported}")
     return True
 
 
@@ -256,6 +272,10 @@ def main(argv=None) -> int:
             report = check_representation(bad)
             disagreements += routes_disagree(bad, report, enumerate_copies(bad), solutions)
             brute[edge_equation_disagrees(bad, report)] += 1
+        mixed = build_host(ns, random_mix_tables(ns, random.Random(f"{args.seed}:{done}:mix")), sets)
+        report = check_representation(mixed)
+        disagreements += routes_disagree(mixed, report, enumerate_copies(mixed), solutions)
+        brute[edge_equation_disagrees(mixed, report)] += 1
         if not check_simple(host).passed:
             collisions += 1
     elapsed = time.perf_counter() - start
@@ -267,8 +287,9 @@ def main(argv=None) -> int:
     print(f"mismatches: {mismatches}")
     print(f"collisions: {collisions}")
     disagreements += brute[True]
-    print(f"disagreements: {disagreements} (on {done} hosts and {faulted} orbit-faulted copies; "
-          f"edge-equation against the brute-force scan on {brute[True] + brute[False]} of them)")
+    print(f"disagreements: {disagreements} (on {done} hosts, {faulted} orbit-faulted copies and "
+          f"{done} random-mix copies; edge-equation against the brute-force scan on "
+          f"{brute[True] + brute[False]} of them)")
     return 1 if mismatches or collisions or disagreements else 0
 
 

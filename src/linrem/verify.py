@@ -35,22 +35,23 @@ time, is compared again, and is checked copy by copy if it still fails.
 
 check_representation holds no copy list. Solution s's copy at x has U_j
 vertex s_j + mix_j . x, the shift Host.shifts gives, so each x-tuple's
-copies are x = 0's translated. When by_key maps into itself under each
-unit x-translation, the walk reads x = 0 alone, by probes, and if its
-batch is full, one credit call counts every later x-tuple's, unwalked.
+copies are x = 0's translated. When by_key is exactly the edge set the
+edge equation predicts, which _exact settles with one probe per stored
+edge, and the tables are build_coefficients' own, by_key is translation
+invariant: the walk reads x = 0 alone, its candidates straight from the
+admissible labels. If its batch is full, one credit call counts every
+later x-tuple's, unwalked; if it is empty, nothing more is walked.
 Otherwise every x-tuple is walked and fed. The walk and the naive scan
 both return nothing at once when some color has no edge.
 
 edge-equation certifies every edge, not only those on copies, with one
-rule per color: its label solves one linear equation in the x = 0 values
-of its U parts (a row for its block value, free color j for
-label = u_j - mix_j . x), checked on every candidate vertex tuple, n^r
-per color. The slice is check_representation's private route: it builds
-by_key's key columns once, decides invariance once from them, and hands
-that answer to the walk and to the edge-equation scan. On an invariant
-host the failing tuples form whole translation orbits, so the scan reads
-one tuple per orbit, n per color, and names the same first witness. A
-direct check_edge_equation call scans in full.
+rule per color, _equations': its label solves one linear equation in the
+x = 0 values of its U parts (a row for its block value, free color j for
+label = u_j - mix_j . x). A direct check_edge_equation call checks it on
+every candidate vertex tuple, n^r per color. check_representation
+decides _exact once and passes edge-equation on an exact host unscanned;
+on any other host it scans in full, so the witnesses are the direct
+call's.
 """
 
 from __future__ import annotations
@@ -93,23 +94,24 @@ def _x_prefixes(host: Host):
     return itertools.product(*(range(t * n, (t + 1) * n) for t in range(host.r - 1)))
 
 
-def _iter_per_part(host: Host, closing: set[int] | None = None):
+def _iter_per_part(host: Host, exact: bool = False):
     """The walk: one (prefix, U-tuples, per-row stored edges) batch per x-tuple.
 
-    closing, the distinct last vertices of an invariant host's r-vertex
-    keys, holds each x = 0 key's, whatever its part: probes of zero + (v,)
-    give _part_index's x = 0 lists, and _part_index runs only if the walk
-    goes on. Nothing is yielded when some color has no edge.
+    On an exact host (see _exact) x = 0's U_j candidates are U_j's
+    admissible labels, as x = 0 shifts nothing, and _part_index runs only
+    if the walk goes on. With build_coefficients' own tables too, every
+    later batch is x = 0's translated, so none follows an empty x = 0
+    batch. Nothing is yielded when some color has no edge.
     """
     prefixes = _x_prefixes(host)
-    if closing is not None:
+    if exact:
         zero = next(prefixes)
-        index: PartIndex = [{zero: []} for _ in range(host.free)]
-        for v in sorted(closing):
-            color = host.by_key.get(zero + (v,), (host.free,))[0]
-            if color < host.free:
-                index[color][zero].append(v)
-        yield from _batches(host, [zero], index)  # a batch holds every color
+        lows = range((host.r - 1) * host.n, host.k * host.n, host.n)
+        index = [{zero: [lo + v for v in labels]} for lo, labels in zip(lows, host.sets_n.sets)]
+        found = list(_batches(host, [zero], index))  # a batch holds every color
+        yield from found
+        if not found and host.own_tables:
+            return
     if set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell)):
         yield from _batches(host, prefixes, _part_index(host))
 
@@ -284,25 +286,16 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _key_columns(host: Host) -> list[list[int]] | None:
-    """by_key's keys one position at a time, or None when key lengths differ."""
-    lengths = set(map(len, host.by_key))
-    if len(lengths) > 1:
-        return None
-    return [list(map(itemgetter(t), host.by_key)) for t in range(max(lengths, default=0))]
-
-
 def check_simple(host: Host) -> CheckEntry:
     """No vertex set may carry two edges: no two keys of by_key hold the same vertices."""
-    return _simple(host, _key_columns(host))
-
-
-def _simple(host: Host, columns: list[list[int]] | None) -> CheckEntry:
     # Distinct keys that all ascend strictly hold distinct vertex sets. When
     # every key has one length, adjacent key positions are compared a column
     # at a time; any other store goes to the vertex-set comparison.
-    if columns is not None and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
-        return CheckEntry("simple", True)
+    lengths = set(map(len, host.by_key))
+    if len(lengths) == 1:
+        columns = [list(map(itemgetter(t), host.by_key)) for t in range(lengths.pop())]
+        if all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+            return CheckEntry("simple", True)
     seen: dict[frozenset[int], tuple[int, int]] = {}
     for key, stored in host.by_key.items():
         verts = frozenset(key)
@@ -346,57 +339,30 @@ def check_edge_counts(host: Host) -> CheckEntry:
 def _edge_equation_tuples(host: Host) -> int:
     """The candidate tuples check_edge_equation is priced at: n^r per color.
 
-    The guard and the report's skip rule read this figure. The slice that
-    check_representation takes on an invariant host reads n tuples per
-    color, one per translation orbit.
+    The guard and the report's skip rule read this figure.
     """
     return (host.free + host.ell) * host.n**host.r
 
 
-def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
-    """Edge presence must match set membership on every candidate tuple.
+def _equations(host: Host):
+    """The edge equation's rule, per color, rows first.
 
-    One rule per color. A candidate tuple is a head, the off-block x
-    values and every U vertex but the closing one, then a closing U
-    vertex. Its label solves one equation in the x = 0 values u (value
-    less shift) of the color's U columns, u_close + coefs . u + lab *
-    label = rhs: a row's pivot closes and lab is its block entry; free
-    color j's u_j closes, with lab -1 and rhs 0, so label = u_j -
-    mix_j . x. The closing value y0 carrying label 0 is affine in the
-    head values and y0 - lab * l carries label l, so each head's probes
-    are compared with the color's admissibility table rotated by -y0, a
-    running sum. A tuple passes when it carries exactly the predicted
-    edge of the color, or none where the label is not admissible. Rows
-    come first, then free colors; priced at (free + ell) * n^r tuples,
-    guarded, and always scanned in full.
-    """
-    tuples = _edge_equation_tuples(host)
-    if tuples > guard:
-        raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
-    return _edge_equation(host, False)
-
-
-def _edge_equation(host: Host, sliced: bool) -> CheckEntry:
-    """check_edge_equation's scan, unguarded; sliced reads one head per color.
-
-    check_representation passes sliced when its _invariant answer holds
-    and the tables are build_coefficients' own. Then only the head with
-    every value 0 is read, n tuples per color. The translations act
-    simply transitively on head values (on a row's as sep[i] is
-    nonsingular), so each orbit meets that head once, first in scan
-    order. The stored value is fixed on each orbit, as the host is
-    invariant, and so is the predicted label: a translation fixes every u
-    but through a row's block x values, whose terms cancel by
-    build_coefficients' check. Failing tuples form whole orbits, so the
-    entry, witness included, is the full scan's.
+    Yields (color, heads, closing part's vertex ids, y0 per head, lab). A
+    candidate tuple is a head, the off-block x values and every U vertex
+    but the closing one, in product order, then a closing U vertex. Its
+    label solves one equation in the x = 0 values u (value less shift) of
+    the color's U columns, u_close + coefs . u + lab * label = rhs: a
+    row's pivot closes and lab is its block entry; free color j's u_j
+    closes, with lab -1 and rhs 0, so label = u_j - mix_j . x. The
+    closing value y0 carrying label 0 is affine in the head values, a
+    running sum, and y0 - lab * l carries label l.
     """
     ns = host.ns
     n = host.n
     width = host.r - 1
-    span = range(1 if sliced else n)
-    # Per color, rows first: color, off-block x positions, U columns with
-    # the closing one last, their coefficients, the label's, and rhs. A
-    # row's color is its block column, and normalize makes its pivot 1.
+    # Per color: color, off-block x positions, U columns with the closing
+    # one last, their coefficients, the label's, and rhs. A row's color is
+    # its block column, and normalize makes its pivot 1.
     eqs = [
         (d, outs, (*support, m), [*map(row.__getitem__, support), 1], row[d], rhs)
         for outs, support, m, row, d, rhs in zip(
@@ -404,30 +370,68 @@ def _edge_equation(host: Host, sliced: bool) -> CheckEntry:
         )
     ]
     eqs += [(j, range(width), (j,), [1], -1, 0) for j in range(host.free)]
-    # Each free color's shift at each unit x-tuple; unread on the slice.
-    units = [] if sliced else [
-        host.shifts([p * n + (p == t) for p in range(width)]) for t in range(width)
-    ]
-    by_key = host.by_key
+    # Each free color's shift at each unit x-tuple.
+    units = [host.shifts([p * n + (p == t) for p in range(width)]) for t in range(width)]
     for color, outs, cols, coefs, lab, rhs in eqs:
-        offsets = [-rhs % n]
-        if not sliced:
-            # An x value's slope takes back the shifts of the U values.
-            slopes = [-sum(map(mul, coefs, map(units[t].__getitem__, cols))) for t in outs]
-            for c in slopes + coefs[:-1]:
-                offsets = [(o + c * v) % n for o in offsets for v in span]
-        heads = itertools.product(
-            *(range(p * n, p * n + len(span)) for p in (*outs, *(width + c for c in cols[:-1])))
-        )
+        # An x value's slope takes back the shifts of the U values.
+        slopes = [-sum(map(mul, coefs, map(units[t].__getitem__, cols))) for t in outs]
+        y0s = [rhs % n]
+        for c in slopes + coefs[:-1]:
+            y0s = [(y - c * v) % n for y in y0s for v in range(n)]
+        parts = (*outs, *(width + c for c in cols[:-1]))
+        heads = itertools.product(*(range(p * n, p * n + n) for p in parts))
         lo = (width + cols[-1]) * n
-        tails = list(zip(range(lo, lo + n)))
+        yield color, heads, list(range(lo, lo + n)), y0s, lab
+
+
+def _exact(host: Host) -> bool:
+    """Is by_key exactly the edge set the edge equation predicts.
+
+    Each color predicts one edge per head and admissible label, on
+    distinct keys: heads differ, and lab != 0 closes one head's labels at
+    distinct vertices. So a store of n^(r-1) * sum |S| edges, edge-counts'
+    total, that holds every predicted edge is the predicted set (no key
+    holds two colors' edges), and passes edge-equation. Each (color, label)'s keys are built a column at
+    a time, as iter_host_edges does, and probed once: len(by_key) probes.
+    """
+    by_key = host.by_key
+    if len(by_key) != host.n ** (host.r - 1) * host.sets_n.total_size():
+        return False
+    n = host.n
+    for color, heads, closing, y0s, lab in _equations(host):
+        columns = list(zip(*heads))
+        for label in host.sets_n.sets[color]:
+            z = -lab * label % n
+            rot = closing[z:] + closing[:z]
+            keys = zip(*columns, map(rot.__getitem__, y0s))
+            if set(map(by_key.get, keys)) != {(color, label)}:
+                return False
+    return True
+
+
+def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
+    """Edge presence must match set membership on every candidate tuple.
+
+    One rule per color, _equations'. Each head's probes are compared with
+    the color's admissibility table rotated by y0. A tuple passes when it
+    carries exactly the predicted edge of the color, or none where the
+    label is not admissible. Rows come first, then free colors; priced at
+    (free + ell) * n^r tuples, guarded, and scanned in full.
+    """
+    tuples = _edge_equation_tuples(host)
+    if tuples > guard:
+        raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
+    n = host.n
+    by_key = host.by_key
+    for color, heads, closing, y0s, lab in _equations(host):
+        tails = list(zip(closing))
         # Closing value y0 + z carries the label l with z = -lab * l.
         edges = [None] * n
         for label in host.sets_n.sets[color]:
             edges[-lab * label % n] = (color, label)
-        for head, offset in zip(heads, offsets):
+        for head, y0 in zip(heads, y0s):
             got = list(map(by_key.get, map(add, repeat(head), tails)))
-            predicted = edges[offset:] + edges[:offset]
+            predicted = edges[-y0:] + edges[:-y0]
             if got == predicted:
                 continue
             for y, (want, stored) in enumerate(zip(predicted, got)):
@@ -436,7 +440,7 @@ def _edge_equation(host: Host, sliced: bool) -> CheckEntry:
                 if present != (want is not None) or (present and stored != want):
                     row = color - host.free
                     name = f"row {row + 1}" if row >= 0 else f"color {color + 1}"
-                    label = -(y + offset) * ns.field.inv(lab) % n
+                    label = (y0 - y) * host.ns.field.inv(lab) % n
                     return CheckEntry(
                         "edge-equation",
                         False,
@@ -643,52 +647,28 @@ class _CopyCheck:
         )
 
 
-def _invariant(host: Host, columns: list[list[int]] | None) -> bool:
-    """Does each unit x-translation map by_key into itself, colors and labels kept.
-
-    T_t moves x part t by +1 and rotates each U_j part by that unit
-    x-tuple's shift; any other vertex id stays put. Each T_t is injective,
-    so a finite store it maps into itself it maps onto itself, and the T_t
-    generate every x-tuple's translation. The walk at x is then x = 0's
-    walk translated, with the same stored edges. (r-1) * |edges| probes, a
-    column at a time over columns, _key_columns(host). A store of mixed
-    key lengths, whose columns are None, is not invariant.
-    """
-    if columns is None:
-        return False
-    n = host.n
-    width = host.r - 1
-    by_key = host.by_key
-    stored = list(by_key.values())
-    for t in range(width):
-        steps = [int(p == t) for p in range(width)]
-        steps += host.shifts([p * n + x for p, x in enumerate(steps)])
-        image = {p * n + v: p * n + (v + s) % n for p, s in enumerate(steps) for v in range(n)}
-        moved = zip(*[map(image.get, col, col) for col in columns])
-        if list(map(by_key.get, moved)) != stored:
-            return False
-    return True
-
-
 def _walk_check(
-    host: Host, solutions: int, closing: set[int] | None
+    host: Host, solutions: int, exact: bool
 ) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
     """The walk's copies fed to the copy check; the copies, and its two entries.
 
-    closing, set on an invariant host of r-vertex keys, lets the walk read
-    x = 0 by probes. If x = 0's batch then decodes one solution per copy
-    with no witness, each later x-tuple's is its translate, a full batch,
-    and one credit counts them all; else all are walked, as check_copies would.
+    On an exact host with build_coefficients' own tables, by_key is the
+    predicted set, and each x-translation maps it onto itself: it fixes
+    every x = 0 value u but through a row's block x values, whose terms
+    cancel by build_coefficients' check. If x = 0's batch then decodes one
+    solution per copy with no witness, each later x-tuple's is its
+    translate, a full batch, and one credit counts them all; else all are
+    walked, as check_copies would.
     """
     check = _CopyCheck(host)
     copies = 0
     prefixes = _x_prefixes(host)
     zero = next(prefixes)
-    for prefix, batch, stored in _iter_per_part(host, closing):
+    for prefix, batch, stored in _iter_per_part(host, exact):
         check.feed(prefix, batch, stored)
         copies += len(batch)
         clean = copies == len(check.solved) and not (check.structure or check.labels)
-        if prefix == zero and clean and closing is not None:
+        if prefix == zero and clean and exact and host.own_tables:
             check.credit(list(prefixes))
             return copies * host.n ** (host.r - 1), check.entries(solutions)
     return copies, check.entries(solutions)
@@ -739,23 +719,20 @@ def check_representation(
 
     guard bounds the naive copy scan; the edge-equation check is left out
     of the entries, and recorded in skipped with its tuple count, when
-    that count exceeds it. by_key's key columns are built once, for the
-    simple check, _invariant and the walk's x = 0 probes, and _invariant's
-    one answer goes to the walk and to edge-equation, which reads its
-    slice when the answer holds on build_coefficients' own tables.
+    that count exceeds it. _exact is decided once, unguarded, and its
+    answer goes to the walk (x = 0's candidates, and the credit on
+    build_coefficients' own tables) and to edge-equation, which passes
+    on an exact host unscanned.
     """
     report = VerificationReport()
-    columns = _key_columns(host)
-    report.entries.append(_simple(host, columns))
+    report.entries.append(check_simple(host))
     report.entries.append(check_edge_counts(host))
     # The walk's batches go straight to the copy check; no copy list.
     listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
-    invariant = _invariant(host, columns)
-    closing = set(columns[-1]) if listed is None and invariant and len(columns) == host.r else None
-    del columns  # freed before the walk, whose index may set the report's peak memory
+    exact = _exact(host)
     if listed is None:
-        copies, copy_entries = _walk_check(host, solutions, closing)
+        copies, copy_entries = _walk_check(host, solutions, exact)
     else:
         copies, copy_entries = len(listed), check_copies(host, listed, solutions)
     expected = solutions * host.n ** (host.r - 1)
@@ -766,7 +743,8 @@ def check_representation(
     report.entries.extend(copy_entries)
     tuples = _edge_equation_tuples(host)
     if tuples <= guard:
-        report.entries.append(_edge_equation(host, invariant and host.own_tables))
+        entry = CheckEntry("edge-equation", True) if exact else check_edge_equation(host, guard)
+        report.entries.append(entry)
     else:
         report.skipped.append(("edge-equation", tuples))
     report.edges = len(host.by_key)

@@ -15,6 +15,7 @@ from linrem.solutions import count_system, iter_solutions, min_copy_hitting_set
 from linrem.verify import (
     CheckEntry,
     _CopyCheck,
+    _exact,
     _iter_per_part,
     check_copies,
     check_edge_counts,
@@ -359,9 +360,8 @@ def test_check_edge_equation_ap4_witnesses(ap4_full):
         "row 1 vertices (6, 10, 17): membership says edge with label 2, store says (2, 3)",
     )
 
-    # No value of (3, 14, 18) but its pivot's is 0, so the edge lies off
-    # check_representation's slice, which would miss it; a direct call
-    # scans in full and names it, as the brute scan does.
+    # The brute scan names the same tuple, and so does the report: the
+    # host is no longer exact, so its edge-equation entry scans in full.
     dropped = copy.deepcopy(ap4_full)
     key = (3, 14, 18)
     assert dropped.by_key.pop(key) == (3, 0)
@@ -372,7 +372,8 @@ def test_check_edge_equation_ap4_witnesses(ap4_full):
         "row 2 vertices (3, 14, 18): membership says edge with label 0, store says None",
     )
     assert (entry.passed, entry.witness) == brute_edge_equation(dropped)
-    assert verify._edge_equation(dropped, True).passed
+    assert not _exact(dropped)
+    assert edge_equation_entry(check_representation(dropped)) == entry
 
 
 def test_check_edge_equation_free_colors():
@@ -883,12 +884,7 @@ def test_streamed_copy_check_matches_the_listed_one():
 
 
 # ---------------------------------------------------------------------------
-# Translation invariance.
-
-
-def _invariant(host):
-    """verify._invariant's answer on host's own key columns."""
-    return verify._invariant(host, verify._key_columns(host))
+# Exact hosts and translation invariance.
 
 
 def translated(host, key, xs):
@@ -981,9 +977,17 @@ def test_batch_decoded_solutions_solve_every_row():
 
 
 def test_invariant_holds_on_honest_hosts(triangle_small, ap4_full):
-    assert _invariant(triangle_small) and _invariant(ap4_full)
-    hosts = drawn_hosts(3, 40)
-    assert all(map(_invariant, hosts))
+    # An honest host is exact, and with build_coefficients' own tables an
+    # exact store maps into itself under each unit x-translation: the fact
+    # the walk's credit rests on.
+    hosts = [triangle_small, ap4_full, *drawn_hosts(3, 40)]
+    assert all(map(_exact, hosts))
+    for host in hosts:
+        assert host.own_tables
+        for t in range(host.r - 1):
+            unit = [int(p == t) for p in range(host.r - 1)]
+            moved = {translated(host, key, unit): stored for key, stored in host.by_key.items()}
+            assert moved == host.by_key
     assert any(any(host.ns.base.rhs) for host in hosts)
     assert any(host.sets_n.total_size() < host.n * (host.free + host.ell) for host in hosts)
 
@@ -995,32 +999,33 @@ def test_invariant_fails_after_any_one_edge_fault(name, request):
     colors = host.free + host.ell
     for key, (color, label) in host.by_key.items():
         del bad.by_key[key]
-        assert not _invariant(bad), key
+        assert not _exact(bad), key
         for stored in ((color, (label + 1) % host.n), ((color + 1) % colors, label)):
             bad.by_key[key] = stored
-            assert not _invariant(bad), (key, stored)
+            assert not _exact(bad), (key, stored)
         bad.by_key[key] = (color, label)
-    assert _invariant(bad)
+    assert _exact(bad)
 
 
 def test_invariant_checks_every_unit_translation(ap4_full):
     # Dropping one edge's orbit under the translations of one x part alone
-    # keeps the host invariant under that part's unit translation only.
+    # keeps the host invariant under that part's unit translation only. It
+    # is not exact, so the walk credits nothing.
     key = (0, 5, 10)
     for t in range(2):
         bad = copy.deepcopy(ap4_full)
         for x in range(5):
             del bad.by_key[translated(bad, key, [x * (s == t) for s in range(2)])]
-        assert not _invariant(bad), t
+        assert not _exact(bad), t
         assert walked_and_listed(bad)[0] == "solution (0, 0, 0, 0) spans 20 copies, wants 25"
 
 
 def test_a_host_that_is_not_invariant_is_walked_at_every_x(ap4_full, monkeypatch):
     # x = 0's batch decodes one solution per copy, but the dropped edge at
-    # x = (4, 4) breaks the invariance, so all 25 x-tuples are walked.
+    # x = (4, 4) leaves the host not exact, so all 25 x-tuples are walked.
     bad = copy.deepcopy(ap4_full)
     del bad.by_key[(4, 9, 19)]
-    assert not _invariant(bad)
+    assert not _exact(bad)
     fed = fed_prefixes(monkeypatch)
     report = check_representation(bad)
     assert fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
@@ -1031,14 +1036,14 @@ def test_a_host_that_is_not_invariant_is_walked_at_every_x(ap4_full, monkeypatch
 
 
 def test_orbit_faults_agree_with_the_listed_check(monkeypatch):
-    # A fault on a whole translation orbit leaves the host invariant, so
-    # these are the faulty hosts that can reach the credited route. Its
-    # copy count and entries must still be check_copies' over the listed
-    # copies, and every host must fail.
+    # A fault on a whole translation orbit leaves the host invariant but
+    # not exact, so no x-tuple is credited. The copy count and entries
+    # must be check_copies' over the listed copies, and every host must
+    # fail.
     fed = fed_prefixes(monkeypatch)
     credited = 0
     for fault, host in orbit_faulted_hosts(11, 60):
-        assert _invariant(host)
+        assert not _exact(host)
         fed.clear()
         report = check_representation(host)
         credited += fed == [tuple(range(0, (host.r - 1) * host.n, host.n))]
@@ -1047,7 +1052,7 @@ def test_orbit_faults_agree_with_the_listed_check(monkeypatch):
         copies = enumerate_copies(host)
         assert report.copies == len(copies)
         assert [entries["per-solution"], entries["copy-structure"]] == list(check_both(host, copies))
-    assert credited >= 35
+    assert credited == 0
 
 
 def edge_equation_entry(report):
@@ -1056,16 +1061,15 @@ def edge_equation_entry(report):
 
 def test_edge_equation_matches_the_brute_force_scan():
     # A direct call scans in full. Under check_representation honest hosts
-    # take the sliced scan and pass; a one-edge fault breaks the
-    # invariance, so the full scan runs; an orbit fault keeps it, so the
-    # sliced scan runs and must still name the full scan's witness.
+    # are exact and pass unscanned; a one-edge or a whole-orbit fault
+    # leaves the host not exact, so the full scan runs.
     rng = random.Random(6)
     one_edge = drawn_hosts(6, 30)
     for host in one_edge:
         key = rng.choice(list(host.by_key))
         fault(host, key, rng.choice(FAULTS))
     orbit = [host for _, host in orbit_faulted_hosts(7, 30)]
-    assert not any(map(_invariant, one_edge)) and all(map(_invariant, orbit))
+    assert not any(map(_exact, one_edge + orbit))
     for kind, hosts in (("honest", drawn_hosts(5, 30)), ("one-edge", one_edge), ("orbit", orbit)):
         failed = 0
         for host in hosts:
@@ -1085,7 +1089,7 @@ def test_edge_equation_matches_the_brute_force_scan_on_wide_heads(sets):
     # r = 5 over F3, and each row has two off-block x positions and two
     # support columns, so each head's offset is a running sum over four
     # positions. One-edge faults go to direct calls, orbit faults to
-    # check_representation's slice.
+    # check_representation, whose scan is the direct call's.
     host = make_host(3, [[1, 2, 1, 2, 1, 2], [0, 1, 0, 2, 1, 1]], [1, 2], sets)
     assert (host.r, host.ns.support, host.coeffs.outside) == (5, ((0, 2), (0, 1)), ((2, 3), (0, 1)))
     assert check_edge_equation(host) == CheckEntry("edge-equation", True)
@@ -1098,7 +1102,7 @@ def test_edge_equation_matches_the_brute_force_scan_on_wide_heads(sets):
         assert not entry.passed and (entry.passed, entry.witness) == brute_edge_equation(bad)
         bad = copy.deepcopy(host)
         fault_orbit(bad, rng.choice(list(bad.by_key)), rng.choice(FAULTS))
-        assert _invariant(bad)
+        assert not _exact(bad)
         entry = edge_equation_entry(check_representation(bad))
         assert not entry.passed and (entry.passed, entry.witness) == brute_edge_equation(bad)
 
@@ -1107,10 +1111,9 @@ def test_edge_equation_names_the_first_failing_tuple(ap4_full):
     # Rows are scanned before free colors and a head's closing vertices in
     # ascending order. So with a free-color edge and the last row-2 edge
     # dropped, the row is named, and of two faults under row 1's first
-    # head (5, 10) the lower closing vertex is. The one-edge faults go
-    # through the full scan; the same faults on whole orbits go through
-    # check_representation's slice, which names the orbit's tuple at head
-    # value 0, the first the full scan meets.
+    # head (5, 10) the lower closing vertex is. The same faults on whole
+    # orbits are met first at head value 0. Either host is not exact, so
+    # check_representation names the direct call's witness.
     said = "row {} vertices {}: membership says edge with label {}, store says {}"
     cases = [
         ([((0, 5, 10), "drop"), ((4, 14, 19), "drop")],
@@ -1128,50 +1131,24 @@ def test_edge_equation_names_the_first_failing_tuple(ap4_full):
         entry = check_edge_equation(bad)
         assert entry.witness == witness
         assert edge_equation_entry(check_representation(bad)) == entry
-        assert _invariant(orbit)
+        assert not _exact(orbit)
         assert edge_equation_entry(check_representation(orbit)).witness == sliced
         assert check_edge_equation(orbit).witness == sliced
 
 
 def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
     # Zero mix columns fix every row key under each x-translation, so the
-    # flat host stays invariant with one row edge dropped. Those tables are
-    # not build_coefficients', the orbits are not the ones the slice
-    # assumes, and the full scan finds the edge outside the slice.
+    # flat host stays invariant with one row edge dropped. It is not exact,
+    # so the report scans in full, as a direct call does, and finds it.
     coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
     flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
     assert flat.by_key.pop((6, 11)) == (2, 2)
-    assert _invariant(flat)
-    assert check_edge_equation(flat).witness == (
+    assert not _exact(flat)
+    entry = check_edge_equation(flat)
+    assert entry.witness == (
         "row 1 vertices (6, 11): membership says edge with label 2, store says None"
     )
-
-
-def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
-    triangle_small, monkeypatch
-):
-    # edge-equation never probes invariance itself: a direct call scans in
-    # full, whatever the tables, without one probe of _invariant, and
-    # check_representation's probe is the only one it makes. The scan is
-    # sliced only on the invariant host with build_coefficients' tables.
-    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
-    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
-    assert _invariant(flat)
-    calls, scans = [], []
-    invariant, scan = verify._invariant, verify._edge_equation
-    monkeypatch.setattr(
-        verify, "_invariant", lambda host, columns: calls.append(host) or invariant(host, columns)
-    )
-    monkeypatch.setattr(
-        verify, "_edge_equation", lambda host, sliced: scans.append(sliced) or scan(host, sliced)
-    )
-    assert check_edge_equation(flat).passed
-    assert check_edge_equation(triangle_small).passed
-    assert (calls, scans) == ([], [False, False])
-    assert check_representation(triangle_small).passed
-    assert (calls, scans[2:]) == ([triangle_small], [True])
-    check_representation(flat)
-    assert (calls[1:], scans[3:]) == ([flat], [False])
+    assert edge_equation_entry(check_representation(flat)) == entry
 
 
 class CountedLookups(dict):
@@ -1187,47 +1164,64 @@ class CountedLookups(dict):
 
 def with_a_longer_key(host):
     """A copy of host with one extra key one vertex longer: no longer
-    invariant, though no probe of the walk or of edge-equation reads it."""
+    exact, though no probe of the walk or of edge-equation reads it."""
     longer = copy.deepcopy(host)
     longer.by_key[(0, 5, 10, 15)] = (2, 0)
-    assert not _invariant(longer)
+    assert not _exact(longer)
     return longer
 
 
-def test_edge_equation_reads_one_tuple_per_orbit(ap4_full, monkeypatch):
-    # A direct call reads all (free + ell) * n^r = 500 candidate tuples
-    # and never probes invariance. check_representation probes it once and
-    # its scan reads (free + ell) * n = 20 on the invariant host, and 500
-    # on the copy with a longer key, where the check passes and the full
-    # scan runs to its end. Only the edge-equation scan's reads count.
-    calls = []
-    invariant, scan = verify._invariant, verify._edge_equation
+def counted_copy(host):
+    """A shallow copy of host whose by_key counts its reads."""
+    counted = copy.copy(host)
+    counted.by_key = CountedLookups(host.by_key)
+    return counted
 
-    def probe(host, columns):
-        calls.append(host)
-        return invariant(host, columns)
 
-    def counting(host, sliced):
-        host.by_key.on = True
-        entry = scan(host, sliced)
-        host.by_key.on = False
-        return entry
+def reads_per_call(monkeypatch, name):
+    """The by_key reads of each call of verify.<name> from now on, one entry
+    per call; host.by_key must be a CountedLookups."""
+    reads = []
+    inner = getattr(verify, name)
 
-    cases = ((ap4_full, 20), (with_a_longer_key(ap4_full), 500))
-    monkeypatch.setattr(verify, "_invariant", probe)
-    monkeypatch.setattr(verify, "_edge_equation", counting)
-    for host, reads in cases:
-        counted = copy.copy(host)
-        counted.by_key = CountedLookups(host.by_key)
+    def counting(host, *args):
+        before, host.by_key.on = host.by_key.reads, True
+        try:
+            return inner(host, *args)
+        finally:
+            host.by_key.on = False
+            reads.append(host.by_key.reads - before)
+
+    monkeypatch.setattr(verify, name, counting)
+    return reads
+
+
+@pytest.mark.parametrize("mode", ["per-part", "naive"])
+def test_a_report_decides_exact_once(ap4_full, triangle_small, mode, monkeypatch):
+    # A direct check_edge_equation call reads all (free + ell) * n^r
+    # candidate tuples and never calls _exact. A report calls _exact once,
+    # which reads each stored edge once, and scans edge-equation only when
+    # the host is not exact: not on ap4_full, nor on the zero-mix triangle
+    # host, exact with tables that are not build_coefficients'; in full on
+    # the copy with a longer key, which _exact rejects by its edge count.
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    exact = reads_per_call(monkeypatch, "_exact")
+    scans = reads_per_call(monkeypatch, "check_edge_equation")
+    cases = [(ap4_full, [500], []), (flat, [30], []), (with_a_longer_key(ap4_full), [0], [500])]
+    for host, exact_reads, scan_reads in cases:
+        counted = counted_copy(host)
+        counted.by_key.on = True
         assert check_edge_equation(counted).passed
-        assert (counted.by_key.reads, len(calls)) == (500, 0)
-        counted.by_key.reads = 0
-        report = check_representation(counted)
+        counted.by_key.on = False
+        assert counted.by_key.reads == (host.free + host.ell) * host.n**host.r
+        assert exact == []
+        report = check_representation(counted, mode=mode)
         assert [e.name for e in report.entries if not e.passed] == (
-            [] if reads == 20 else ["edge-counts"]
+            ["edge-counts"] if scan_reads else ["per-solution"] if host is flat else []
         )
-        assert (counted.by_key.reads, len(calls)) == (reads, 1)
-        calls.clear()
+        assert (exact, scans) == (exact_reads, scan_reads)
+        exact.clear()
 
 
 def test_only_an_invariant_host_is_walked_at_x_zero_alone(ap4_full, monkeypatch):
@@ -1239,55 +1233,52 @@ def test_only_an_invariant_host_is_walked_at_x_zero_alone(ap4_full, monkeypatch)
     assert fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
 
 
+def part_index_calls(monkeypatch):
+    """The hosts verify._part_index is called with from now on."""
+    indexed = []
+    part_index = verify._part_index
+    monkeypatch.setattr(verify, "_part_index", lambda host: indexed.append(host) or part_index(host))
+    return indexed
+
+
 def test_an_invariant_host_is_read_at_x_zero_alone(ap4_full, monkeypatch):
     # The walk reads ap4_full at x = 0 alone, and builds no index of every
-    # edge: one probe per closing vertex of the store (U1 and U2, 10), each
-    # row's probe of every x = 0 U-tuple (2 * 25), and the copy check's read
-    # of each U vertex's free-color edge (10). Every later x-tuple is
+    # edge: each row's probe of every x = 0 U-tuple (2 * 25), whose U
+    # vertices are the admissible labels, and the copy check's read of
+    # each U vertex's free-color edge (10). Every later x-tuple is
     # credited, unread. Only the walk's reads count.
-    indexed = []
-    part_index, walk_check = verify._part_index, verify._walk_check
-
-    def walk(host, solutions, closing):
-        host.by_key.on = True
-        try:
-            return walk_check(host, solutions, closing)
-        finally:
-            host.by_key.on = False
-
-    monkeypatch.setattr(verify, "_part_index", lambda host: indexed.append(host) or part_index(host))
-    monkeypatch.setattr(verify, "_walk_check", walk)
+    indexed = part_index_calls(monkeypatch)
+    walks = reads_per_call(monkeypatch, "_walk_check")
     fed = fed_prefixes(monkeypatch)
-    counted = copy.copy(ap4_full)
-    counted.by_key = CountedLookups(ap4_full.by_key)
-    assert len({key[-1] for key in counted.by_key}) == 10
-    report = check_representation(counted)
+    report = check_representation(counted_copy(ap4_full))
     assert report.passed and report.copies == 625
-    assert (counted.by_key.reads, indexed, fed) == (10 + 2 * 25 + 10, [], [(0, 5)])
+    assert (walks, indexed, fed) == ([2 * 25 + 10], [], [(0, 5)])
     # With x = 0's color-1 edges relabeled along their whole orbits, the
-    # host stays invariant but x = 0's batch sets a witness: every edge is
-    # indexed, once, and every x-tuple is walked.
+    # host stays invariant but is not exact: every edge is indexed, once,
+    # and every x-tuple is walked.
     bad = copy.deepcopy(ap4_full)
     for u in range(10, 15):
         fault_orbit(bad, (0, 5, u), "relabel")
-    assert _invariant(bad)
+    assert not _exact(bad)
     bad.by_key = CountedLookups(bad.by_key)
     fed.clear()
     report = check_representation(bad)
     assert indexed == [bad] and fed == [(x1, 5 + x2) for x1 in range(5) for x2 in range(5)]
-    assert bad.by_key.reads > 25 * (10 + 2 * 25)
+    assert walks[1] == 25 * (2 * 25 + 10)
     assert [e.witness for e in report.entries if e.name == "per-solution"] == [
         "solution (0, 0, 0, 0): color 1 edge missing for x=(0, 0)"
     ]
 
 
 def test_probed_x_zero_keeps_the_listed_witnesses(triangle_small):
-    # Three invariant hosts that reach the x = 0 probes. In the first two a
-    # color-3 orbit's x = 0 key ends outside U3: moved into U1, or at vertex
-    # 20 = n * k, which every translation fixes. No row reads U3, so those
-    # vertices reach copies and name the copy-structure witness, which
-    # probing U3's vertices alone would miss. The third has zero mix
-    # columns, so the credit meets the first solution's row edge at every x.
+    # Three invariant hosts. In the first two a color-3 orbit's x = 0 key
+    # ends outside U3: moved into U1, or at vertex 20 = n * k, which every
+    # translation fixes. No row reads U3, so those vertices reach copies
+    # and name the copy-structure witness; neither host is exact, so the
+    # walk indexes every edge and finds them. The third has zero mix
+    # columns: it is exact, but not with build_coefficients' tables, so
+    # nothing is credited and the walk meets the first solution's row edge
+    # at every x.
     host = make_host(5, [[1, 1, -1, 0]], [0], [[1, 2], [1, 2], [1, 2, 3], [0, 4]])
     assert host.coeffs.mix[2] == (0,) and host.k * host.n == 20
     moved, beyond = copy.deepcopy(host), copy.deepcopy(host)
@@ -1303,23 +1294,59 @@ def test_probed_x_zero_keeps_the_listed_witnesses(triangle_small):
         (beyond, "", "copy (0, 6, 11, 20) does not meet every part once"),
         (flat, "solution (1, 1, 2): edge (2, (6, 11)) shared by x=(0,) and x=(1,)", ""),
     ]
+    assert [_exact(bad) for bad, _, _ in cases] == [False, False, True]
     for bad, per_solution, structure in cases:
-        assert _invariant(bad) and all(len(key) == bad.r for key in bad.by_key)
         assert walked_and_listed(bad) == (per_solution, structure)
 
 
-@pytest.mark.parametrize("mode", ["per-part", "naive"])
-def test_a_report_builds_key_columns_once_and_probes_invariance_once(ap4_full, mode, monkeypatch):
-    # The simple check and _invariant share one set of key columns, and the
-    # walk and edge-equation share _invariant's one answer.
-    built, probed = [], []
-    key_columns, invariant = verify._key_columns, verify._invariant
-    monkeypatch.setattr(verify, "_key_columns", lambda host: built.append(key_columns(host)) or built[-1])
-    monkeypatch.setattr(
-        verify, "_invariant", lambda host, columns: probed.append(columns) or invariant(host, columns)
-    )
-    assert check_representation(ap4_full, mode=mode).passed
-    assert len(built) == len(probed) == 1 and probed[0] is built[0]
+def test_an_exact_host_walks_nothing_after_an_empty_x_zero_batch(monkeypatch):
+    # x1 + x2 + x3 + x4 = 0 over F7 with sets {1}, {1}, {1}, {1, 2} has no
+    # solution, though every color has edges. On its own tables each later
+    # batch is x = 0's translated, so after x = 0's empty batch nothing is
+    # walked: no index, no feed. The report is the one the full walk gives.
+    host = make_host(7, [[1, 1, 1, 1]], [0], [[1], [1], [1], [1, 2]])
+    assert (len(host.by_key), count_system(host.ns.base, host.sets_n)) == (245, 0)
+    assert {color for color, _ in host.by_key.values()} == set(range(host.free + host.ell))
+    indexed = part_index_calls(monkeypatch)
+    fed = fed_prefixes(monkeypatch)
+    report = check_representation(host)
+    assert (indexed, fed) == ([], [])
+    monkeypatch.setattr(verify, "_exact", lambda host: False)
+    walked = check_representation(host)
+    assert indexed == [host] and fed == []
+    assert (report.render(), report.skipped) == (walked.render(), walked.skipped)
+
+
+def test_a_guard_skipped_edge_equation_keeps_the_credit(ap4_full, monkeypatch):
+    # _exact is unguarded: a guard that leaves edge-equation out leaves the
+    # walk's credit alone.
+    fed = fed_prefixes(monkeypatch)
+    report = check_representation(ap4_full, guard=10)
+    assert report.passed and report.copies == 625
+    assert report.skipped == [("edge-equation", 500)]
+    assert fed == [(0, 5)]
+
+
+def test_the_credit_needs_build_coefficients_own_tables():
+    # Random mix columns with closing tables recomputed from them, as
+    # build_coefficients does, give an exact store that is not translation
+    # invariant, since the support no longer cancels the pivot. Crediting
+    # x = 0's batch would change most of these reports; the walk must give
+    # check_copies' count and entries over the listed copies.
+    ns = normalize(mk_system(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [1, 2]))
+    sets = mk_sets(5, [range(5)] * 4)
+    own = build_coefficients(ns)
+    for seed in range(40):
+        rng = random.Random(seed)
+        mix = [[rng.randrange(5) for _ in row] for row in own.mix]
+        closing = tuple(
+            tuple((mix[m][t] + sum(mix[j][t] * row[j] for j in support)) % 5 for t in outs)
+            for outs, support, m, row in zip(own.outside, ns.support, ns.pivots, ns.base.rows)
+        )
+        coeffs = dataclasses.replace(own, mix=tuple(map(tuple, mix)), closing=closing)
+        host = build_host(ns, coeffs, sets)
+        assert _exact(host) and not host.own_tables
+        walked_and_listed(host)
 
 
 # ---------------------------------------------------------------------------
