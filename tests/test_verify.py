@@ -1151,6 +1151,34 @@ def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
     assert edge_equation_entry(check_representation(flat)) == entry
 
 
+def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
+    triangle_small, monkeypatch
+):
+    # edge-equation never decides exactness itself: a direct call scans in
+    # full, whatever the tables, without one call of _exact, and
+    # check_representation's call is the only one it makes. Both hosts are
+    # exact, so neither report scans; only build_coefficients' own tables
+    # earn the walk's credit, so the zero-mix host is walked at every x.
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    assert _exact(flat) and not flat.own_tables and triangle_small.own_tables
+    calls, scans = [], []
+    exact, scan = verify._exact, verify.check_edge_equation
+    monkeypatch.setattr(verify, "_exact", lambda host: calls.append(host) or exact(host))
+    monkeypatch.setattr(
+        verify, "check_edge_equation", lambda host, guard: scans.append(host) or scan(host, guard)
+    )
+    assert check_edge_equation(flat).passed
+    assert check_edge_equation(triangle_small).passed
+    assert calls == []
+    fed = fed_prefixes(monkeypatch)
+    assert check_representation(triangle_small).passed
+    assert (calls, scans, fed) == ([triangle_small], [], [(0,)])
+    fed.clear()
+    assert [e.name for e in check_representation(flat).entries if not e.passed] == ["per-solution"]
+    assert (calls[1:], scans, fed) == ([flat], [], [(x,) for x in range(5)])
+
+
 class CountedLookups(dict):
     """An edge index that counts its get calls while on is set."""
 
@@ -1196,19 +1224,16 @@ def reads_per_call(monkeypatch, name):
     return reads
 
 
-@pytest.mark.parametrize("mode", ["per-part", "naive"])
-def test_a_report_decides_exact_once(ap4_full, triangle_small, mode, monkeypatch):
-    # A direct check_edge_equation call reads all (free + ell) * n^r
-    # candidate tuples and never calls _exact. A report calls _exact once,
-    # which reads each stored edge once, and scans edge-equation only when
-    # the host is not exact: not on ap4_full, nor on the zero-mix triangle
-    # host, exact with tables that are not build_coefficients'; in full on
-    # the copy with a longer key, which _exact rejects by its edge count.
-    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
-    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+def test_edge_equation_reads_one_tuple_per_orbit(ap4_full, monkeypatch):
+    # A direct call reads all (free + ell) * n^r = 500 candidate tuples
+    # and never calls _exact. A report calls _exact once, which reads each
+    # stored edge once, and its edge-equation reads no tuple at all on the
+    # exact ap4_full, and all 500 on the copy with a longer key, which
+    # _exact refuses by its edge count unread: there the check passes and
+    # the full scan runs to its end.
     exact = reads_per_call(monkeypatch, "_exact")
     scans = reads_per_call(monkeypatch, "check_edge_equation")
-    cases = [(ap4_full, [500], []), (flat, [30], []), (with_a_longer_key(ap4_full), [0], [500])]
+    cases = [(ap4_full, [500], []), (with_a_longer_key(ap4_full), [0], [500])]
     for host, exact_reads, scan_reads in cases:
         counted = counted_copy(host)
         counted.by_key.on = True
@@ -1216,9 +1241,9 @@ def test_a_report_decides_exact_once(ap4_full, triangle_small, mode, monkeypatch
         counted.by_key.on = False
         assert counted.by_key.reads == (host.free + host.ell) * host.n**host.r
         assert exact == []
-        report = check_representation(counted, mode=mode)
+        report = check_representation(counted)
         assert [e.name for e in report.entries if not e.passed] == (
-            ["edge-counts"] if scan_reads else ["per-solution"] if host is flat else []
+            ["edge-counts"] if scan_reads else []
         )
         assert (exact, scans) == (exact_reads, scan_reads)
         exact.clear()
@@ -1297,6 +1322,28 @@ def test_probed_x_zero_keeps_the_listed_witnesses(triangle_small):
     assert [_exact(bad) for bad, _, _ in cases] == [False, False, True]
     for bad, per_solution, structure in cases:
         assert walked_and_listed(bad) == (per_solution, structure)
+
+
+@pytest.mark.parametrize("mode", ["per-part", "naive"])
+def test_a_report_builds_key_columns_once_and_probes_invariance_once(ap4_full, mode, monkeypatch):
+    # check_simple is the one reader of the key columns and _exact the one
+    # invariance answer: a report calls each once, in either mode, and the
+    # walk and edge-equation share _exact's answer, so only the copy with
+    # a longer key, which is not exact, gets the edge-equation scan.
+    simple, exact, scans = [], [], []
+    check, decide, scan = verify.check_simple, verify._exact, verify.check_edge_equation
+    monkeypatch.setattr(verify, "check_simple", lambda host: simple.append(host) or check(host))
+    monkeypatch.setattr(verify, "_exact", lambda host: exact.append(host) or decide(host))
+    monkeypatch.setattr(
+        verify, "check_edge_equation", lambda host, guard: scans.append(host) or scan(host, guard)
+    )
+    longer = with_a_longer_key(ap4_full)
+    for host, failed in ((ap4_full, []), (longer, ["edge-counts"])):
+        report = check_representation(host, mode=mode)
+        assert [e.name for e in report.entries if not e.passed] == failed
+        assert simple == exact == [host]
+        assert scans == ([host] if failed else [])
+        simple.clear(), exact.clear(), scans.clear()
 
 
 def test_an_exact_host_walks_nothing_after_an_empty_x_zero_batch(monkeypatch):
