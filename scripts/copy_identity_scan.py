@@ -17,8 +17,11 @@ mix columns. An orbit-faulted copy stays translation invariant but is
 not exact, so check_representation walks it in full. A move puts the
 x = 0 key of a free-color edge's orbit outside its U part. The random
 mix columns come with closing tables recomputed from them, as
-build_coefficients does, so the store is exact but not translation
-invariant: a walk that credited it would count wrong. A nonzero
+build_coefficients does, so the store holds every predicted edge, but
+it is translation invariant only where each row's U-column shifts
+happen to cancel over its block x positions. Only then is it exact and
+credited from x = 0; any other such store is scanned and walked in
+full, and a walk that credited it would count wrong. A nonzero
 mismatch, collision or disagreement count means a bug; the exit code
 reflects it so the scan can run in CI.
 

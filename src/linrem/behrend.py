@@ -19,6 +19,8 @@ from .errors import (
     SearchBudgetExceeded,
 )
 
+SPHERE_VECTORS = 10**6  # the most digit vectors behrend_sphere enumerates; the default guard
+
 
 def count_ap3(values, guard: int = 500) -> tuple[int, int]:
     """Ordered progression counts (total, nontrivial) in a set of integers.
@@ -104,13 +106,16 @@ def behrend_sphere(m: int, base: int, dim: int) -> tuple[int, ...]:
     sums never carry; vectors of one squared norm are kept, the norm with
     the most vectors, ties resolved toward the larger norm. Any
     progression among the encodings forces a vector midpoint, which a
-    sphere cannot contain.
+    sphere cannot contain. The base^dim vectors are priced before any is
+    built, and above SPHERE_VECTORS refused with SearchBudgetExceeded.
     """
     if base < 2 or dim < 1:
         raise ValueError("need base >= 2 and dim >= 1")
     radix = 2 * base - 1
     if radix**dim > m:
         raise ValueError(f"encodings need radix^dim = {radix ** dim} <= m = {m}")
+    if base**dim > SPHERE_VECTORS:
+        raise SearchBudgetExceeded(f"{base ** dim} digit vectors exceed guard {SPHERE_VECTORS}")
     shells: dict[int, list[int]] = {}
     for digits in itertools.product(range(base), repeat=dim):
         norm = sum(d * d for d in digits)

@@ -101,14 +101,12 @@ def build_coefficients(ns: NormalizedSystem) -> CoefficientTables:
                 for t in outs
             )
         )
-    tables = CoefficientTables(
+    return CoefficientTables(
         mix=tuple(tuple(r) for r in mix),
         sep=tuple(sep),
         outside=tuple(outside),
         closing=tuple(closing),
     )
-    object.__setattr__(tables, "_ns", ns)  # Host.own_tables; dataclasses.replace drops it
-    return tables
 
 
 class Host:
@@ -130,7 +128,6 @@ class Host:
         self.free = ns.free_count
         self.ell = ns.ell
         self.by_key: dict[VKey, tuple[int, int]] = {}
-        self.own_tables = getattr(coeffs, "_ns", None) is ns  # build_coefficients(ns)'s own
         self._rows = tuple(
             (self.free + i, coeffs.outside[i], itemgetter(*ns.support[i], ns.pivots[i]))
             for i in range(self.ell)

@@ -36,9 +36,9 @@ time, is compared again, and is checked copy by copy if it still fails.
 check_representation holds no copy list. Solution s's copy at x has U_j
 vertex s_j + mix_j . x, the shift Host.shifts gives, so each x-tuple's
 copies are x = 0's translated. When by_key is exactly the edge set the
-edge equation predicts, which _exact settles with one probe per stored
-edge, and the tables are build_coefficients' own, by_key is translation
-invariant: the walk reads x = 0 alone, its candidates straight from the
+edge equation predicts and that set is translation invariant, which
+_exact settles from the shifts and one probe per stored edge, whatever
+the tables, the walk reads x = 0 alone, its candidates straight from the
 admissible labels. If its batch is full, one credit call counts every
 later x-tuple's, unwalked; if it is empty, nothing more is walked.
 Otherwise every x-tuple is walked and fed. The walk and the naive scan
@@ -49,9 +49,9 @@ rule per color, _equations': its label solves one linear equation in the
 x = 0 values of its U parts (a row for its block value, free color j for
 label = u_j - mix_j . x). A direct check_edge_equation call checks it on
 every candidate vertex tuple, n^r per color. check_representation
-decides _exact once and passes edge-equation on an exact host unscanned;
-on any other host it scans in full, so the witnesses are the direct
-call's.
+decides _exact once; on an exact host simple, edge-counts and
+edge-equation pass unrun, and on any other host they run in full, so
+the witnesses are the direct calls'.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import add, and_, eq, itemgetter, lt, mod, mul, sub
+from operator import add, and_, eq, itemgetter, mod, mul, sub
 
 from .errors import SearchBudgetExceeded
 from .hrep import Host, VKey
@@ -98,10 +98,10 @@ def _iter_per_part(host: Host, exact: bool = False):
     """The walk: one (prefix, U-tuples, per-row stored edges) batch per x-tuple.
 
     On an exact host (see _exact) x = 0's U_j candidates are U_j's
-    admissible labels, as x = 0 shifts nothing, and _part_index runs only
-    if the walk goes on. With build_coefficients' own tables too, every
-    later batch is x = 0's translated, so none follows an empty x = 0
-    batch. Nothing is yielded when some color has no edge.
+    admissible labels, as x = 0 shifts nothing, and every later batch is
+    x = 0's translated, so none follows an empty x = 0 batch; _part_index
+    runs only if the walk goes on. Nothing is yielded when some color has
+    no edge.
     """
     prefixes = _x_prefixes(host)
     if exact:
@@ -110,7 +110,7 @@ def _iter_per_part(host: Host, exact: bool = False):
         index = [{zero: [lo + v for v in labels]} for lo, labels in zip(lows, host.sets_n.sets)]
         found = list(_batches(host, [zero], index))  # a batch holds every color
         yield from found
-        if not found and host.own_tables:
+        if not found:
             return
     if set(map(itemgetter(0), host.by_key.values())).issuperset(range(host.free + host.ell)):
         yield from _batches(host, prefixes, _part_index(host))
@@ -287,15 +287,7 @@ class VerificationReport:
 
 
 def check_simple(host: Host) -> CheckEntry:
-    """No vertex set may carry two edges: no two keys of by_key hold the same vertices."""
-    # Distinct keys that all ascend strictly hold distinct vertex sets. When
-    # every key has one length, adjacent key positions are compared a column
-    # at a time; any other store goes to the vertex-set comparison.
-    lengths = set(map(len, host.by_key))
-    if len(lengths) == 1:
-        columns = [list(map(itemgetter(t), host.by_key)) for t in range(lengths.pop())]
-        if all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
-            return CheckEntry("simple", True)
+    """No vertex set may carry two edges: by_key's keys, compared as vertex sets, are distinct."""
     seen: dict[frozenset[int], tuple[int, int]] = {}
     for key, stored in host.by_key.items():
         verts = frozenset(key)
@@ -347,15 +339,16 @@ def _edge_equation_tuples(host: Host) -> int:
 def _equations(host: Host):
     """The edge equation's rule, per color, rows first.
 
-    Yields (color, heads, closing part's vertex ids, y0 per head, lab). A
-    candidate tuple is a head, the off-block x values and every U vertex
-    but the closing one, in product order, then a closing U vertex. Its
-    label solves one equation in the x = 0 values u (value less shift) of
-    the color's U columns, u_close + coefs . u + lab * label = rhs: a
-    row's pivot closes and lab is its block entry; free color j's u_j
-    closes, with lab -1 and rhs 0, so label = u_j - mix_j . x. The
-    closing value y0 carrying label 0 is affine in the head values, a
-    running sum, and y0 - lab * l carries label l.
+    Yields (color, heads, closing part's vertex ids, y0 per head, lab,
+    drift). A candidate tuple is a head, the off-block x values and every
+    U vertex but the closing one, in product order, then a closing U
+    vertex. Its label solves one equation in the x = 0 values u (value
+    less shift) of the color's U columns, u_close + coefs . u + lab *
+    label = rhs: a row's pivot closes and lab is its block entry; free
+    color j's u_j closes, with lab -1 and rhs 0, so label = u_j - mix_j .
+    x. The closing value y0 carrying label 0 is affine in the head
+    values, a running sum, and y0 - lab * l carries label l. drift: some
+    block x value, in no key of the color, has a nonzero slope.
     """
     ns = host.ns
     n = host.n
@@ -374,31 +367,37 @@ def _equations(host: Host):
     units = [host.shifts([p * n + (p == t) for p in range(width)]) for t in range(width)]
     for color, outs, cols, coefs, lab, rhs in eqs:
         # An x value's slope takes back the shifts of the U values.
-        slopes = [-sum(map(mul, coefs, map(units[t].__getitem__, cols))) for t in outs]
+        slopes = [-sum(map(mul, coefs, map(unit.__getitem__, cols))) % n for unit in units]
+        drift = any(slope for t, slope in enumerate(slopes) if t not in outs)
         y0s = [rhs % n]
-        for c in slopes + coefs[:-1]:
+        for c in [*map(slopes.__getitem__, outs), *coefs[:-1]]:
             y0s = [(y - c * v) % n for y in y0s for v in range(n)]
         parts = (*outs, *(width + c for c in cols[:-1]))
         heads = itertools.product(*(range(p * n, p * n + n) for p in parts))
         lo = (width + cols[-1]) * n
-        yield color, heads, list(range(lo, lo + n)), y0s, lab
+        yield color, heads, list(range(lo, lo + n)), y0s, lab, drift
 
 
 def _exact(host: Host) -> bool:
-    """Is by_key exactly the edge set the edge equation predicts.
+    """Is by_key exactly the edge set the edge equation predicts, and that set invariant.
 
     Each color predicts one edge per head and admissible label, on
     distinct keys: heads differ, and lab != 0 closes one head's labels at
-    distinct vertices. So a store of n^(r-1) * sum |S| edges, edge-counts'
-    total, that holds every predicted edge is the predicted set (no key
-    holds two colors' edges), and passes edge-equation. Each (color, label)'s keys are built a column at
-    a time, as iter_host_edges does, and probed once: len(by_key) probes.
+    distinct vertices. So a store of n^(r-1) * sum |S| edges holding every
+    predicted edge is that set. It passes edge-equation; simple, as keys
+    ascend, so distinct keys hold distinct vertex sets; and edge-counts,
+    as each (color, admissible label) predicts n^(r-1) distinct keys and
+    no other label is predicted. The set is invariant when no color
+    drifts (see _equations). Each (color, label)'s keys are built a column
+    at a time, as iter_host_edges does, and probed once: len(by_key) probes.
     """
     by_key = host.by_key
     if len(by_key) != host.n ** (host.r - 1) * host.sets_n.total_size():
         return False
     n = host.n
-    for color, heads, closing, y0s, lab in _equations(host):
+    for color, heads, closing, y0s, lab, drift in _equations(host):
+        if drift:
+            return False
         columns = list(zip(*heads))
         for label in host.sets_n.sets[color]:
             z = -lab * label % n
@@ -423,7 +422,7 @@ def check_edge_equation(host: Host, guard: int = 10**6) -> CheckEntry:
         raise SearchBudgetExceeded(f"edge equation check needs {tuples} tuples, guard is {guard}")
     n = host.n
     by_key = host.by_key
-    for color, heads, closing, y0s, lab in _equations(host):
+    for color, heads, closing, y0s, lab, _ in _equations(host):
         tails = list(zip(closing))
         # Closing value y0 + z carries the label l with z = -lab * l.
         edges = [None] * n
@@ -652,13 +651,11 @@ def _walk_check(
 ) -> tuple[int, tuple[CheckEntry, CheckEntry]]:
     """The walk's copies fed to the copy check; the copies, and its two entries.
 
-    On an exact host with build_coefficients' own tables, by_key is the
-    predicted set, and each x-translation maps it onto itself: it fixes
-    every x = 0 value u but through a row's block x values, whose terms
-    cancel by build_coefficients' check. If x = 0's batch then decodes one
-    solution per copy with no witness, each later x-tuple's is its
-    translate, a full batch, and one credit counts them all; else all are
-    walked, as check_copies would.
+    On an exact host by_key is the predicted set, and each x-translation
+    maps it onto itself. If x = 0's batch then decodes one solution per
+    copy with no witness, each later x-tuple's is its translate, a full
+    batch, and one credit counts them all; else all are walked, as
+    check_copies would.
     """
     check = _CopyCheck(host)
     copies = 0
@@ -668,7 +665,7 @@ def _walk_check(
         check.feed(prefix, batch, stored)
         copies += len(batch)
         clean = copies == len(check.solved) and not (check.structure or check.labels)
-        if prefix == zero and clean and exact and host.own_tables:
+        if prefix == zero and clean and exact:
             check.credit(list(prefixes))
             return copies * host.n ** (host.r - 1), check.entries(solutions)
     return copies, check.entries(solutions)
@@ -719,18 +716,18 @@ def check_representation(
 
     guard bounds the naive copy scan; the edge-equation check is left out
     of the entries, and recorded in skipped with its tuple count, when
-    that count exceeds it. _exact is decided once, unguarded, and its
-    answer goes to the walk (x = 0's candidates, and the credit on
-    build_coefficients' own tables) and to edge-equation, which passes
-    on an exact host unscanned.
+    that count exceeds it. _exact, decided once and unguarded, is the
+    one answer about the store: on an exact host simple, edge-counts and
+    edge-equation pass unrun and the walk credits every x-tuple after
+    x = 0; any other host gets the three checks as direct calls run them.
     """
+    exact = _exact(host)
     report = VerificationReport()
-    report.entries.append(check_simple(host))
-    report.entries.append(check_edge_counts(host))
+    for name, check in (("simple", check_simple), ("edge-counts", check_edge_counts)):
+        report.entries.append(CheckEntry(name, True) if exact else check(host))
     # The walk's batches go straight to the copy check; no copy list.
     listed = None if mode == "per-part" else enumerate_copies(host, mode=mode, guard=guard)
     solutions = count_system(host.ns.base, host.sets_n)
-    exact = _exact(host)
     if listed is None:
         copies, copy_entries = _walk_check(host, solutions, exact)
     else:

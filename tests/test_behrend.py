@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linrem.behrend as behrend
 from conftest import ap3_brute
 from linrem.behrend import (
     behrend_sphere,
@@ -145,6 +146,20 @@ def test_behrend_sphere_rejects_bad_arguments():
         behrend_sphere(9, 2, 0)
     with pytest.raises(ValueError):
         behrend_sphere(8, 2, 2)
+
+
+def test_behrend_sphere_prices_its_vectors_before_building_any(monkeypatch):
+    # 11^6 = 1,771,561 digit vectors fit radix 21^6 <= 10^8 but exceed the
+    # default guard of 10^6: refused before the first one is built.
+    monkeypatch.setattr(behrend, "itertools", None)
+    with pytest.raises(SearchBudgetExceeded, match="^1771561 digit vectors exceed guard 1000000$"):
+        behrend_sphere(10**8, 11, 6)
+    # The guard admits base^dim vectors up to it, inclusive.
+    monkeypatch.undo()
+    monkeypatch.setattr(behrend, "SPHERE_VECTORS", 4)
+    assert behrend_sphere(9, 2, 2) == (1, 3)
+    with pytest.raises(SearchBudgetExceeded):
+        behrend_sphere(27, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,16 @@ def test_behrend_guard_refuses_before_the_lift(capsys):
     assert err.startswith("ProgressionCeilingExceeded: progression count 1 exceeds")
 
 
+def test_behrend_sphere_guard_refuses_before_enumerating(capsys):
+    # 11^6 digit vectors exceed the default guard of 10^6; the shell is
+    # never built, so the refusal comes at once.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "behrend", "200000000", "100000000", "--sphere", "11", "6")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "SearchBudgetExceeded: 1771561 digit vectors exceed guard 1000000\n"
+
+
 def test_behrend_out_of_regime_fails_check(capsys):
     code, _, err = run(capsys, "behrend", "72", "9", "--elements", "1,3")
     assert code == 1

@@ -1,7 +1,8 @@
 """Source hygiene: no assert statements, a standard-library-only runtime,
 no imported name left unused, no reader of the derived Host.records tuple
-inside the package, no reader of the mix table outside hrep, and no
-public function with a parameter named like a private name."""
+inside the package, no reader of the mix table outside hrep, no
+attribute set through object.__setattr__, and no public function with a
+parameter named like a private name."""
 
 import ast
 import os
@@ -86,6 +87,21 @@ def test_only_hrep_reads_the_mix_table():
         if isinstance(node, ast.Attribute) and node.attr == "mix"
     ]
     assert reads == []
+
+
+def test_package_sets_no_attribute_through_object_setattr():
+    # object.__setattr__ writes past a frozen dataclass's guard; the
+    # package's frozen tables stay frozen and carry no provenance mark.
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert calls == []
 
 
 def test_public_functions_take_no_private_parameters():

@@ -259,9 +259,8 @@ def test_check_simple_compares_keys_as_sets():
 
 
 def test_check_simple_with_keys_of_mixed_length(triangle_small):
-    # Keys of two lengths go to the vertex-set comparison, which passes a
-    # longer ascending key and names one that repeats a stored edge's
-    # vertices.
+    # The vertex-set comparison passes a longer ascending key and names
+    # one that repeats a stored edge's vertices.
     longer = copy.deepcopy(triangle_small)
     longer.by_key[(0, 6, 11)] = (0, 1)
     assert check_simple(longer).passed
@@ -977,13 +976,11 @@ def test_batch_decoded_solutions_solve_every_row():
 
 
 def test_invariant_holds_on_honest_hosts(triangle_small, ap4_full):
-    # An honest host is exact, and with build_coefficients' own tables an
-    # exact store maps into itself under each unit x-translation: the fact
-    # the walk's credit rests on.
+    # An honest host is exact, and an exact store maps into itself under
+    # each unit x-translation: the fact the walk's credit rests on.
     hosts = [triangle_small, ap4_full, *drawn_hosts(3, 40)]
     assert all(map(_exact, hosts))
     for host in hosts:
-        assert host.own_tables
         for t in range(host.r - 1):
             unit = [int(p == t) for p in range(host.r - 1)]
             moved = {translated(host, key, unit): stored for key, stored in host.by_key.items()}
@@ -1151,17 +1148,19 @@ def test_edge_equation_scans_a_host_with_other_tables_in_full(triangle_small):
     assert edge_equation_entry(check_representation(flat)) == entry
 
 
-def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
+def test_edge_equation_leaves_invariance_to_the_report_whatever_the_tables(
     triangle_small, monkeypatch
 ):
     # edge-equation never decides exactness itself: a direct call scans in
     # full, whatever the tables, without one call of _exact, and
-    # check_representation's call is the only one it makes. Both hosts are
-    # exact, so neither report scans; only build_coefficients' own tables
-    # earn the walk's credit, so the zero-mix host is walked at every x.
+    # check_representation's call is the only one it makes. Zero mix
+    # columns shift nothing, so they cancel and the flat host is exact
+    # too: neither report scans, and both walks read x = 0 alone. The flat
+    # host's credit claims its first solution's row edge at every x, which
+    # fails per-solution as the full walk does.
     coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
     flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
-    assert _exact(flat) and not flat.own_tables and triangle_small.own_tables
+    assert _exact(flat)
     calls, scans = [], []
     exact, scan = verify._exact, verify.check_edge_equation
     monkeypatch.setattr(verify, "_exact", lambda host: calls.append(host) or exact(host))
@@ -1176,7 +1175,7 @@ def test_edge_equation_probes_invariance_only_on_build_coefficients_tables(
     assert (calls, scans, fed) == ([triangle_small], [], [(0,)])
     fed.clear()
     assert [e.name for e in check_representation(flat).entries if not e.passed] == ["per-solution"]
-    assert (calls[1:], scans, fed) == ([flat], [], [(x,) for x in range(5)])
+    assert (calls[1:], scans, fed) == ([flat], [], [(0,)])
 
 
 class CountedLookups(dict):
@@ -1301,9 +1300,8 @@ def test_probed_x_zero_keeps_the_listed_witnesses(triangle_small):
     # translation fixes. No row reads U3, so those vertices reach copies
     # and name the copy-structure witness; neither host is exact, so the
     # walk indexes every edge and finds them. The third has zero mix
-    # columns: it is exact, but not with build_coefficients' tables, so
-    # nothing is credited and the walk meets the first solution's row edge
-    # at every x.
+    # columns, which cancel: it is exact, and the credit claims the first
+    # solution's row edge at every x, as the walk would meet it.
     host = make_host(5, [[1, 1, -1, 0]], [0], [[1, 2], [1, 2], [1, 2, 3], [0, 4]])
     assert host.coeffs.mix[2] == (0,) and host.k * host.n == 20
     moved, beyond = copy.deepcopy(host), copy.deepcopy(host)
@@ -1326,10 +1324,10 @@ def test_probed_x_zero_keeps_the_listed_witnesses(triangle_small):
 
 @pytest.mark.parametrize("mode", ["per-part", "naive"])
 def test_a_report_builds_key_columns_once_and_probes_invariance_once(ap4_full, mode, monkeypatch):
-    # check_simple is the one reader of the key columns and _exact the one
-    # invariance answer: a report calls each once, in either mode, and the
-    # walk and edge-equation share _exact's answer, so only the copy with
-    # a longer key, which is not exact, gets the edge-equation scan.
+    # _exact is the one answer about the store: a report calls it once, in
+    # either mode, and the store checks and the walk share its answer, so
+    # only the copy with a longer key, which is not exact, gets check_simple
+    # and the edge-equation scan.
     simple, exact, scans = [], [], []
     check, decide, scan = verify.check_simple, verify._exact, verify.check_edge_equation
     monkeypatch.setattr(verify, "check_simple", lambda host: simple.append(host) or check(host))
@@ -1341,8 +1339,8 @@ def test_a_report_builds_key_columns_once_and_probes_invariance_once(ap4_full, m
     for host, failed in ((ap4_full, []), (longer, ["edge-counts"])):
         report = check_representation(host, mode=mode)
         assert [e.name for e in report.entries if not e.passed] == failed
-        assert simple == exact == [host]
-        assert scans == ([host] if failed else [])
+        assert exact == [host]
+        assert simple == scans == ([host] if failed else [])
         simple.clear(), exact.clear(), scans.clear()
 
 
@@ -1374,26 +1372,91 @@ def test_a_guard_skipped_edge_equation_keeps_the_credit(ap4_full, monkeypatch):
     assert fed == [(0, 5)]
 
 
-def test_the_credit_needs_build_coefficients_own_tables():
-    # Random mix columns with closing tables recomputed from them, as
-    # build_coefficients does, give an exact store that is not translation
-    # invariant, since the support no longer cancels the pivot. Crediting
-    # x = 0's batch would change most of these reports; the walk must give
-    # check_copies' count and entries over the listed copies.
+def random_mix_hosts():
+    """ap4 over F5, rhs (1, 2), full sets, on 40 seeded random mix tables,
+    each with closing tables recomputed from the mix as build_coefficients
+    does, and whether each row's U-column shifts cancel on its block x
+    positions, computed here by plain % arithmetic."""
     ns = normalize(mk_system(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [1, 2]))
     sets = mk_sets(5, [range(5)] * 4)
     own = build_coefficients(ns)
+    out = []
     for seed in range(40):
         rng = random.Random(seed)
         mix = [[rng.randrange(5) for _ in row] for row in own.mix]
+        rows = list(zip(ns.support, ns.pivots, ns.base.rows))
+
+        def drift(t, support, m, row):
+            return (mix[m][t] + sum(mix[j][t] * row[j] for j in support)) % 5
+
         closing = tuple(
-            tuple((mix[m][t] + sum(mix[j][t] * row[j] for j in support)) % 5 for t in outs)
-            for outs, support, m, row in zip(own.outside, ns.support, ns.pivots, ns.base.rows)
+            tuple(drift(t, *plan) for t in outs) for outs, plan in zip(own.outside, rows)
         )
+        cancels = not any(drift(t, *plan) for block, plan in zip(ns.blocks, rows) for t in block)
         coeffs = dataclasses.replace(own, mix=tuple(map(tuple, mix)), closing=closing)
-        host = build_host(ns, coeffs, sets)
-        assert _exact(host) and not host.own_tables
+        out.append((build_host(ns, coeffs, sets), cancels))
+    return out
+
+
+def test_the_credit_needs_build_coefficients_own_tables():
+    # Random mix columns give a store that holds every predicted edge, but
+    # is translation invariant only when each row's U-column shifts cancel
+    # on its block x positions. _exact holds exactly then, so a walk never
+    # credits a store that does not cancel; every report must give
+    # check_copies' count and entries over the listed copies.
+    hosts = random_mix_hosts()
+    assert [_exact(host) for host, _ in hosts] == [cancels for _, cancels in hosts]
+    assert {cancels for _, cancels in hosts} == {True, False}
+    for host, _ in hosts:
         walked_and_listed(host)
+
+
+def test_the_credit_is_checked_on_the_tables_not_their_origin(
+    triangle_small, ap4_full, monkeypatch
+):
+    # A dataclasses.replace copy of build_coefficients' tables, and zero mix
+    # columns, cancel like the host's own tables: both hosts are read at
+    # x = 0 alone, and each report is the one the full walk gives.
+    tables = dataclasses.replace(build_coefficients(ap4_full.ns))
+    copied = build_host(ap4_full.ns, tables, ap4_full.sets)
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    flat = build_host(triangle_small.ns, coeffs, triangle_small.sets)
+    fed = fed_prefixes(monkeypatch)
+    reports = []
+    for host, zero in ((copied, (0, 5)), (flat, (0,))):
+        fed.clear()
+        reports.append(check_representation(host))
+        assert fed == [zero]
+    monkeypatch.setattr(verify, "_exact", lambda host: False)
+    for host, report in zip((copied, flat), reports):
+        walked = check_representation(host)
+        assert (report.render(), report.skipped) == (walked.render(), walked.skipped)
+    assert [report.passed for report in reports] == [True, False]
+
+
+def test_an_exact_host_passes_every_store_check(triangle_small, ap4_full):
+    # check_representation passes simple, edge-counts and edge-equation
+    # unrun on an exact host, so direct calls must pass there. The corpus
+    # is the honest one, hosts on hand-made tables that cancel, and faulted
+    # copies that must not be exact: an extra longer key, and an honest
+    # key's vertices stored again in reverse.
+    coeffs = dataclasses.replace(triangle_small.coeffs, mix=((0,), (0,)))
+    honest = [triangle_small, ap4_full, *drawn_hosts(3, 40)]
+    cancelling = [build_host(triangle_small.ns, coeffs, triangle_small.sets)]
+    cancelling += [host for host, cancels in random_mix_hosts() if cancels]
+    faulted = []
+    for host in (triangle_small, ap4_full):
+        longer, reversed_ = copy.deepcopy(host), copy.deepcopy(host)
+        longer.by_key[tuple(range(0, host.n * (host.r + 1), host.n))] = (0, 0)
+        key, stored = next(iter(host.by_key.items()))
+        reversed_.by_key[key[::-1]] = stored
+        faulted += [longer, reversed_]
+    exact = [host for host in honest + cancelling + faulted if _exact(host)]
+    assert exact == honest + cancelling
+    for host in exact:
+        assert check_simple(host).passed
+        assert check_edge_counts(host).passed
+        assert check_edge_equation(host).passed
 
 
 # ---------------------------------------------------------------------------
