@@ -4,7 +4,8 @@
 Draws full-rank systems over small prime fields with random admissible
 sets, builds the colored host for each, and confirms that the number of
 colored template copies equals (solution count) * n^(r-1) while the edge
-store stays simple. It also checks the verifier against itself:
+store stays simple and, as the host built with random mix columns does
+too, holds the plan's n^(r-1) edges per admissible label. It also checks the verifier against itself:
 check_representation's copy count and its per-solution and
 copy-structure entries must equal those check_copies gives over the
 listed copies of enumerate_copies, and the edge-equation entry, of a
@@ -279,7 +280,9 @@ def main(argv=None) -> int:
         report = check_representation(mixed)
         disagreements += routes_disagree(mixed, report, enumerate_copies(mixed), solutions)
         brute[edge_equation_disagrees(mixed, report)] += 1
-        if not check_simple(host).passed:
+        # represent prints the plan's figure without building the store.
+        figure = shell * sets.total_size()
+        if not check_simple(host).passed or {len(host.by_key), len(mixed.by_key)} != {figure}:
             collisions += 1
     elapsed = time.perf_counter() - start
 

@@ -14,7 +14,7 @@ import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
 from .errors import CheckError, EmptyW, InputError, SearchBudgetExceeded
-from .hrep import build_coefficients, build_host, export_host, parse_host_export
+from .hrep import build_coefficients, build_host, export_host, host_plans, parse_host_export
 from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system, reduce_degenerate
 from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
 from .verify import check_representation
@@ -25,12 +25,9 @@ def _load(path: str) -> tuple[LinearSystem, SetFamily]:
         return parse_system(fh.read())
 
 
-def _build(system: LinearSystem, sets: SetFamily, guard: int | None = None):
-    """The host of the reduced system, and the reduction that maps back to the input.
-
-    With a guard, a host of more than guard edges, n^(r-1) per admissible
-    label of the reduced family, is refused before it is built.
-    """
+def _encode(system: LinearSystem, sets: SetFamily, guard: int | None = None):
+    """The reduced system's normal form, the reduction that maps back to the input,
+    and the host's edges, n^(r-1) per admissible label; refused above guard."""
     red = reduce_degenerate(system, sets)
     if red.system is None:
         raise EmptyW(f"the system reduces to kind {red.kind}; there is no equation left to encode")
@@ -38,6 +35,12 @@ def _build(system: LinearSystem, sets: SetFamily, guard: int | None = None):
     edges = ns.field.q ** (ns.uniformity - 1) * red.sets.total_size()
     if guard is not None and edges > guard:
         raise SearchBudgetExceeded(f"host needs {edges} edges, guard is {guard}")
+    return ns, red, edges
+
+
+def _build(system: LinearSystem, sets: SetFamily):
+    """The host of the reduced system, and the reduction that maps back to the input."""
+    ns, red, _ = _encode(system, sets)
     return build_host(ns, build_coefficients(ns), red.sets), red
 
 
@@ -67,15 +70,16 @@ def cmd_count(args) -> int:
 
 def cmd_represent(args) -> int:
     system, sets = _load(args.input)
-    host, _ = _build(system, sets, guard=args.guard)
+    ns, red, edges = _encode(system, sets, guard=args.guard)
     # The dump is written first, so a refused path leaves stdout empty.
     if args.dump:
+        text = export_host(build_host(ns, build_coefficients(ns), red.sets))
         with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(export_host(host))
-    print(
-        f"r={host.r} k={host.k} colors={host.free + host.ell} "
-        f"edges={len(host.by_key)} labels={host.sets.total_size()}"
-    )
+            fh.write(text)
+    else:
+        host_plans(ns, build_coefficients(ns), ns.permute_family(red.sets))
+    colors = ns.free_count + ns.ell
+    print(f"r={ns.uniformity} k={ns.vertex_count} colors={colors} edges={edges} labels={red.sets.total_size()}")
     return 0
 
 
@@ -179,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--guard", type=int, default=10**6, help="transfer steps (tuples with --naive)")
     sp.set_defaults(fn=cmd_count)
 
-    sp = with_input("represent", "build the host hypergraph and print a summary")
+    sp = with_input("represent", "certify the host hypergraph's layout and print its summary")
     sp.add_argument("--dump", metavar="PATH", help="write the edge list in export format")
     sp.add_argument("--guard", type=int, default=10**6, help="host edge budget")
     sp.set_defaults(fn=cmd_represent)

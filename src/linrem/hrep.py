@@ -11,10 +11,10 @@ Vertex ids are part*n + value, so tuples built in part order are already
 sorted and double as canonical edge keys. A built host keeps one store,
 by_key, each key's (color, label) in stream order; checks derive the rest.
 
-The edge stream works a column at a time: per color it lays out the key
-columns without the closing vertex and each key's offset once, then
-yields one batch per admissible label by zipping them with the closing
-part's ids, rotated by the label; build_host files each batch at once.
+The edge stream works a column at a time from host_plans, which lays out
+each color's head parts and offsets and certifies, from the label shifts
+alone, that no key repeats; each admissible label's batch zips the head
+columns with the closing part's ids, rotated by the label's shift.
 
 A copy is its sorted vertex tuple, one vertex per part: x parts first,
 then U parts. Host.copy_edges reads a copy's edge keys off that tuple,
@@ -183,37 +183,53 @@ class Host:
         )
 
 
-def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily):
-    """Generate the edges as one (color, label, vertex keys) batch per label.
-
-    Streaming form of the host; build_host materializes it. Colors ascend,
-    labels ascend within a color, vertex tuples ascend within a batch, and
-    no key repeats within a batch.
-
-    Per color, the head columns (the keys without their closing vertex,
-    in product order) and each head's offset, coefs . head mod n as
-    running sums, are computed once. A label's batch zips the head
-    columns with the closing part's ids, rotated by the label's shift and
-    read at each offset.
+def host_plans(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily) -> list[tuple]:
+    """Per color, (head parts, offset coefficients, closing part, label column,
+    base, step), certified to lay out no key twice: a label's keys close each
+    head at its offset plus the label's shift (base + step*label) mod n, so
+    keys of one color meet only where two labels share a shift (the later
+    label's first key is named), and keys of two colors only where both hold
+    the same parts in the same order, which normalize never lays out.
     """
     n = ns.field.q
     width = ns.uniformity - 1
     rows = ns.base.rows
     parts = [list(range(t * n, (t + 1) * n)) for t in range(width + ns.free_count)]
-    # Per color: head parts, offset coefficients, closing part, label set,
-    # and the shift base + step*label. A vertex id is part*n + value, so
-    # dot products over ids agree with dot products over values mod n.
-    plans = [(parts[:width], coeffs.mix[j], width + j, j, 0, 1) for j in range(ns.free_count)]
+    plans = [(parts[:width], coeffs.mix[j], parts[width + j], j, 0, 1) for j in range(ns.free_count)]
     for i, (d, support) in enumerate(zip(ns.diag_cols, ns.support)):
         heads = [parts[t] for t in coeffs.outside[i]] + [parts[width + j] for j in support]
         coefs = coeffs.closing[i] + tuple(-rows[i][j] for j in support)
-        plans.append((heads, coefs, width + ns.pivots[i], d, ns.base.rhs[i], -rows[i][d]))
-    for color, (heads, coefs, closing, col, base, step) in enumerate(plans):
+        plans.append((heads, coefs, parts[width + ns.pivots[i]], d, ns.base.rhs[i], -rows[i][d]))
+    firsts = [tuple(part[0] for part in heads) + (cpart[0],) for heads, _, cpart, *_ in plans]
+    for color, (_, _, cpart, col, base, step) in enumerate(plans):
+        other = firsts.index(firsts[color])
+        if other < color:
+            raise InvariantViolation(f"colors {other + 1} and {color + 1} key the same parts")
+        shifts: dict[int, int] = {}
+        for label in sets_n.sets[col]:
+            shift = (base + step * label) % n
+            if shift in shifts:
+                key = firsts[color][:-1] + (cpart[shift],)
+                raise SimplicityViolation(f"edge {key} carries both {(color, shifts[shift])} and {(color, label)}")
+            shifts[shift] = label
+    return plans
+
+
+def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily):
+    """Generate the edges as one (color, label, vertex keys) batch per label.
+
+    Streaming form of the host; build_host materializes it. Colors ascend,
+    labels ascend within a color, vertex tuples ascend within a batch, and
+    no key repeats: host_plans certifies that before the first batch. Each
+    batch zips the head columns with the closing part's ids at the heads'
+    offsets (coefs . head mod n over vertex ids), rotated by the label's shift.
+    """
+    n = ns.field.q
+    for color, (heads, coefs, cpart, col, base, step) in enumerate(host_plans(ns, coeffs, sets_n)):
         columns = list(zip(*itertools.product(*heads)))
         offsets = [0]
         for c, part in zip(coefs, heads):
             offsets = [(o + c * v) % n for o in offsets for v in part]
-        cpart = parts[closing]
         for label in sets_n.sets[col]:
             shift = (base + step * label) % n
             rot = cpart[shift:] + cpart[:shift]
@@ -221,20 +237,10 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
 
 
 def build_host(ns: NormalizedSystem, coeffs: CoefficientTables, sets: SetFamily) -> Host:
-    """Materialize the edge store for a family given in original order."""
+    """Materialize the edge store of a family in original order; its stream repeats no key."""
     host = Host(ns, coeffs, sets)
-    by_key = host.by_key
-    for done, (color, label, keys) in enumerate(iter_host_edges(ns, coeffs, host.sets_n)):
-        value = (color, label)
-        size = len(by_key)
-        by_key.update(zip(keys, itertools.repeat(value)))
-        if len(by_key) - size < len(keys):
-            # A batch repeats no key, so an earlier batch holds it. The
-            # update overwrote its value: replay the stream to name it.
-            earlier = itertools.islice(iter_host_edges(ns, coeffs, host.sets_n), done)
-            seen = {key: (c, lab) for c, lab, batch in earlier for key in batch}
-            key = next(key for key in keys if key in seen)
-            raise SimplicityViolation(f"edge {key} carries both {seen[key]} and {value}")
+    for color, label, keys in iter_host_edges(ns, coeffs, host.sets_n):
+        host.by_key.update(zip(keys, itertools.repeat((color, label))))
     return host
 
 

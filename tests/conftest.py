@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 
 import pytest
 
 import linrem
+from linrem.errors import InputError
 from linrem.field import PrimeField
-from linrem.linsys import LinearSystem, SetFamily
+from linrem.linsys import LinearSystem, NormalizedSystem, SetFamily, normalize
+from linrem.solutions import count_system
+
+CORPUS_SEED = 20260814
+CORPUS_SIZE = 200
 
 
 def subprocess_env() -> dict[str, str]:
@@ -35,6 +41,65 @@ def mk_sets(q: int, sets) -> SetFamily:
 
 def full_sets(q: int, p: int) -> SetFamily:
     return SetFamily.full(PrimeField(q), p)
+
+
+def draw_sets(rng: random.Random, q: int, p: int) -> list[list[int]]:
+    fam = []
+    for _ in range(p):
+        style = rng.random()
+        if style < 0.08:
+            fam.append([])
+        elif style < 0.25:
+            fam.append(list(range(q)))
+        else:
+            fam.append(sorted(rng.sample(range(q), rng.randint(1, q))))
+    return fam
+
+
+def _draw_corpus_instance(rng: random.Random, force: str | None):
+    q = rng.choice((5, 7, 11))
+    p = rng.randint(3, 5)
+    ell = rng.randint(1, min(2, p - 2))
+    fld = PrimeField(q)
+    rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+    rhs = [rng.randrange(q) for _ in range(ell)]
+    try:
+        system = LinearSystem.make(fld, rows, rhs)
+        ns = normalize(system)
+    except InputError:
+        return None
+    fam = draw_sets(rng, q, p)
+    if force == "full":
+        fam = [list(range(q)) for _ in range(p)]
+    elif force == "empty":
+        fam[0] = []
+    sets = SetFamily.make(fld, fam)
+    shell = q ** (ns.uniformity - 1)
+    # Keep both the edge store and the copy family walkable: the criteria
+    # enumerate every copy of every instance, so the corpus bounds the
+    # per-instance work rather than the shape distribution.
+    if sets.total_size() * shell > 250_000:
+        return None
+    if count_system(ns.base, ns.permute_family(sets)) * shell > 50_000:
+        return None
+    return system, ns, sets
+
+
+def corpus_draws(seed: int, size: int) -> list[tuple[LinearSystem, NormalizedSystem, SetFamily]]:
+    """The acceptance corpus as (system, normal form, family) draws.
+
+    Rejection sampling from a generator seeded with seed, with full sets
+    forced into the first draw and one empty set into the second. The
+    filter prices each draw with the library's own solution count; no
+    oracle reads these draws' counts from it.
+    """
+    rng = random.Random(seed)
+    draws: list = []
+    while len(draws) < size:
+        drawn = _draw_corpus_instance(rng, {0: "full", 1: "empty"}.get(len(draws)))
+        if drawn is not None:
+            draws.append(drawn)
+    return draws
 
 
 def brute_solutions(system: LinearSystem, sets: SetFamily) -> list[tuple[int, ...]]:

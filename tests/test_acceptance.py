@@ -17,8 +17,12 @@ import pytest
 
 from conftest import (
     ACCEPTANCE_EXPECTED,
+    CORPUS_SEED,
+    CORPUS_SIZE,
     brute_solutions,
     cofactor_det,
+    corpus_draws,
+    draw_sets,
     full_sets,
     mk_sets,
     mk_system,
@@ -54,8 +58,7 @@ from linrem.verify import (
     enumerate_copies,
 )
 
-SEED = 20260814
-CORPUS_SIZE = 200
+SEED = CORPUS_SEED
 NAIVE_LIMIT = 10**6
 
 ACCEPTANCE_EXPECTED.update(range(1, 12))
@@ -69,56 +72,12 @@ class CorpusInstance:
     host: Host
 
 
-def _draw_sets(rng: random.Random, q: int, p: int):
-    fam = []
-    for _ in range(p):
-        style = rng.random()
-        if style < 0.08:
-            fam.append([])
-        elif style < 0.25:
-            fam.append(list(range(q)))
-        else:
-            fam.append(sorted(rng.sample(range(q), rng.randint(1, q))))
-    return fam
-
-
-def _attempt(rng: random.Random, index: int, force: str | None) -> CorpusInstance | None:
-    q = rng.choice((5, 7, 11))
-    p = rng.randint(3, 5)
-    ell = rng.randint(1, min(2, p - 2))
-    fld = PrimeField(q)
-    rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
-    rhs = [rng.randrange(q) for _ in range(ell)]
-    try:
-        ns = normalize(LinearSystem.make(fld, rows, rhs))
-    except InputError:
-        return None
-    fam = _draw_sets(rng, q, p)
-    if force == "full":
-        fam = [list(range(q)) for _ in range(p)]
-    elif force == "empty":
-        fam[0] = []
-    sets = SetFamily.make(fld, fam)
-    shell = q ** (ns.uniformity - 1)
-    # Keep both the edge store and the copy family walkable: the criteria
-    # enumerate every copy of every instance, so the corpus bounds the
-    # per-instance work rather than the shape distribution.
-    if sets.total_size() * shell > 250_000:
-        return None
-    if count_system(ns.base, ns.permute_family(sets)) * shell > 50_000:
-        return None
-    return CorpusInstance(index, ns, sets, build_host(ns, build_coefficients(ns), sets))
-
-
 @pytest.fixture(scope="module")
 def corpus() -> list[CorpusInstance]:
-    rng = random.Random(SEED)
-    instances: list[CorpusInstance] = []
-    while len(instances) < CORPUS_SIZE:
-        force = {0: "full", 1: "empty"}.get(len(instances))
-        inst = _attempt(rng, len(instances), force)
-        if inst is not None:
-            instances.append(inst)
+    instances = [
+        CorpusInstance(index, ns, sets, build_host(ns, build_coefficients(ns), sets))
+        for index, (_, ns, sets) in enumerate(corpus_draws(SEED, CORPUS_SIZE))
+    ]
     assert any(not s for inst in instances for s in inst.sets.sets)
     assert any(
         all(len(s) == inst.ns.field.q for s in inst.sets.sets) for inst in instances
@@ -276,7 +235,7 @@ def test_criterion_08_reduction_soundness():
             system = LinearSystem.make(fld, rows, rhs)
         except InputError:
             continue
-        sets = SetFamily.make(fld, _draw_sets(rng, q, p))
+        sets = SetFamily.make(fld, draw_sets(rng, q, p))
         red = reduce_degenerate(system, sets)
         if not red.dropped:
             continue

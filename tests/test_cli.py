@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_count, mk_sets, removal_oracle, subprocess_env
-from linrem import cli
+from conftest import CORPUS_SEED, CORPUS_SIZE, brute_count, corpus_draws, mk_sets, removal_oracle, subprocess_env
+from linrem import cli, hrep
 from linrem.cli import _build, build_parser, main
-from linrem.linsys import parse_system
+from linrem.errors import InputError
+from linrem.linsys import format_system, parse_system
 from linrem.hrep import copies_for_solution, parse_host_export
 from linrem.solutions import iter_solutions
 
@@ -181,6 +183,57 @@ def test_represent_guard_refuses_before_the_build(capsys, monkeypatch):
     assert run(capsys, "represent", TRIANGLE, "--guard", "29") == (
         2, "", "SearchBudgetExceeded: host needs 30 edges, guard is 29\n"
     )
+
+
+def store_summary(path):
+    """represent's (code, stdout, stderr) read off _build's host: its edge
+    count is len(by_key), or the refusal that building it raises."""
+    with open(path, encoding="utf-8") as fh:
+        system, sets = parse_system(fh.read())
+    try:
+        host, _ = _build(system, sets)
+    except InputError as exc:
+        return 2, "", f"{type(exc).__name__}: {exc}\n"
+    return 0, (
+        f"r={host.r} k={host.k} colors={host.free + host.ell} "
+        f"edges={len(host.by_key)} labels={host.sets.total_size()}\n"
+    ), ""
+
+
+def test_represent_counts_the_host_without_building_it(capsys, monkeypatch, tmp_path):
+    # Every bundled system and every draw of the acceptance corpus: the
+    # summary comes from the certified plan and equals the built store's.
+    paths = sorted(str(path) for path in SYSTEMS.glob("*.sys"))
+    for index, (system, _, sets) in enumerate(corpus_draws(CORPUS_SEED, CORPUS_SIZE)):
+        path = tmp_path / f"corpus-{index}.sys"
+        path.write_text(format_system(system, sets))
+        paths.append(str(path))
+    want = [store_summary(path) for path in paths]
+
+    def refuse(*args):
+        raise AssertionError("the edge store was built")
+
+    monkeypatch.setattr(cli, "build_host", refuse)
+    monkeypatch.setattr(hrep, "iter_host_edges", refuse)
+    assert [run(capsys, "represent", path) for path in paths] == want
+    assert sum(code == 0 for code, _, _ in want) == len(paths) - 2
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("ap4.sys", "3c089b7d32b9189c88d07791d7e20e904adf320cf8d4f5ece16d7f3e96ea54b7"),
+        ("reducible.sys", "c83f9dac7370c63c9cd94d1f10185f9cd83863aaf348f2b1c6ff5d24b5456f98"),
+        ("row3-f7.sys", "8d8328dff4bd5a6e92f85f5485e6a04f5b4ae16f884aab899c4af0b2ea27dca7"),
+        ("triangle.sys", "b4925b6cd8b2ef394bcdb0e53d1a09bd48b5b20cfedb483b27bf0676c8342e3d"),
+    ],
+)
+def test_represent_dump_bytes_are_pinned(capsys, tmp_path, name, digest):
+    # --dump still builds the store and exports it; its bytes must not move.
+    dump = tmp_path / "host.edges"
+    code, out, _ = run(capsys, "represent", str(SYSTEMS / name), "--dump", str(dump))
+    assert (code, out) == store_summary(SYSTEMS / name)[:2]
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
 def test_represent_needs_a_support_column(capsys):

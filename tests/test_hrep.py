@@ -6,16 +6,25 @@ from collections import Counter
 import pytest
 
 from conftest import cofactor_det, full_sets, mk_sets, mk_system
-from linrem.errors import EdgeNotInHost, InputError, MissingEdge, ParseError, SimplicityViolation
+from linrem.errors import (
+    EdgeNotInHost,
+    InputError,
+    InvariantViolation,
+    MissingEdge,
+    ParseError,
+    SimplicityViolation,
+)
 from linrem.hrep import (
     build_coefficients,
     build_host,
     copies_for_solution,
     export_host,
+    host_plans,
     iter_host_edges,
     parse_host_export,
 )
-from linrem.linsys import mat_vec, normalize
+from linrem.field import PrimeField
+from linrem.linsys import SetFamily, mat_vec, normalize
 from linrem.verify import _part_index, _template_parts
 
 
@@ -139,6 +148,119 @@ def test_build_host_refuses_an_edge_with_two_labels():
     bad = dataclasses.replace(ns, base=dataclasses.replace(ns.base, rows=(tuple(row),)))
     with pytest.raises(SimplicityViolation, match=r"edge \(5, 10\) carries both \(2, 1\) and \(2, 2\)"):
         build_host(bad, build_coefficients(bad), mk_sets(5, [[1, 2]] * 3))
+
+
+def zero_diagonal(ns, i):
+    """ns with row i's diagonal entry set to 0, so its label no longer moves the key."""
+    rows = [list(row) for row in ns.base.rows]
+    rows[i][ns.diag_cols[i]] = 0
+    return dataclasses.replace(ns, base=dataclasses.replace(ns.base, rows=tuple(map(tuple, rows))))
+
+
+def first_repeat(ns, coeffs, sets_n):
+    """build_host's message for the first key the per-edge stream repeats,
+    against its earlier (color, label); None when no key repeats."""
+    seen = {}
+    for color, label, key in reference_host_edges(ns, coeffs, sets_n):
+        if key in seen:
+            return f"edge {key} carries both {seen[key]} and {(color, label)}"
+        seen[key] = (color, label)
+    return None
+
+
+F5 = PrimeField(5)
+
+
+# build_host's messages from when it replayed the stream to name a
+# repeated key; the plan certificate must give each unchanged.
+@pytest.mark.parametrize(
+    "ns, sets, message",
+    [
+        pytest.param(zero_diagonal(triangle5_ns(), 0), mk_sets(5, [[1, 2]] * 3),
+                     "edge (5, 10) carries both (2, 1) and (2, 2)", id="triangle-zero-diagonal"),
+        pytest.param(zero_diagonal(ap4_ns(), 0), mk_sets(5, [[1, 2]] * 4),
+                     "edge (5, 10, 15) carries both (2, 1) and (2, 2)", id="ap4-zero-diagonal-row-1"),
+        pytest.param(zero_diagonal(ap4_ns(), 1), mk_sets(5, [[1, 2]] * 4),
+                     "edge (0, 10, 15) carries both (3, 1) and (3, 2)", id="ap4-zero-diagonal-row-2"),
+        pytest.param(zero_diagonal(ap4_ns(), 1), mk_sets(5, [[4], [3], [2, 3], [0, 1, 4]]),
+                     "edge (0, 10, 15) carries both (3, 0) and (3, 1)", id="ap4-zero-diagonal-three-labels"),
+        pytest.param(zero_diagonal(normalize(mk_system(5, [[1, -2, 1, 0], [0, 1, -2, 1]], [1, 3])), 0),
+                     mk_sets(5, [[1, 2]] * 4),
+                     "edge (5, 10, 17) carries both (2, 1) and (2, 2)", id="ap4-rhs-zero-diagonal"),
+        pytest.param(triangle5_ns(), SetFamily(F5, ((1, 1), (2,), (3,))),
+                     "edge (0, 6) carries both (0, 1) and (0, 1)", id="repeated-free-label"),
+        pytest.param(triangle5_ns(), SetFamily(F5, ((1,), (2,), (3, 3))),
+                     "edge (5, 13) carries both (2, 3) and (2, 3)", id="repeated-row-label"),
+        pytest.param(triangle5_ns(), SetFamily(F5, ((1, 6), (2,), (3,))),
+                     "edge (0, 6) carries both (0, 1) and (0, 6)", id="aliased-free-label"),
+        pytest.param(ap4_ns(), SetFamily(F5, ((0,), (1,), (2, 7), (4,))),
+                     "edge (5, 10, 16) carries both (2, 2) and (2, 7)", id="aliased-row-label"),
+    ],
+)
+def test_plan_certificate_names_the_first_repeated_key(ns, sets, message):
+    coeffs = build_coefficients(ns)
+    sets_n = ns.permute_family(sets)
+    assert first_repeat(ns, coeffs, sets_n) == message
+    for call in (
+        lambda: host_plans(ns, coeffs, sets_n),
+        lambda: next(iter_host_edges(ns, coeffs, sets_n)),
+        lambda: build_host(ns, coeffs, sets),
+    ):
+        with pytest.raises(SimplicityViolation) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_plan_certificate_agrees_with_a_brute_force_repeat_scan():
+    # Random systems, some with a row's diagonal entry zeroed, under
+    # families built without make: labels may repeat, exceed n or be
+    # negative. The certificate raises exactly when the materialized
+    # stream repeats a key, with the scan's message.
+    rng = random.Random(35)
+    outcomes = Counter()
+    while sum(outcomes.values()) < 200:
+        q = rng.choice([2, 3, 5, 7])
+        ell = rng.choice([1, 2])
+        p = rng.randint(ell + 2, ell + 3)
+        rows = [[rng.randrange(q) for _ in range(p)] for _ in range(ell)]
+        try:
+            ns = normalize(mk_system(q, rows, [rng.randrange(q) for _ in range(ell)]))
+        except InputError:
+            continue
+        if q ** (ns.uniformity - 1) > 500:
+            continue
+        if rng.random() < 0.3:
+            ns = zero_diagonal(ns, rng.randrange(ns.ell))
+        sets = SetFamily(
+            PrimeField(q),
+            tuple(tuple(rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 3))) for _ in range(p)),
+        )
+        coeffs = build_coefficients(ns)
+        sets_n = ns.permute_family(sets)
+        want = first_repeat(ns, coeffs, sets_n)
+        try:
+            host_plans(ns, coeffs, sets_n)
+            got = None
+        except SimplicityViolation as exc:
+            got = str(exc)
+        assert got == want
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) >= 50
+
+
+def test_plan_refuses_two_colors_keyed_on_the_same_parts():
+    # ap4's rows share their support and pivot columns and differ only in
+    # the x part outside their blocks; an edited outside table gives both
+    # row colors the same parts in the same order, refused before the
+    # stream yields its first batch.
+    ns = ap4_ns()
+    own = build_coefficients(ns)
+    bad = dataclasses.replace(own, outside=(own.outside[0], own.outside[0]))
+    stream = iter_host_edges(ns, bad, ns.permute_family(mk_sets(5, [[1, 2]] * 4)))
+    with pytest.raises(InvariantViolation, match=r"^colors 3 and 4 key the same parts$"):
+        next(stream)
+    with pytest.raises(InvariantViolation, match=r"^colors 3 and 4 key the same parts$"):
+        build_host(ns, bad, mk_sets(5, [[1]] * 4))
 
 
 def test_host_counts_per_color_label():
