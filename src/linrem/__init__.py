@@ -15,6 +15,7 @@ from .hrep import (
     build_coefficients,
     build_host,
     copies_for_solution,
+    export_edges,
     export_host,
     iter_host_edges,
 )

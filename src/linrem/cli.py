@@ -14,7 +14,8 @@ import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
 from .errors import CheckError, EmptyW, InputError, SearchBudgetExceeded
-from .hrep import build_coefficients, build_host, export_host, host_plans, parse_host_export
+from .hrep import build_coefficients, build_host, export_edges, host_plans, iter_host_edges
+from .hrep import parse_host_export, predicted_edges
 from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system, reduce_degenerate
 from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
 from .verify import check_representation
@@ -32,7 +33,7 @@ def _encode(system: LinearSystem, sets: SetFamily, guard: int | None = None):
     if red.system is None:
         raise EmptyW(f"the system reduces to kind {red.kind}; there is no equation left to encode")
     ns = normalize(red.system)
-    edges = ns.field.q ** (ns.uniformity - 1) * red.sets.total_size()
+    edges = predicted_edges(ns, red.sets)
     if guard is not None and edges > guard:
         raise SearchBudgetExceeded(f"host needs {edges} edges, guard is {guard}")
     return ns, red, edges
@@ -71,13 +72,14 @@ def cmd_count(args) -> int:
 def cmd_represent(args) -> int:
     system, sets = _load(args.input)
     ns, red, edges = _encode(system, sets, guard=args.guard)
-    # The dump is written first, so a refused path leaves stdout empty.
+    coeffs, sets_n = build_coefficients(ns), ns.permute_family(red.sets)
+    # Written first, so a refused host or path leaves no file and stdout empty.
     if args.dump:
-        text = export_host(build_host(ns, build_coefficients(ns), red.sets))
+        text = export_edges(ns, iter_host_edges(ns, coeffs, sets_n))
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        host_plans(ns, build_coefficients(ns), ns.permute_family(red.sets))
+        host_plans(ns, coeffs, sets_n)
     colors = ns.free_count + ns.ell
     print(f"r={ns.uniformity} k={ns.vertex_count} colors={colors} edges={edges} labels={red.sets.total_size()}")
     return 0
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_count)
 
     sp = with_input("represent", "certify the host hypergraph's layout and print its summary")
-    sp.add_argument("--dump", metavar="PATH", help="write the edge list in export format")
+    sp.add_argument("--dump", metavar="PATH", help="stream the edge list in export format from the certified plans")
     sp.add_argument("--guard", type=int, default=10**6, help="host edge budget")
     sp.set_defaults(fn=cmd_represent)
 

@@ -24,8 +24,8 @@ its copy check all read row edges through it. Host.shifts, beside it,
 owns the x-translation mix_j . x; only the host's construction reads mix
 itself. The naive oracle reads neither method nor the coefficient tables.
 
-export_host writes one `color label part:value ...` line per edge, and
-parse_host_export reads such lines back into the host's edge references.
+export_edges writes one `color label part:value ...` line per streamed or
+stored edge; parse_host_export reads such lines back into edge references.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ class Host:
         """The edges as (color, label, vertex key), derived from by_key; read-only."""
         return tuple((color, label, key) for key, (color, label) in self.by_key.items())
 
-    def part_name(self, part: int) -> str:
-        width = self.r - 1
-        return f"V{part + 1}" if part < width else f"U{part - width + 1}"
-
     def row_keys(self, prefix: VKey) -> list[tuple[int, VKey, itemgetter]]:
         """Per row i, how a copy with x-part key prefix reads its color-(free+i) edge.
 
@@ -181,6 +177,11 @@ class Host:
         return tuple((j, prefix + (u,)) for j, u in enumerate(us)) + tuple(
             (color, xkey + get_u(us)) for color, xkey, get_u in self.row_keys(prefix)
         )
+
+
+def predicted_edges(ns: NormalizedSystem, sets: SetFamily) -> int:
+    """The host's edge count: n^(r-1) per admissible label of sets."""
+    return ns.field.q ** (ns.uniformity - 1) * sets.total_size()
 
 
 def host_plans(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily) -> list[tuple]:
@@ -270,22 +271,26 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[VKey]:
 # Host export format: one line per edge, lexicographically sorted.
 
 
-def export_host(host: Host) -> str:
-    """The edges as sorted `color label part:value ...` lines.
+def export_edges(ns: NormalizedSystem, batches) -> str:
+    """(color, label, keys) batches as sorted `color label part:value ...` lines.
 
-    Each run of edges sharing color, label and key length is formatted a
-    column at a time: its vertex names are looked up per key position,
-    and each line joins the run's `color label` head to one row of them.
+    A batch's keys share one length and are named a column at a time.
     """
-    n = host.n
-    names = [f"{host.part_name(v // n)}:{v % n}" for v in range(n * host.k)]
+    parts = [f"V{t + 1}" for t in range(ns.uniformity - 1)] + [f"U{j + 1}" for j in range(ns.free_count)]
+    names = [f"{part}:{v}" for part in parts for v in range(ns.field.q)]
     lines: list[str] = []
-    for (color, label), run in itertools.groupby(host.by_key.items(), itemgetter(1)):
-        head = f"{color + 1} {label}"
-        for _, keys in itertools.groupby(map(itemgetter(0), run), len):
-            columns = [map(names.__getitem__, col) for col in zip(*keys)]
-            lines.extend(map(" ".join, zip(itertools.repeat(head), *columns)))
+    for color, label, keys in batches:
+        columns = [map(names.__getitem__, col) for col in zip(*keys)]
+        if columns:  # zip over the head alone would never stop
+            lines.extend(map(" ".join, zip(itertools.repeat(f"{color + 1} {label}"), *columns)))
     return "\n".join(sorted(lines)) + "\n"
+
+
+def export_host(host: Host) -> str:
+    """export_edges over by_key's runs of one color, label and key length, as stored."""
+    runs = itertools.groupby(host.by_key.items(), itemgetter(1))
+    lengths = ((ref, itertools.groupby(map(itemgetter(0), run), len)) for ref, run in runs)
+    return export_edges(host.ns, ((*ref, keys) for ref, by_len in lengths for _, keys in by_len))
 
 
 def parse_host_export(host: Host, text: str) -> list[EdgeRef]:

@@ -63,7 +63,7 @@ from itertools import compress, repeat
 from operator import add, and_, eq, itemgetter, mod, mul, sub
 
 from .errors import SearchBudgetExceeded
-from .hrep import Host, VKey
+from .hrep import Host, VKey, predicted_edges
 from .linsys import NormalizedSystem
 from .solutions import count_system, iter_solutions
 
@@ -302,7 +302,7 @@ def check_simple(host: Host) -> CheckEntry:
 def check_edge_counts(host: Host) -> CheckEntry:
     """Each admissible label owns exactly n^(r-1) edges of its color in by_key."""
     expected = host.n ** (host.r - 1)
-    total = expected * host.sets_n.total_size()
+    total = predicted_edges(host.ns, host.sets_n)
     if len(host.by_key) != total:
         return CheckEntry("edge-counts", False, f"{len(host.by_key)} edges stored, wants {total}")
     counts = Counter(host.by_key.values())
@@ -392,7 +392,7 @@ def _exact(host: Host) -> bool:
     at a time, as iter_host_edges does, and probed once: len(by_key) probes.
     """
     by_key = host.by_key
-    if len(by_key) != host.n ** (host.r - 1) * host.sets_n.total_size():
+    if len(by_key) != predicted_edges(host.ns, host.sets_n):
         return False
     n = host.n
     for color, heads, closing, y0s, lab, drift in _equations(host):
@@ -590,7 +590,9 @@ class _CopyCheck:
         zeros = list(compress(zeros, fresh))
         placed = [True] * len(copies)
         for (part, _), col in zip(self.u_ranges, zip(*copies)):
-            placed = list(map(and_, placed, map(part.__contains__, col)))
+            # A part's ids are contiguous: a column within its bounds is placed.
+            if min(col) not in part or max(col) not in part:
+                placed = list(map(and_, placed, map(part.__contains__, col)))
         values = [list(map(mod, col, repeat(n))) for col in zip(*zeros)]
         for row, rhs, m_i, support, inv in self.eqs:
             acc = [rhs - v for v in values[m_i]]

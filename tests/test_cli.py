@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -12,8 +13,8 @@ from conftest import CORPUS_SEED, CORPUS_SIZE, brute_count, corpus_draws, mk_set
 from linrem import cli, hrep
 from linrem.cli import _build, build_parser, main
 from linrem.errors import InputError
-from linrem.linsys import format_system, parse_system
-from linrem.hrep import copies_for_solution, parse_host_export
+from linrem.linsys import format_system, normalize, parse_system
+from linrem.hrep import copies_for_solution, export_host, parse_host_export
 from linrem.solutions import iter_solutions
 
 TRIANGLE = "systems/triangle.sys"
@@ -229,11 +230,65 @@ def test_represent_counts_the_host_without_building_it(capsys, monkeypatch, tmp_
     ],
 )
 def test_represent_dump_bytes_are_pinned(capsys, tmp_path, name, digest):
-    # --dump still builds the store and exports it; its bytes must not move.
+    # --dump streams the export from the certified plans; its bytes must not move.
     dump = tmp_path / "host.edges"
     code, out, _ = run(capsys, "represent", str(SYSTEMS / name), "--dump", str(dump))
     assert (code, out) == store_summary(SYSTEMS / name)[:2]
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+def test_represent_dump_builds_no_store(capsys, monkeypatch, tmp_path):
+    # Every bundled system, every draw of the acceptance corpus and an F13
+    # system, whose text order puts V1:10 before V1:2: the streamed dump
+    # equals the built store's export byte for byte, and so does its refusal.
+    paths = sorted(str(path) for path in SYSTEMS.glob("*.sys"))
+    draws = [(system, sets) for system, _, sets in corpus_draws(CORPUS_SEED, CORPUS_SIZE)]
+    draws.append(parse_system(
+        "field 13\nsystem 2 4\n1 -2 1 0\n0 1 -2 1\nrhs 0 0\n"
+        "set 0,2,10,12\nset 1,11\nset 3,4,5,9,12\nset 2,7,10\n"
+    ))
+    for index, (system, sets) in enumerate(draws):
+        path = tmp_path / f"draw-{index}.sys"
+        path.write_text(format_system(system, sets))
+        paths.append(str(path))
+    want = []
+    for path in paths:
+        code, out, err = store_summary(path)
+        if code == 0:
+            out = (out, export_host(_build(*parse_system(Path(path).read_text()))[0]))
+        want.append((code, out, err))
+
+    def refuse(*args):
+        raise AssertionError("the edge store was built")
+
+    monkeypatch.setattr(cli, "build_host", refuse)
+    monkeypatch.setattr(hrep, "Host", refuse)
+    got = []
+    for index, path in enumerate(paths):
+        dump = tmp_path / f"dump-{index}.edges"
+        code, out, err = run(capsys, "represent", path, "--dump", str(dump))
+        got.append((code, (out, dump.read_text()) if dump.exists() else out, err))
+    assert got == want
+    assert sum(code == 0 for code, _, _ in want) == len(paths) - 2
+    lines = got[-1][1][1].splitlines()
+    assert lines.index("1 0 V1:10 V2:0 U1:10") < lines.index("1 0 V1:2 V2:0 U1:2")
+
+
+def test_represent_dump_plan_clash_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # A normal form whose row label no longer moves its key makes two
+    # labels share every key; the plans refuse it before any text exists.
+    def zero_diagonal(system):
+        ns = normalize(system)
+        row = list(ns.base.rows[0])
+        row[ns.diag_cols[0]] = 0
+        return dataclasses.replace(ns, base=dataclasses.replace(ns.base, rows=(tuple(row),)))
+
+    monkeypatch.setattr(cli, "normalize", zero_diagonal)
+    dump = tmp_path / "host.edges"
+    assert run(capsys, "represent", TRIANGLE, "--dump", str(dump)) == (
+        1, "", "SimplicityViolation: edge (5, 10) carries both (2, 1) and (2, 2)\n"
+    )
+    assert not dump.exists()
 
 
 def test_represent_needs_a_support_column(capsys):

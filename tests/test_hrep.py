@@ -18,6 +18,7 @@ from linrem.hrep import (
     build_coefficients,
     build_host,
     copies_for_solution,
+    export_edges,
     export_host,
     host_plans,
     iter_host_edges,
@@ -452,9 +453,15 @@ def test_shifts_match_the_edge_stream():
 
 
 def test_part_names():
-    ns = ap4_ns()
-    host = build_host(ns, build_coefficients(ns), full_sets(5, 4))
-    assert [host.part_name(i) for i in range(4)] == ["V1", "V2", "U1", "U2"]
+    # x parts are V1..V{r-1}, free columns U1..U{p-ell}; vertex id part*n + value.
+    text = export_edges(ap4_ns(), [(0, 3, [(0, 6, 12, 18)]), (2, 1, [(4, 9), (5, 10)])])
+    assert text == "1 3 V1:0 V2:1 U1:2 U2:3\n3 1 V1:4 V2:4\n3 1 V2:0 U1:0\n"
+
+
+def vertex_name(host, v):
+    """The export name of vertex id v, written out for the reference exports."""
+    part, width = v // host.n, host.r - 1
+    return f"V{part + 1}:{v % host.n}" if part < width else f"U{part - width + 1}:{v % host.n}"
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +538,15 @@ def test_export_triangle_golden():
     host = build_host(ns, build_coefficients(ns), sets)
     expected_lines = []
     for key, (color, label) in triangle5_expected_edges(sets.sets).items():
-        parts = " ".join(
-            f"{host.part_name(v // 5)}:{v % 5}" for v in key
-        )
+        parts = " ".join(vertex_name(host, v) for v in key)
         expected_lines.append(f"{color + 1} {label} {parts}")
     assert export_host(host) == "\n".join(sorted(expected_lines)) + "\n"
 
 
 def reference_export(host):
     """export_host written one edge at a time from by_key with f-strings."""
-    n = host.n
     lines = [
-        f"{color + 1} {label} " + " ".join(f"{host.part_name(v // n)}:{v % n}" for v in key)
+        f"{color + 1} {label} " + " ".join(vertex_name(host, v) for v in key)
         for key, (color, label) in host.by_key.items()
     ]
     return "\n".join(sorted(lines)) + "\n"
