@@ -22,9 +22,11 @@ build_coefficients does, so the store holds every predicted edge, but
 it is translation invariant only where each row's U-column shifts
 happen to cancel over its block x positions. Only then is it exact and
 credited from x = 0; any other such store is scanned and walked in
-full, and a walk that credited it would count wrong. A nonzero
-mismatch, collision or disagreement count means a bug; the exit code
-reflects it so the scan can run in CI.
+full, and a walk that credited it would count wrong. On each host and
+each random-mix host, the dump that `represent --dump` renders from
+the plans must equal export_host of the built store. A nonzero
+mismatch, collision, disagreement or dump mismatch count means a bug;
+the exit code reflects it so the scan can run in CI.
 
 Usage:
     python scripts/copy_identity_scan.py --seed 7 --count 100
@@ -43,7 +45,7 @@ from collections import Counter
 
 from linrem.errors import InputError
 from linrem.field import PrimeField
-from linrem.hrep import CoefficientTables, build_coefficients, build_host
+from linrem.hrep import CoefficientTables, build_coefficients, build_host, export_host, export_plans
 from linrem.linsys import LinearSystem, SetFamily, normalize
 from linrem.solutions import count_system
 from linrem.verify import (
@@ -164,6 +166,14 @@ def routes_disagree(host, report, listed, solutions) -> bool:
     return True
 
 
+def dump_differs(host) -> bool:
+    """Does the export rendered from host's plans differ from export_host(host)."""
+    if export_plans(host.ns, host.coeffs, host.sets_n) == export_host(host):
+        return False
+    print(f"DUMP MISMATCH q={host.n} rows={host.ns.base.rows} sets={host.sets.sets}")
+    return True
+
+
 def brute_edge_equation(host) -> tuple[bool, str]:
     """check_edge_equation's (passed, witness) from every candidate tuple,
     in its scan order, by plain % arithmetic over host.coeffs.mix."""
@@ -242,6 +252,7 @@ def main(argv=None) -> int:
     mismatches = 0
     collisions = 0
     disagreements = 0
+    dump_mismatches = 0
     # Edge-equation comparisons: True disagrees, False agrees, None not run.
     brute: Counter = Counter()
     faulted = 0
@@ -265,6 +276,7 @@ def main(argv=None) -> int:
                 f"MISMATCH q={ns.field.q} rows={ns.base.rows} sets={sets.sets}: "
                 f"{copies} copies vs {solutions} * {shell}"
             )
+        dump_mismatches += dump_differs(host)
         report = check_representation(host)
         disagreements += routes_disagree(host, report, listed, solutions)
         brute[edge_equation_disagrees(host, report)] += 1
@@ -277,6 +289,7 @@ def main(argv=None) -> int:
             disagreements += routes_disagree(bad, report, enumerate_copies(bad), solutions)
             brute[edge_equation_disagrees(bad, report)] += 1
         mixed = build_host(ns, random_mix_tables(ns, random.Random(f"{args.seed}:{done}:mix")), sets)
+        dump_mismatches += dump_differs(mixed)
         report = check_representation(mixed)
         disagreements += routes_disagree(mixed, report, enumerate_copies(mixed), solutions)
         brute[edge_equation_disagrees(mixed, report)] += 1
@@ -296,7 +309,8 @@ def main(argv=None) -> int:
     print(f"disagreements: {disagreements} (on {done} hosts, {faulted} orbit-faulted copies and "
           f"{done} random-mix copies; edge-equation against the brute-force scan on "
           f"{brute[True] + brute[False]} of them)")
-    return 1 if mismatches or collisions or disagreements else 0
+    print(f"dump_mismatches: {dump_mismatches} (on {done} hosts and {done} random-mix copies)")
+    return 1 if mismatches or collisions or disagreements or dump_mismatches else 0
 
 
 if __name__ == "__main__":

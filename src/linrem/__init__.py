@@ -15,8 +15,8 @@ from .hrep import (
     build_coefficients,
     build_host,
     copies_for_solution,
-    export_edges,
     export_host,
+    export_plans,
     iter_host_edges,
 )
 from .linsys import (

@@ -14,8 +14,7 @@ import sys
 
 from .behrend import behrend_sphere, build_lower_bound_instance, max_ap3_free
 from .errors import CheckError, EmptyW, InputError, SearchBudgetExceeded
-from .hrep import build_coefficients, build_host, export_edges, host_plans, iter_host_edges
-from .hrep import parse_host_export, predicted_edges
+from .hrep import build_coefficients, build_host, export_plans, host_plans, parse_host_export, predicted_edges
 from .linsys import LinearSystem, SetFamily, format_system, normalize, parse_system, reduce_degenerate
 from .solutions import count_system, epsdelta_scan, plan_removal, translate_edge_deletion
 from .verify import check_representation
@@ -73,9 +72,9 @@ def cmd_represent(args) -> int:
     system, sets = _load(args.input)
     ns, red, edges = _encode(system, sets, guard=args.guard)
     coeffs, sets_n = build_coefficients(ns), ns.permute_family(red.sets)
-    # Written first, so a refused host or path leaves no file and stdout empty.
+    # Rendered from the plans first, so a refused host or path leaves no file and stdout empty.
     if args.dump:
-        text = export_edges(ns, iter_host_edges(ns, coeffs, sets_n))
+        text = export_plans(ns, coeffs, sets_n)
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -186,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_count)
 
     sp = with_input("represent", "certify the host hypergraph's layout and print its summary")
-    sp.add_argument("--dump", metavar="PATH", help="stream the edge list in export format from the certified plans")
+    sp.add_argument("--dump", metavar="PATH", help="write the edge list in export format, rendered from the certified plans")
     sp.add_argument("--guard", type=int, default=10**6, help="host edge budget")
     sp.set_defaults(fn=cmd_represent)
 

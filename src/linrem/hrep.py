@@ -11,21 +11,21 @@ Vertex ids are part*n + value, so tuples built in part order are already
 sorted and double as canonical edge keys. A built host keeps one store,
 by_key, each key's (color, label) in stream order; checks derive the rest.
 
-The edge stream works a column at a time from host_plans, which lays out
-each color's head parts and offsets and certifies, from the label shifts
-alone, that no key repeats; each admissible label's batch zips the head
-columns with the closing part's ids, rotated by the label's shift.
+host_plans lays out each color's head parts and offsets and certifies,
+from the label shifts alone, that no key repeats. The edge stream zips
+each label's head columns with the closing part's ids, rotated by the
+label's shift; export_plans does the same with names, so represent --dump
+builds no key. export_host names a built, perhaps edited, store's keys
+instead. Both write one sorted `color label part:value ...` line per edge,
+and parse_host_export reads such lines back into edge references.
 
 A copy is its sorted vertex tuple, one vertex per part: x parts first,
-then U parts. Host.copy_edges reads a copy's edge keys off that tuple,
-and Host.row_keys, which it uses, is the one place that knows how a row
-color's key is laid out; copies_for_solution, the verifier's walk and
-its copy check all read row edges through it. Host.shifts, beside it,
-owns the x-translation mix_j . x; only the host's construction reads mix
-itself. The naive oracle reads neither method nor the coefficient tables.
-
-export_edges writes one `color label part:value ...` line per streamed or
-stored edge; parse_host_export reads such lines back into edge references.
+then U parts. Host.copy_edges reads a copy's edge keys off that tuple
+through Host.row_keys, which lays out a row color's key a second time,
+as host_plans does; copies_for_solution and the verifier's walk and copy
+check read row edges through it. Host.shifts owns the x-translation
+mix_j . x; only the host's construction reads mix itself. The naive
+oracle reads neither method nor the coefficient tables.
 """
 
 from __future__ import annotations
@@ -271,26 +271,44 @@ def copies_for_solution(host: Host, solution: tuple[int, ...]) -> list[VKey]:
 # Host export format: one line per edge, lexicographically sorted.
 
 
-def export_edges(ns: NormalizedSystem, batches) -> str:
-    """(color, label, keys) batches as sorted `color label part:value ...` lines.
-
-    A batch's keys share one length and are named a column at a time.
-    """
+def _vertex_names(ns: NormalizedSystem) -> list[str]:
+    """Each vertex id's `part:value` name: x parts V1..V{r-1}, then U1..U{p-ell}."""
     parts = [f"V{t + 1}" for t in range(ns.uniformity - 1)] + [f"U{j + 1}" for j in range(ns.free_count)]
-    names = [f"{part}:{v}" for part in parts for v in range(ns.field.q)]
-    lines: list[str] = []
-    for color, label, keys in batches:
-        columns = [map(names.__getitem__, col) for col in zip(*keys)]
-        if columns:  # zip over the head alone would never stop
-            lines.extend(map(" ".join, zip(itertools.repeat(f"{color + 1} {label}"), *columns)))
-    return "\n".join(sorted(lines)) + "\n"
+    return [f"{part}:{v}" for part in parts for v in range(ns.field.q)]
+
+
+def export_plans(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily) -> str:
+    """The host's export lines from host_plans, no key built: each color's heads are
+    named once and each label closes them with the closing part's names rotated by
+    its shift. A head fixes its closing vertex, so walking colors, labels and head
+    values in text order gives the lines sorted."""
+    n, names, blocks = ns.field.q, _vertex_names(ns), []
+    plans = host_plans(ns, coeffs, sets_n)
+    for color in sorted(range(len(plans)), key=lambda c: str(c + 1)):
+        heads, coefs, cpart, col, base, step = plans[color]
+        rows, offsets = [""], [0]
+        for c, part in zip(coefs, heads):
+            part = sorted(part, key=names.__getitem__)
+            rows = [row + names[v] + " " for row in rows for v in part]
+            offsets = [(o + c * v) % n for o in offsets for v in part]
+        closing = list(map(names.__getitem__, cpart))
+        for label in sorted(sets_n.sets[col], key=str):
+            shift = (base + step * label) % n
+            rot, sep = closing[shift:] + closing[:shift], f"\n{color + 1} {label} "
+            blocks.append(sep[1:] + sep.join(map(str.__add__, rows, map(rot.__getitem__, offsets))))
+    return "\n".join(blocks) + "\n"
 
 
 def export_host(host: Host) -> str:
-    """export_edges over by_key's runs of one color, label and key length, as stored."""
-    runs = itertools.groupby(host.by_key.items(), itemgetter(1))
-    lengths = ((ref, itertools.groupby(map(itemgetter(0), run), len)) for ref, run in runs)
-    return export_edges(host.ns, ((*ref, keys) for ref, by_len in lengths for _, keys in by_len))
+    """by_key's edges as sorted export lines, named a column at a time per run
+    of one color, label and key length, so an edited store exports as it stands."""
+    names, lines = _vertex_names(host.ns), []
+    for (color, label), run in itertools.groupby(host.by_key.items(), itemgetter(1)):
+        for _, keys in itertools.groupby(map(itemgetter(0), run), len):
+            columns = [map(names.__getitem__, col) for col in zip(*keys)]
+            if columns:  # zip over the head alone would never stop
+                lines.extend(map(" ".join, zip(itertools.repeat(f"{color + 1} {label}"), *columns)))
+    return "\n".join(sorted(lines)) + "\n"
 
 
 def parse_host_export(host: Host, text: str) -> list[EdgeRef]:

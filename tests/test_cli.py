@@ -230,7 +230,7 @@ def test_represent_counts_the_host_without_building_it(capsys, monkeypatch, tmp_
     ],
 )
 def test_represent_dump_bytes_are_pinned(capsys, tmp_path, name, digest):
-    # --dump streams the export from the certified plans; its bytes must not move.
+    # --dump renders the export from the certified plans; its bytes must not move.
     dump = tmp_path / "host.edges"
     code, out, _ = run(capsys, "represent", str(SYSTEMS / name), "--dump", str(dump))
     assert (code, out) == store_summary(SYSTEMS / name)[:2]
@@ -238,15 +238,22 @@ def test_represent_dump_bytes_are_pinned(capsys, tmp_path, name, digest):
 
 
 def test_represent_dump_builds_no_store(capsys, monkeypatch, tmp_path):
-    # Every bundled system, every draw of the acceptance corpus and an F13
-    # system, whose text order puts V1:10 before V1:2: the streamed dump
-    # equals the built store's export byte for byte, and so does its refusal.
+    # Every bundled system, every draw of the acceptance corpus and four
+    # more: an F13 system, whose text order puts V1:10 before V1:2; the
+    # 10-term all-ones row over F2, whose color 10 sorts between colors 1
+    # and 2; a system with one empty set and one with every set empty.
+    # The plan-rendered dump equals the built store's export byte for
+    # byte, and so does its refusal.
     paths = sorted(str(path) for path in SYSTEMS.glob("*.sys"))
     draws = [(system, sets) for system, _, sets in corpus_draws(CORPUS_SEED, CORPUS_SIZE)]
-    draws.append(parse_system(
+    extra = [
         "field 13\nsystem 2 4\n1 -2 1 0\n0 1 -2 1\nrhs 0 0\n"
-        "set 0,2,10,12\nset 1,11\nset 3,4,5,9,12\nset 2,7,10\n"
-    ))
+        "set 0,2,10,12\nset 1,11\nset 3,4,5,9,12\nset 2,7,10\n",
+        "field 2\nsystem 1 10\n" + " ".join(["1"] * 10) + "\nrhs 0\n" + "set 0\n" * 10,
+        "field 7\nsystem 1 3\n1 2 -1\nrhs 3\nset 1,2,5\nset\nset 0,3,4,6\n",
+        "field 7\nsystem 1 4\n1 2 -1 3\nrhs 3\nset\nset\nset\nset\n",
+    ]
+    draws += [parse_system(text) for text in extra]
     for index, (system, sets) in enumerate(draws):
         path = tmp_path / f"draw-{index}.sys"
         path.write_text(format_system(system, sets))
@@ -259,10 +266,11 @@ def test_represent_dump_builds_no_store(capsys, monkeypatch, tmp_path):
         want.append((code, out, err))
 
     def refuse(*args):
-        raise AssertionError("the edge store was built")
+        raise AssertionError("the edge store or its key stream was built")
 
     monkeypatch.setattr(cli, "build_host", refuse)
     monkeypatch.setattr(hrep, "Host", refuse)
+    monkeypatch.setattr(hrep, "iter_host_edges", refuse)
     got = []
     for index, path in enumerate(paths):
         dump = tmp_path / f"dump-{index}.edges"
@@ -270,8 +278,12 @@ def test_represent_dump_builds_no_store(capsys, monkeypatch, tmp_path):
         got.append((code, (out, dump.read_text()) if dump.exists() else out, err))
     assert got == want
     assert sum(code == 0 for code, _, _ in want) == len(paths) - 2
-    lines = got[-1][1][1].splitlines()
-    assert lines.index("1 0 V1:10 V2:0 U1:10") < lines.index("1 0 V1:2 V2:0 U1:2")
+    f13, f2, one_empty, all_empty = (dumped.splitlines() for _, (_, dumped), _ in got[-4:])
+    assert f13.index("1 0 V1:10 V2:0 U1:10") < f13.index("1 0 V1:2 V2:0 U1:2")
+    colors = [line.split()[0] for line in f2]
+    assert len(f2) == 2560 and colors == sorted(colors)
+    assert colors[255:257] == ["1", "10"] and colors[511:513] == ["10", "2"]
+    assert len(one_empty) == 49 and all_empty == [""]
 
 
 def test_represent_dump_plan_clash_leaves_no_file(capsys, monkeypatch, tmp_path):

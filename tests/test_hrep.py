@@ -15,11 +15,12 @@ from linrem.errors import (
     SimplicityViolation,
 )
 from linrem.hrep import (
+    Host,
     build_coefficients,
     build_host,
     copies_for_solution,
-    export_edges,
     export_host,
+    export_plans,
     host_plans,
     iter_host_edges,
     parse_host_export,
@@ -333,7 +334,8 @@ def test_host_edges_match_per_edge_formula():
     # Random full-rank systems with partial and empty sets; the stream,
     # one batch per label, must equal the per-edge formula edge for edge,
     # order included, and so must the built host's by_key and the edge
-    # tuple derived from it.
+    # tuple derived from it; the plan-rendered export equals the
+    # one-edge-at-a-time export of that store.
     rng = random.Random(2024)
     checked = 0
     while checked < 60:
@@ -358,6 +360,7 @@ def test_host_edges_match_per_edge_formula():
         host = build_host(ns, coeffs, sets)
         assert list(host.by_key.items()) == [(key, (c, lab)) for c, lab, key in want]
         assert host.records == tuple(want)
+        assert export_plans(ns, coeffs, sets_n) == reference_export(host)
         checked += 1
 
 
@@ -454,7 +457,10 @@ def test_shifts_match_the_edge_stream():
 
 def test_part_names():
     # x parts are V1..V{r-1}, free columns U1..U{p-ell}; vertex id part*n + value.
-    text = export_edges(ap4_ns(), [(0, 3, [(0, 6, 12, 18)]), (2, 1, [(4, 9), (5, 10)])])
+    ns = ap4_ns()
+    host = Host(ns, build_coefficients(ns), mk_sets(5, [[0]] * 4))
+    host.by_key = {(0, 6, 12, 18): (0, 3), (4, 9): (2, 1), (5, 10): (2, 1)}
+    text = export_host(host)
     assert text == "1 3 V1:0 V2:1 U1:2 U2:3\n3 1 V1:4 V2:4\n3 1 V2:0 U1:0\n"
 
 
