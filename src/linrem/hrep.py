@@ -20,12 +20,12 @@ instead. Both write one sorted `color label part:value ...` line per edge,
 and parse_host_export reads such lines back into edge references.
 
 A copy is its sorted vertex tuple, one vertex per part: x parts first,
-then U parts. Host.copy_edges reads a copy's edge keys off that tuple
-through Host.row_keys, which lays out a row color's key a second time,
-as host_plans does; copies_for_solution and the verifier's walk and copy
-check read row edges through it. Host.shifts owns the x-translation
-mix_j . x; only the host's construction reads mix itself. The naive
-oracle reads neither method nor the coefficient tables.
+then U parts. Host(...) certifies the plans and keeps them, and reads
+every key layout off them: Host.copy_edges picks each color's key out of
+a copy's tuple, Host.row_keys hands row keys to copies_for_solution and
+the verifier's walk and copy check, and Host.shifts gives the
+x-translation mix_j . x. The naive oracle reads neither method nor the
+coefficient tables.
 """
 
 from __future__ import annotations
@@ -128,10 +128,14 @@ class Host:
         self.free = ns.free_count
         self.ell = ns.ell
         self.by_key: dict[VKey, tuple[int, int]] = {}
-        self._rows = tuple(
-            (self.free + i, coeffs.outside[i], itemgetter(*ns.support[i], ns.pivots[i]))
-            for i in range(self.ell)
-        )
+        self.plans = host_plans(ns, coeffs, self.sets_n)
+        width = self.r - 1
+        self._getters = [itemgetter(*heads, close) for heads, _, close, *_ in self.plans]
+        self._rows = [
+            (color, [h for h in heads if h < width],
+             itemgetter(*(h - width for h in (*heads, close) if h >= width)))
+            for color, (heads, _, close, *_) in enumerate(self.plans[self.free :], self.free)
+        ]
 
     @property
     def records(self) -> tuple[tuple[int, int, VKey], ...]:
@@ -141,11 +145,11 @@ class Host:
     def row_keys(self, prefix: VKey) -> list[tuple[int, VKey, itemgetter]]:
         """Per row i, how a copy with x-part key prefix reads its color-(free+i) edge.
 
-        Each entry is (color, the x-part key's vertices outside row i's
-        block, getter of the support then pivot vertices from the copy's
-        U-part vertices). The edge key is that x-part key followed by the
-        getter's tuple; normalize leaves every row a support column, so
-        it is a tuple.
+        Each entry is (color, the x-part key's vertices in the row plan's
+        head x parts, getter of its head U parts' then closing part's
+        vertices from the copy's U-part vertices). The edge key is that
+        x-part key followed by the getter's tuple; normalize leaves every
+        row a support column, so it is a tuple.
         """
         return [(color, tuple(map(prefix.__getitem__, outs)), get) for color, outs, get in self._rows]
 
@@ -155,7 +159,7 @@ class Host:
         A copy's U_j value at x is its x = 0 value plus shifts[j], mod n.
         Part t's ids are t*n + value, so dot products over ids agree mod n.
         """
-        return [sum(map(mul, a, prefix)) % self.n for a in self.coeffs.mix]
+        return [sum(map(mul, plan[1], prefix)) % self.n for plan in self.plans[: self.free]]
 
     def copy_edges(self, copies) -> list[tuple[EdgeRef, ...]]:
         """Each copy's (color, vertex key) edges: free colors ascending, then the rows.
@@ -173,10 +177,7 @@ class Host:
 
     def _edges(self, copy: VKey) -> tuple[EdgeRef, ...]:
         """copy_edges for one copy already known to meet every part once."""
-        prefix, us = copy[: self.r - 1], copy[self.r - 1 :]
-        return tuple((j, prefix + (u,)) for j, u in enumerate(us)) + tuple(
-            (color, xkey + get_u(us)) for color, xkey, get_u in self.row_keys(prefix)
-        )
+        return tuple((color, get(copy)) for color, get in enumerate(self._getters))
 
 
 def predicted_edges(ns: NormalizedSystem, sets: SetFamily) -> int:
@@ -186,23 +187,21 @@ def predicted_edges(ns: NormalizedSystem, sets: SetFamily) -> int:
 
 def host_plans(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamily) -> list[tuple]:
     """Per color, (head parts, offset coefficients, closing part, label column,
-    base, step), certified to lay out no key twice: a label's keys close each
-    head at its offset plus the label's shift (base + step*label) mod n, so
-    keys of one color meet only where two labels share a shift (the later
-    label's first key is named), and keys of two colors only where both hold
-    the same parts in the same order, which normalize never lays out.
+    base, step), each part by its index, certified to lay out no key twice: a
+    label's keys close each head at its offset plus the label's shift (base +
+    step*label) mod n, so keys of one color meet only where two labels share a
+    shift (the later label's first key is named), and keys of two colors only
+    where both hold the same parts in the same order, which normalize never lays out.
     """
     n = ns.field.q
     width = ns.uniformity - 1
-    rows = ns.base.rows
-    parts = [list(range(t * n, (t + 1) * n)) for t in range(width + ns.free_count)]
-    plans = [(parts[:width], coeffs.mix[j], parts[width + j], j, 0, 1) for j in range(ns.free_count)]
-    for i, (d, support) in enumerate(zip(ns.diag_cols, ns.support)):
-        heads = [parts[t] for t in coeffs.outside[i]] + [parts[width + j] for j in support]
-        coefs = coeffs.closing[i] + tuple(-rows[i][j] for j in support)
-        plans.append((heads, coefs, parts[width + ns.pivots[i]], d, ns.base.rhs[i], -rows[i][d]))
-    firsts = [tuple(part[0] for part in heads) + (cpart[0],) for heads, _, cpart, *_ in plans]
-    for color, (_, _, cpart, col, base, step) in enumerate(plans):
+    plans = [(tuple(range(width)), coeffs.mix[j], width + j, j, 0, 1) for j in range(ns.free_count)]
+    for i, (d, support, row) in enumerate(zip(ns.diag_cols, ns.support, ns.base.rows)):
+        heads = coeffs.outside[i] + tuple(width + j for j in support)
+        coefs = coeffs.closing[i] + tuple(-row[j] for j in support)
+        plans.append((heads, coefs, width + ns.pivots[i], d, ns.base.rhs[i], -row[d]))
+    firsts = [(*heads, close) for heads, _, close, *_ in plans]
+    for color, (heads, _, close, col, base, step) in enumerate(plans):
         other = firsts.index(firsts[color])
         if other < color:
             raise InvariantViolation(f"colors {other + 1} and {color + 1} key the same parts")
@@ -210,7 +209,7 @@ def host_plans(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFamil
         for label in sets_n.sets[col]:
             shift = (base + step * label) % n
             if shift in shifts:
-                key = firsts[color][:-1] + (cpart[shift],)
+                key = tuple(h * n for h in heads) + (close * n + shift,)
                 raise SimplicityViolation(f"edge {key} carries both {(color, shifts[shift])} and {(color, label)}")
             shifts[shift] = label
     return plans
@@ -222,18 +221,19 @@ def iter_host_edges(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: Set
     Streaming form of the host; build_host materializes it. Colors ascend,
     labels ascend within a color, vertex tuples ascend within a batch, and
     no key repeats: host_plans certifies that before the first batch. Each
-    batch zips the head columns with the closing part's ids at the heads'
-    offsets (coefs . head mod n over vertex ids), rotated by the label's shift.
+    batch zips the head parts' id columns with the closing part's ids at the
+    heads' offsets (coefs . head values mod n), rotated by the label's shift.
     """
     n = ns.field.q
-    for color, (heads, coefs, cpart, col, base, step) in enumerate(host_plans(ns, coeffs, sets_n)):
-        columns = list(zip(*itertools.product(*heads)))
+    for color, (heads, coefs, close, col, base, step) in enumerate(host_plans(ns, coeffs, sets_n)):
+        columns = list(zip(*itertools.product(*(range(h * n, h * n + n) for h in heads))))
         offsets = [0]
-        for c, part in zip(coefs, heads):
-            offsets = [(o + c * v) % n for o in offsets for v in part]
+        for c in coefs:
+            offsets = [(o + c * v) % n for o in offsets for v in range(n)]
+        ids = list(range(close * n, close * n + n))
         for label in sets_n.sets[col]:
             shift = (base + step * label) % n
-            rot = cpart[shift:] + cpart[:shift]
+            rot = ids[shift:] + ids[:shift]
             yield color, label, list(zip(*columns, map(rot.__getitem__, offsets)))
 
 
@@ -285,13 +285,13 @@ def export_plans(ns: NormalizedSystem, coeffs: CoefficientTables, sets_n: SetFam
     n, names, blocks = ns.field.q, _vertex_names(ns), []
     plans = host_plans(ns, coeffs, sets_n)
     for color in sorted(range(len(plans)), key=lambda c: str(c + 1)):
-        heads, coefs, cpart, col, base, step = plans[color]
+        heads, coefs, close, col, base, step = plans[color]
         rows, offsets = [""], [0]
-        for c, part in zip(coefs, heads):
-            part = sorted(part, key=names.__getitem__)
+        for c, h in zip(coefs, heads):
+            part = sorted(range(h * n, h * n + n), key=names.__getitem__)
             rows = [row + names[v] + " " for row in rows for v in part]
             offsets = [(o + c * v) % n for o in offsets for v in part]
-        closing = list(map(names.__getitem__, cpart))
+        closing = names[close * n : close * n + n]
         for label in sorted(sets_n.sets[col], key=str):
             shift = (base + step * label) % n
             rot, sep = closing[shift:] + closing[:shift], f"\n{color + 1} {label} "
@@ -305,9 +305,9 @@ def export_host(host: Host) -> str:
     names, lines = _vertex_names(host.ns), []
     for (color, label), run in itertools.groupby(host.by_key.items(), itemgetter(1)):
         for _, keys in itertools.groupby(map(itemgetter(0), run), len):
-            columns = [map(names.__getitem__, col) for col in zip(*keys)]
-            if columns:  # zip over the head alone would never stop
-                lines.extend(map(" ".join, zip(itertools.repeat(f"{color + 1} {label}"), *columns)))
+            keys = list(keys)
+            head = itertools.repeat(f"{color + 1} {label}", len(keys))
+            lines.extend(map(" ".join, zip(head, *(map(names.__getitem__, col) for col in zip(*keys)))))
     return "\n".join(sorted(lines)) + "\n"
 
 

@@ -5,7 +5,7 @@ routine produced it. Copy enumeration has one front door,
 enumerate_copies, with two routes: a per-part walk over an index it
 builds from the edge list, and a naive scan testing vertex k-sets with a
 counting placement test. The walk reads row-color keys through
-Host.row_keys, as copies_for_solution does; the scan shares no logic
+Host.row_keys, off the host's plans; the scan shares no logic
 with the construction and reads only the normalized system and by_key.
 The index keeps each candidate list sorted, so the walk yields copies
 in order and nothing sorts its output. The scan is seeded: a spanning

@@ -207,6 +207,7 @@ def test_plan_certificate_names_the_first_repeated_key(ns, sets, message):
         lambda: host_plans(ns, coeffs, sets_n),
         lambda: next(iter_host_edges(ns, coeffs, sets_n)),
         lambda: build_host(ns, coeffs, sets),
+        lambda: Host(ns, coeffs, sets),
     ):
         with pytest.raises(SimplicityViolation) as exc:
             call()
@@ -263,6 +264,8 @@ def test_plan_refuses_two_colors_keyed_on_the_same_parts():
         next(stream)
     with pytest.raises(InvariantViolation, match=r"^colors 3 and 4 key the same parts$"):
         build_host(ns, bad, mk_sets(5, [[1]] * 4))
+    with pytest.raises(InvariantViolation, match=r"^colors 3 and 4 key the same parts$"):
+        Host(ns, bad, mk_sets(5, [[1]] * 4))
 
 
 def test_host_counts_per_color_label():
@@ -584,6 +587,20 @@ def test_export_store_with_keys_of_two_lengths():
     assert text == reference_export(host)
     assert len(text.splitlines()) == len(host.by_key) == len(items)
     assert f"{value[0] + 1} {value[1]} V1:0 V2:3 U1:3 U2:4" in text.splitlines()
+
+
+def test_export_store_with_an_empty_key():
+    # An edge stored under the empty key has no vertex column to bound the
+    # run; it still gets its own line, which the reader refuses as too short.
+    ns = triangle5_ns()
+    host = build_host(ns, build_coefficients(ns), mk_sets(5, [[1, 2]] * 3))
+    lines = export_host(host).splitlines()
+    host.by_key[()] = (0, 1)
+    text = export_host(host)
+    assert text == "\n".join(sorted(lines + ["1 1"])) + "\n"
+    assert len(text.splitlines()) == len(host.by_key) == 31
+    with pytest.raises(ParseError, match=r"^line 1: expected 'color label part:vertex \.\.\.'$"):
+        parse_host_export(host, text)
 
 
 def test_export_round_trip():

@@ -1,8 +1,8 @@
 """Source hygiene: no assert statements, a standard-library-only runtime,
 no imported name left unused, no reader of the derived Host.records tuple
-inside the package, no reader of the mix table outside hrep, no
-attribute set through object.__setattr__, and no public function with a
-parameter named like a private name."""
+inside the package, no reader of the mix table outside hrep, one key
+layout inside hrep, no attribute set through object.__setattr__, and no
+public function with a parameter named like a private name."""
 
 import ast
 import os
@@ -85,6 +85,27 @@ def test_only_hrep_reads_the_mix_table():
         if name != "hrep.py"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "mix"
+    ]
+    assert reads == []
+
+
+def test_hrep_lays_out_keys_only_in_host_plans():
+    # build_coefficients makes the tables and host_plans lays out every
+    # color's key from them; the host, the stream and the exports read
+    # the plans, so no other code in hrep reads a layout table.
+    tree = dict(_modules())["hrep.py"]
+    allowed = {
+        id(node)
+        for func in tree.body
+        if getattr(func, "name", None) in ("build_coefficients", "host_plans")
+        for node in ast.walk(func)
+    }
+    reads = [
+        f"hrep.py:{node.lineno}: {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("outside", "closing", "mix", "support", "pivots")
+        and id(node) not in allowed
     ]
     assert reads == []
 
